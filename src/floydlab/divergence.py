@@ -84,8 +84,16 @@ def _directed_edges(ball: GraphBall) -> tuple[np.ndarray, np.ndarray]:
 
 def _punctured_matrix(ball: GraphBall, rows: np.ndarray, cols: np.ndarray,
                       allowed: np.ndarray) -> sp.csr_matrix:
+    """The ball's adjacency restricted to edges between allowed vertices.
+
+    `rows`, `cols` are the directed edges in CSR order (from _directed_edges),
+    so the kept ones are already the punctured matrix's CSR arrays.
+    """
     keep = allowed[rows] & allowed[cols]
-    return sp.csr_matrix((np.ones(int(keep.sum())), (rows[keep], cols[keep])),
+    kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    indptr = kept_before[ball.csr_arrays[0]]
+    return sp.csr_matrix((np.ones(int(indptr[-1])), cols[keep], indptr),
                          shape=(ball.vertex_count, ball.vertex_count))
 
 
@@ -293,7 +301,11 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
                 if c in seen or c not in inner_set or c in (a, b):
                     continue
                 seen.add(c)
-                d_c = dijkstra(mat, directed=True, unweighted=True, indices=[c])[0]
+                # c lies within 2 steps of the a-b geodesic, so
+                # ra = d(c, {a, b}) <= n/2 + 2 < n + 3 is exact, and a vertex
+                # beyond the limit (read as inf) is beyond the threshold too.
+                d_c = dijkstra(mat, directed=True, unweighted=True, indices=[c],
+                               limit=n + 3)[0]
                 ra = int(min(d_c[a], d_c[b]))
                 threshold = params.delta * ra - params.gamma
                 wit = (min(a, b), max(a, b), c)
@@ -301,7 +313,13 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
                     buckets.offer(n, float(n), wit, threshold)
                     continue
                 sub = _punctured_matrix(ball, rows, cols, d_c > threshold)
-                val = dijkstra(sub, directed=True, unweighted=True, indices=[a])[0][b]
+                # Most detours are short: search within 8n first and only
+                # when that finds nothing search the whole punctured ball.
+                val = dijkstra(sub, directed=True, unweighted=True, indices=[a],
+                               limit=8 * n)[0][b]
+                if math.isinf(val):
+                    val = dijkstra(sub, directed=True, unweighted=True,
+                                   indices=[a])[0][b]
                 if math.isinf(val):
                     buckets.offer_infinite(n, wit, threshold)
                 else:

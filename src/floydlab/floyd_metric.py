@@ -31,7 +31,7 @@ from .errors import (
     SampleExhausted,
     TableExhausted,
 )
-from .graph_core import GraphBall, bfs_parents, extract_path, sphere
+from .graph_core import GraphBall, bfs, bfs_parents, extract_path, sphere
 
 _BUILTIN_KINDS = ("inverse_power", "exponential", "inverse_square_plus_one")
 
@@ -238,8 +238,11 @@ class FloydWeighting:
 
 
 def floyd_weighting(ball: GraphBall, f: FloydFunction) -> FloydWeighting:
-    """Weight each edge {u, v} by f(min(d(b,u), d(b,v)))."""
-    values = f.values_through(ball.radius)
+    """Weight each edge {u, v} by f(min(d(b,u), d(b,v))).
+
+    f is evaluated only up to the largest index an edge uses: radius - 1,
+    unless some edge joins two vertices of the outer sphere.
+    """
     if ball.edge_count == 0:
         return FloydWeighting(ball=ball, floyd=f,
                               edge_u=np.empty(0, dtype=np.int64),
@@ -248,7 +251,8 @@ def floyd_weighting(ball: GraphBall, f: FloydFunction) -> FloydWeighting:
     edges = np.asarray(ball.edges, dtype=np.int64)
     u, v = edges[:, 0], edges[:, 1]
     dist = ball.dist_array
-    weights = values[np.minimum(dist[u], dist[v])]
+    level = np.minimum(dist[u], dist[v])
+    weights = f.values_through(int(level.max()))[level]
     return FloydWeighting(ball=ball, floyd=f, edge_u=u, edge_v=v,
                           edge_weight=weights)
 
@@ -438,21 +442,6 @@ def karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
 def _punctured_geodesic(ball: GraphBall, u: int, v: int,
                         rho: int) -> list[int] | None:
     """Shortest u-v path avoiding the closed base ball of radius rho."""
-    from collections import deque
-
-    dist_b = ball.dist_to_base
-    parent = {u: -1}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            path = [v]
-            while parent[path[-1]] >= 0:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return path
-        for y in ball.adjacency[x]:
-            if y not in parent and dist_b[y] > rho:
-                parent[y] = x
-                queue.append(y)
-    return None
+    _, dist, parent = bfs(ball.adjacency, [u],
+                          allowed=(ball.dist_array > rho).tolist())
+    return extract_path(parent, v) if dist[v] >= 0 else None

@@ -10,6 +10,7 @@ bound on the ambient distance.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +28,7 @@ from .errors import (
 )
 
 FILE_MAGIC = "floydlab-graph v1"
+_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -92,44 +94,61 @@ class Sphere:
     vertices: tuple[int, ...]
 
 
+def bfs(adjacency: Sequence[Sequence[int]], sources: Iterable[int],
+        cap: int | None = None, allowed: Sequence[bool] | None = None
+        ) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first search from `sources`; returns (order, dist, parent).
+
+    `order` lists the reached vertices in discovery order (every source
+    first); `dist` and `parent` are dense, with -1 for unreached vertices and
+    for the parents of sources. Sources are seeded in the order given,
+    skipping duplicates and sources outside `allowed`. The queue is FIFO over
+    each vertex's adjacency in stored order, and the first discoverer of a
+    vertex becomes its parent. `cap` stops the search beyond that depth
+    (distances > cap stay -1); `allowed` restricts the search to vertices
+    whose entry is true.
+
+    The cost is the part of the graph the search reaches plus two lists of
+    length V, so capped searches stay local.
+    """
+    dist = [-1] * len(adjacency)
+    parent = [-1] * len(adjacency)
+    order: list[int] = []
+    for s in sources:
+        if dist[s] < 0 and (allowed is None or allowed[s]):
+            dist[s] = 0
+            order.append(s)
+    # `order` doubles as the FIFO queue; its distances never decrease, so
+    # the first vertex at depth `cap` ends the search.
+    head = 0
+    while head < len(order):
+        u = order[head]
+        head += 1
+        du = dist[u]
+        if cap is not None and du >= cap:
+            break
+        du += 1
+        for v in adjacency[u]:
+            if dist[v] < 0 and (allowed is None or allowed[v]):
+                dist[v] = du
+                parent[v] = u
+                order.append(v)
+    return order, dist, parent
+
+
 def bfs_distances(adjacency: Sequence[Sequence[int]], source: int,
                   cap: int | None = None) -> list[int]:
     """BFS distances from `source`; unreached vertices get -1.
 
     `cap` stops the search beyond that depth (distances > cap stay -1).
     """
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if cap is not None and du >= cap:
-            continue
-        for v in adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
+    return bfs(adjacency, (source,), cap)[1]
 
 
 def bfs_parents(adjacency: Sequence[Sequence[int]], source: int,
                 cap: int | None = None) -> tuple[list[int], list[int]]:
-    """BFS distances and predecessor tree (smallest-index parent wins)."""
-    dist = [-1] * len(adjacency)
-    parent = [-1] * len(adjacency)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if cap is not None and du >= cap:
-            continue
-        for v in adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                parent[v] = u
-                queue.append(v)
+    """BFS distances and predecessor tree (the first discoverer is the parent)."""
+    _, dist, parent = bfs(adjacency, (source,), cap)
     return dist, parent
 
 
@@ -261,13 +280,25 @@ def write_graph_file(path, ball: GraphBall) -> None:
 
 
 def _parse_int_fields(text: str, n_fields: int, line_no: int) -> list[int]:
+    """The integers of a line of `n_fields` fields separated by single spaces.
+
+    Each field must be written canonically: ASCII digits with an optional
+    minus sign, no leading zeros, and no "-0".
+    """
     parts = text.split(" ")
-    if len(parts) != n_fields or any(p == "" for p in parts):
+    if len(parts) != n_fields or "" in parts:
         raise ParseError(f"expected {n_fields} space-separated integers", line=line_no)
+    # In an ASCII line where no field starts with "0" or "-0", str.isdigit
+    # alone accepts exactly the canonical digit strings; other lines (rare:
+    # a field equal to 0, or a malformed one) are matched field by field.
+    plain = (text.isascii() and text[0] != "0" and " 0" not in text
+             and "-0" not in text)
     out = []
     for p in parts:
         if not (p.isdigit() or (p[0] == "-" and p[1:].isdigit())):
             raise ParseError(f"not an integer: {p!r}", line=line_no)
+        if not plain and _CANONICAL_INT.fullmatch(p) is None:
+            raise ParseError(f"not a canonical integer: {p!r}", line=line_no)
         out.append(int(p))
     return out
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadRadii, NonPath, SegmentTooLong
-from .graph_core import GraphBall, bfs_distances, bfs_parents, extract_path
+from .graph_core import GraphBall, bfs, bfs_distances, extract_path
 
 
 @dataclass(frozen=True)
@@ -130,28 +130,8 @@ def escape_ray_search(ball: GraphBall, x: int, C: float, inner_radius: float,
     return None
 
 
-def _punctured_bfs(ball: GraphBall, sources, allowed) -> tuple[list[int], list[int]]:
-    from collections import deque
-
-    dist = [-1] * ball.vertex_count
-    parent = [-1] * ball.vertex_count
-    queue = deque()
-    for s in sources:
-        if allowed[s]:
-            dist[s] = 0
-            queue.append(s)
-    while queue:
-        u = queue.popleft()
-        for v in ball.adjacency[u]:
-            if dist[v] < 0 and allowed[v]:
-                dist[v] = dist[u] + 1
-                parent[v] = u
-                queue.append(v)
-    return dist, parent
-
-
 def _search_from(ball, start, C, allowed, targets, slack_paths):
-    dist, parent = _punctured_bfs(ball, [start], allowed)
+    _, dist, parent = bfs(ball.adjacency, [start], allowed=allowed)
     reachable = [(dist[t], t) for t in targets if dist[t] >= 0]
     if not reachable:
         return None
@@ -163,7 +143,7 @@ def _search_from(ball, start, C, allowed, targets, slack_paths):
 
     # Bounded backtracking: enumerate paths of length <= shortest + 2C whose
     # every prefix can still reach a target within budget.
-    dist_to_target, _ = _punctured_bfs(ball, sorted(targets), allowed)
+    dist_to_target = bfs(ball.adjacency, sorted(targets), allowed=allowed)[1]
     budget = shortest + int(2 * C)
     tried = 0
 
@@ -244,19 +224,21 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int, *,
 
 
 def _middle_segment(ball, x, C, half, u_cap):
-    near = bfs_distances(ball.adjacency, x, cap=int(C))
-    anchors = sorted((d, v) for v, d in enumerate(near) if d >= 0)
-    for _, x1 in anchors:
-        dist1, parent1 = bfs_parents(ball.adjacency, x1, cap=half)
-        ring = [v for v, d in enumerate(dist1) if d == half]
+    adjacency = ball.adjacency
+    order, near, _ = bfs(adjacency, [x], cap=int(C))
+    for x1 in sorted(order, key=lambda v: (near[v], v)):
+        order1, dist1, parent1 = bfs(adjacency, [x1], cap=half)
+        ring = sorted(v for v in order1 if dist1[v] == half)
         if not ring:
             continue
         for u in ring[:u_cap]:
-            du = bfs_distances(ball.adjacency, u, cap=2 * half)
+            # Every ring vertex is within 2*half of u through x1, so the ones
+            # this search leaves unreached are exactly those at 2*half.
+            du = bfs(adjacency, [u], cap=2 * half - 1)[1]
             antipode = None
             relaxed = None
             for wv in ring:
-                if du[wv] == 2 * half:
+                if du[wv] < 0:
                     antipode = wv
                     break
                 if relaxed is None or du[wv] > du[relaxed]:

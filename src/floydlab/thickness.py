@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .divergence import DivergenceParams, div_function_estimate, growth_fit
-from .errors import InsufficientData, StructureDepthMismatch
-from .graph_core import GraphBall, bfs_distances
+from .errors import InsufficientData, SegmentTooLong, StructureDepthMismatch
+from .graph_core import GraphBall, bfs, bfs_distances
 from .quasigeodesic import wideness_probe
 
 
@@ -107,25 +106,6 @@ class ChainReport:
     D_min: int
 
 
-def _neighborhood_distances(ball: GraphBall, seeds: Sequence[int],
-                            cap: int) -> list[int]:
-    dist = [-1] * ball.vertex_count
-    queue = deque()
-    for s in seeds:
-        if dist[s] < 0:
-            dist[s] = 0
-            queue.append(s)
-    while queue:
-        u = queue.popleft()
-        if dist[u] >= cap:
-            continue
-        for v in ball.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 def verify_cover(ball: GraphBall, structure: ThickStructure) -> CoverReport:
     """Every ball vertex must lie within C of some subset; violators are
     reported as data, not errors."""
@@ -135,10 +115,8 @@ def verify_cover(ball: GraphBall, structure: ThickStructure) -> CoverReport:
     cap = int(math.floor(structure.C))
     covered = [False] * ball.vertex_count
     for s in structure.subsets:
-        dist = _neighborhood_distances(ball, s.vertices, cap)
-        for v, d in enumerate(dist):
-            if 0 <= d <= structure.C:
-                covered[v] = True
+        for v in bfs(ball.adjacency, s.vertices, cap)[0]:
+            covered[v] = True
     violators = tuple(v for v, ok in enumerate(covered) if not ok)
     return CoverReport(ok=not violators, violators=violators, C=structure.C)
 
@@ -165,30 +143,25 @@ def verify_chains(ball: GraphBall, structure: ThickStructure) -> ChainReport:
     is connected."""
     m = len(structure.subsets)
     cap = int(math.floor(structure.C))
-    near = []
-    for s in structure.subsets:
-        dist = _neighborhood_distances(ball, s.vertices, cap)
-        near.append([0 <= d <= structure.C for d in dist])
+    near = [set(bfs(ball.adjacency, s.vertices, cap)[0]) for s in structure.subsets]
     edges = []
-    linked = [[False] * m for _ in range(m)]
+    links: list[list[int]] = [[] for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            meet_ij = [v for v in structure.subsets[j].vertices if near[i][v]]
-            meet_ji = [v for v in structure.subsets[i].vertices if near[j][v]]
+            meet_ij = [v for v in structure.subsets[j].vertices if v in near[i]]
+            meet_ji = [v for v in structure.subsets[i].vertices if v in near[j]]
             if (_set_diameter_at_least(ball, meet_ij, structure.D_min)
                     or _set_diameter_at_least(ball, meet_ji, structure.D_min)):
                 edges.append((i, j))
-                linked[i][j] = linked[j][i] = True
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in range(m):
-            if linked[u][v] and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    components = m - len(seen) + 1 if len(seen) < m else 1
-    return ChainReport(ok=len(seen) == m, edges=tuple(edges),
+                links[i].append(j)
+                links[j].append(i)
+    seen: set[int] = set()
+    components = 0
+    for root in range(m):
+        if root not in seen:
+            seen.update(bfs(links, [root])[0])
+            components += 1
+    return ChainReport(ok=components == 1, edges=tuple(edges),
                        component_count=components, D_min=structure.D_min)
 
 
@@ -318,7 +291,7 @@ def _leaf_wideness(name: str, ball: GraphBall, C: float,
         report = wideness_probe(ball, effective_c, probe.segment_length,
                                 u_cap=probe.u_cap)
         frac = report.pass_fraction
-    except Exception:
+    except SegmentTooLong:
         return LeafVerdict(name=name, connected=True, probe_pass_fraction=None,
                            divergence_verdict="probe-failed",
                            divergence_slope=None, wide_ok=False)

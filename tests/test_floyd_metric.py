@@ -111,6 +111,20 @@ def test_weighting_uses_min_endpoint_distance():
     assert sorted(w.edge_weight.tolist()) == [0.25, 0.25, 1.0, 1.0, 1.0, 1.0]
 
 
+def test_weighting_needs_table_only_through_radius_minus_one():
+    # Z^2 is bipartite, so no edge joins two outer-sphere vertices and the
+    # largest edge index is radius - 1: a table ending at f(radius - 1) works.
+    ball = cayley_ball(FreeAbelian(2), 5)
+    short = FloydFunction.custom_table([INVPOW2.value(n) for n in range(1, 5)])
+    w = floyd_weighting(ball, short)
+    assert w.edge_weight.tolist() == floyd_weighting(ball, INVPOW2).edge_weight.tolist()
+    # On a 5-cycle the two outer-sphere vertices are adjacent and need f(2).
+    odd = build_ball([(i, (i + 1) % 5) for i in range(5)], 0, 2)
+    with pytest.raises(TableExhausted):
+        floyd_weighting(odd, FloydFunction.custom_table([1.0]))
+    assert floyd_weighting(odd, FloydFunction.custom_table([1.0, 0.5])).edge_weight.min() == 0.5
+
+
 def test_base_edge_gets_f0():
     ball = build_ball([(0, 1)], 0, 1)
     f = FloydFunction.exponential(0.25)

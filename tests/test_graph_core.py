@@ -203,3 +203,18 @@ def test_reader_consistency_radius(tmp_path):
     p = _write(tmp_path / "g", "floydlab-graph v1\n3 2 0 1\n0 1\n1 2\n")
     with pytest.raises(ConsistencyError):
         read_graph_file(p)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("floydlab-graph v1\n2 1 0 1\n0 01\n", 3),
+    ("floydlab-graph v1\n2 1 0 1\n0 ١\n", 3),
+    ("floydlab-graph v1\n2 1 0 1\n-0 1\n", 3),
+    ("floydlab-graph v1\n2 1 -0 1\n0 1\n", 2),
+    ("floydlab-graph v1\n02 1 0 1\n0 1\n", 2),
+    ("floydlab-graph v1\n2 1 0 1\n+0 1\n", 3),
+])
+def test_reader_rejects_non_canonical_integers(tmp_path, text, line):
+    p = _write(tmp_path / "g", text)
+    with pytest.raises(ParseError) as err:
+        read_graph_file(p)
+    assert err.value.line == line

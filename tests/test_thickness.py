@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from floydlab import thickness
 from floydlab.errors import StructureDepthMismatch
 from floydlab.graph_core import bfs_distances, graph_distance
 from floydlab.group_models import Free, cayley_ball
@@ -131,6 +132,22 @@ def test_chains_monotone_in_dmin(z2_small):
         assert all(oks[d] for d in oks if d <= threshold)
 
 
+def test_chains_count_link_components(z2_small):
+    # Two linked pairs far apart: the link graph has exactly two components.
+    ball, elements = z2_small
+    top = tuple(i for i, el in enumerate(elements) if el[1] >= 4)
+    bottom = tuple(i for i, el in enumerate(elements) if el[1] <= -4)
+    st = ThickStructure(C=1.0, order=1, D_min=2, subsets=(
+        ThickSubset(name="top-a", vertices=top),
+        ThickSubset(name="bottom-a", vertices=bottom),
+        ThickSubset(name="top-b", vertices=top),
+        ThickSubset(name="bottom-b", vertices=bottom)))
+    report = verify_chains(ball, st)
+    assert report.edges == ((0, 2), (1, 3))
+    assert report.component_count == 2
+    assert not report.ok
+
+
 def test_induced_metric_dominates_ambient(z2_small):
     ball, elements = z2_small
     ring = tuple(i for i, el in enumerate(elements)
@@ -213,6 +230,26 @@ def test_verify_thick_disconnected_leaf(z2_small):
     assert not leaf.connected
     assert leaf.divergence_verdict == "disconnected"
     assert not verdict.overall
+
+
+def test_leaf_probe_failed_only_for_a_segment_too_long():
+    ball = cayley_ball(Free(2), 2)
+    verdict = verify_thick(ball, whole_ball_structure(ball),
+                           qg_params=WidenessProbeConfig(segment_length=8))
+    leaf = verdict.subset_verdicts[0].verdict
+    assert leaf.divergence_verdict == "probe-failed"
+    assert leaf.probe_pass_fraction is None
+
+
+def test_leaf_probe_errors_propagate(z2_small, monkeypatch):
+    ball, _ = z2_small
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug inside the probe")
+
+    monkeypatch.setattr(thickness, "wideness_probe", broken)
+    with pytest.raises(RuntimeError, match="bug inside the probe"):
+        verify_thick(ball, whole_ball_structure(ball))
 
 
 def test_verdict_json_shape(z2_mid):
