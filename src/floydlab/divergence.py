@@ -313,13 +313,7 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
                     buckets.offer(n, float(n), wit, threshold)
                     continue
                 sub = _punctured_matrix(ball, rows, cols, d_c > threshold)
-                # Most detours are short: search within 8n first and only
-                # when that finds nothing search the whole punctured ball.
-                val = dijkstra(sub, directed=True, unweighted=True, indices=[a],
-                               limit=8 * n)[0][b]
-                if math.isinf(val):
-                    val = dijkstra(sub, directed=True, unweighted=True,
-                                   indices=[a])[0][b]
+                val = dijkstra(sub, directed=True, unweighted=True, indices=[a])[0][b]
                 if math.isinf(val):
                     buckets.offer_infinite(n, wit, threshold)
                 else:

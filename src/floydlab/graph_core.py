@@ -10,7 +10,6 @@ bound on the ambient distance.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +27,6 @@ from .errors import (
 )
 
 FILE_MAGIC = "floydlab-graph v1"
-_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -282,24 +280,21 @@ def write_graph_file(path, ball: GraphBall) -> None:
 def _parse_int_fields(text: str, n_fields: int, line_no: int) -> list[int]:
     """The integers of a line of `n_fields` fields separated by single spaces.
 
-    Each field must be written canonically: ASCII digits with an optional
-    minus sign, no leading zeros, and no "-0".
+    Each field must be written canonically, as str() writes an int: ASCII
+    digits with an optional minus sign, no leading zeros, and no "-0".
     """
     parts = text.split(" ")
     if len(parts) != n_fields or "" in parts:
         raise ParseError(f"expected {n_fields} space-separated integers", line=line_no)
-    # In an ASCII line where no field starts with "0" or "-0", str.isdigit
-    # alone accepts exactly the canonical digit strings; other lines (rare:
-    # a field equal to 0, or a malformed one) are matched field by field.
-    plain = (text.isascii() and text[0] != "0" and " 0" not in text
-             and "-0" not in text)
     out = []
     for p in parts:
-        if not (p.isdigit() or (p[0] == "-" and p[1:].isdigit())):
-            raise ParseError(f"not an integer: {p!r}", line=line_no)
-        if not plain and _CANONICAL_INT.fullmatch(p) is None:
+        try:
+            v = int(p)
+        except ValueError:
+            raise ParseError(f"not an integer: {p!r}", line=line_no) from None
+        if str(v) != p:
             raise ParseError(f"not a canonical integer: {p!r}", line=line_no)
-        out.append(int(p))
+        out.append(v)
     return out
 
 

@@ -212,6 +212,8 @@ def test_reader_consistency_radius(tmp_path):
     ("floydlab-graph v1\n2 1 -0 1\n0 1\n", 2),
     ("floydlab-graph v1\n02 1 0 1\n0 1\n", 2),
     ("floydlab-graph v1\n2 1 0 1\n+0 1\n", 3),
+    ("floydlab-graph v1\n2 1 0 +1\n0 1\n", 2),
+    ("floydlab-graph v1\n12 1 0 1\n0 1_0\n", 3),
 ])
 def test_reader_rejects_non_canonical_integers(tmp_path, text, line):
     p = _write(tmp_path / "g", text)

@@ -293,7 +293,7 @@ SAMPLED_CASES = {
     "z2": (lambda: cayley_ball(FreeAbelian(2), 24), 8, 3.0),
     "f2": (lambda: cayley_ball(Free(2), 6), 3, 2.0),
     "heis": (lambda: cayley_ball(Heisenberg(), 9), 3, 3.0),
-    # Detours of length 38 around a 40-cycle exceed the first bound 8n.
+    # Detours of length 38 around a 40-cycle are much longer than n.
     "cycle": (lambda: cycle_ball(40), 2, 1.0),
 }
 
@@ -319,11 +319,11 @@ def test_sampled_estimate_matches_unbounded_searches(name, monkeypatch):
         assert bounded == unbounded
 
 
-def test_sampled_differential_covers_the_retry():
+def test_sampled_differential_covers_long_detours():
     ball = cycle_ball(40)
     samples = div_function_estimate(ball, 2, DivergenceParams(0.5, 0.0),
                                     protocol="sampled", seed=0, margin=1.0)
-    assert samples[-1].value is not None and samples[-1].value > 8 * samples[-1].n
+    assert samples[-1].value is not None and samples[-1].value > samples[-1].n + 3
 
 
 @pytest.mark.parametrize("seed", range(10))
