@@ -20,7 +20,6 @@ from .floyd_metric import (
     FloydFunction,
     FloydWeighting,
     check_sublinearity,
-    eval_floyd,
     floyd_distance,
     floyd_weighting,
     karlsson_set_estimate,
@@ -78,7 +77,6 @@ __all__ = [
     "FloydFunction",
     "FloydWeighting",
     "check_sublinearity",
-    "eval_floyd",
     "floyd_distance",
     "floyd_weighting",
     "karlsson_set_estimate",

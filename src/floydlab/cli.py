@@ -109,11 +109,10 @@ def cmd_floyd_diam(args) -> int:
     return 0
 
 
-def _divergence_samples(args, ball):
+def _divergence_samples(args, ball, n_max):
     params = div_mod.DivergenceParams(delta=args.delta, gamma=args.gamma)
-    n_range = _parse_range(args.n_range)
-    return params, n_range, div_mod.div_function_estimate(
-        ball, max(n_range), params, protocol=args.protocol, seed=args.seed,
+    return params, div_mod.div_function_estimate(
+        ball, n_max, params, protocol=args.protocol, seed=args.seed,
         margin=args.margin, n_min=1, pairs_per_n=args.pairs_per_n,
         c_per_pair=args.c_per_pair)
 
@@ -124,7 +123,8 @@ _DIV_KEYS = ["model", "graph", "radius", "n_range", "delta", "gamma",
 
 def cmd_divergence(args) -> int:
     ball = _load_ball(args)
-    _, n_range, samples = _divergence_samples(args, ball)
+    n_range = _parse_range(args.n_range)
+    _, samples = _divergence_samples(args, ball, max(n_range))
     lines = [_config_line("divergence", args, _DIV_KEYS),
              "n,value_or_inf,a,b,c,forbidden_radius,protocol,seed"]
     for s in samples:
@@ -142,11 +142,7 @@ def cmd_criterion(args) -> int:
     ball = _load_ball(args)
     f = fm.parse_floyd(args.floyd)
     n_range = _parse_range(args.n_range)
-    params = div_mod.DivergenceParams(delta=args.delta, gamma=args.gamma)
-    samples = div_mod.div_function_estimate(
-        ball, 2 * max(n_range), params, protocol=args.protocol, seed=args.seed,
-        margin=args.margin, n_min=1, pairs_per_n=args.pairs_per_n,
-        c_per_pair=args.c_per_pair)
+    params, samples = _divergence_samples(args, ball, 2 * max(n_range))
     result = div_mod.criterion_check(samples, f, params, n_range)
     keys = _DIV_KEYS + ["floyd"]
     lines = [_config_line("criterion", args, keys), "n,div_2n,f_argument,term"]

@@ -348,7 +348,7 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
         raise MarginViolated(
             f"n_max {n_max} violates margin {margin} on ball radius {ball.radius}")
     r_in = int(math.floor(ball.radius / margin + 1e-9))
-    inner = np.flatnonzero(ball.dist_array <= r_in)
+    inner = np.flatnonzero(ball.dist <= r_in)
     if inner.size < 3:
         raise ValueError("inner region too small for divergence triples")
     if protocol == "auto":

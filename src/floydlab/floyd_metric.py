@@ -116,11 +116,6 @@ class FloydFunction:
         return f"table:<{len(self.table)} entries>"
 
 
-def eval_floyd(f: FloydFunction, n: int) -> float:
-    """Function value with the f(0) = f(1) convention applied."""
-    return f.value(n)
-
-
 def parse_floyd(spec: str) -> FloydFunction:
     """Parse a CLI Floyd-function string.
 
@@ -248,9 +243,8 @@ def floyd_weighting(ball: GraphBall, f: FloydFunction) -> FloydWeighting:
                               edge_u=np.empty(0, dtype=np.int64),
                               edge_v=np.empty(0, dtype=np.int64),
                               edge_weight=np.empty(0))
-    edges = np.asarray(ball.edges, dtype=np.int64)
-    u, v = edges[:, 0], edges[:, 1]
-    dist = ball.dist_array
+    u, v = ball.edge_arrays
+    dist = ball.dist
     level = np.minimum(dist[u], dist[v])
     weights = f.values_through(int(level.max()))[level]
     return FloydWeighting(ball=ball, floyd=f, edge_u=u, edge_v=v,
@@ -322,19 +316,17 @@ def sphere_floyd_diameter(w: FloydWeighting, r: int, *, margin: float = 3.0,
 
     def scan(chunk: list[int]) -> tuple[float, tuple[int, int]]:
         rows = _dijkstra_rows(w, chunk)[:, target_idx]
-        best = -1.0
-        witness = (0, 0)
-        for i, s in enumerate(chunk):
-            row = rows[i]
-            m = float(row.max())
-            if m < best:
-                continue
-            for j in np.flatnonzero(row == m):
-                t = int(target_idx[j])
-                pair = (min(s, t), max(s, t))
-                if m > best or pair < witness:
-                    best, witness = m, pair
-        return best, witness
+        row_max = rows.max(axis=1)
+        best = row_max.max()
+        # Targets ascend, so a row's first argmax is its smallest tied
+        # target t, and (min(s, t), max(s, t)) grows with t: that target
+        # gives the row's smallest pair.
+        tied = np.flatnonzero(row_max == best)
+        s = np.asarray(chunk, dtype=np.int64)[tied]
+        t = target_idx[rows[tied].argmax(axis=1)]
+        lo, hi = np.minimum(s, t), np.maximum(s, t)
+        k = np.lexsort((hi, lo))[0]
+        return float(best), (int(lo[k]), int(hi[k]))
 
     if threads <= 1 or len(sources) < 2:
         results = [scan(sources)]
@@ -443,5 +435,5 @@ def _punctured_geodesic(ball: GraphBall, u: int, v: int,
                         rho: int) -> list[int] | None:
     """Shortest u-v path avoiding the closed base ball of radius rho."""
     _, dist, parent = bfs(ball.adjacency, [u],
-                          allowed=(ball.dist_array > rho).tolist())
+                          allowed=(ball.dist > rho).tolist())
     return extract_path(parent, v) if dist[v] >= 0 else None

@@ -10,6 +10,7 @@ bound on the ambient distance.
 
 from __future__ import annotations
 
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,59 +30,137 @@ from .errors import (
 FILE_MAGIC = "floydlab-graph v1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphBall:
     """Immutable finite ball of a locally finite graph with a basepoint.
 
-    Safe for concurrent reads; construction happens once, up front.
+    The stored form is three int64 arrays: the symmetric adjacency in CSR
+    form (`indptr`, `indices`, each row sorted ascending) and the distance of
+    every vertex from the base. The ball keeps the arrays it is given and
+    makes them read-only. The tuple views (`adjacency`, `dist_to_base`,
+    `edges`, `spheres_by_radius`) are derived on first use. Safe for
+    concurrent reads; construction happens once, up front.
     """
 
-    vertex_count: int
     base: int
     radius: int
-    adjacency: tuple[tuple[int, ...], ...]
-    dist_to_base: tuple[int, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    dist: np.ndarray
+
+    def __post_init__(self):
+        for name in ("indptr", "indices", "dist"):
+            arr = np.asarray(getattr(self, name), dtype=np.int64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if len(self.indptr) != len(self.dist) + 1 or self.indptr[-1] != len(self.indices):
+            raise ValueError("CSR arrays do not match the vertex count")
+
+    @classmethod
+    def from_adjacency(cls, adjacency: Sequence[Sequence[int]], base: int,
+                       radius: int, dist: Sequence[int]) -> "GraphBall":
+        """Ball from per-vertex neighbor lists (symmetric, no repeats)."""
+        rows = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in rows], out=indptr[1:])
+        indices = np.fromiter((v for r in rows for v in r), dtype=np.int64,
+                              count=int(indptr[-1]))
+        ball = cls(base=base, radius=radius, indptr=indptr, indices=indices,
+                   dist=dist)
+        ball.__dict__["adjacency"] = rows
+        return ball
+
+    def __eq__(self, other):
+        if not isinstance(other, GraphBall):
+            return NotImplemented
+        return (self.base == other.base and self.radius == other.radius
+                and np.array_equal(self.dist, other.dist)
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
+
+    def __hash__(self):
+        return hash((self.base, self.radius, self.vertex_count, self.edge_count))
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.dist)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.indices) // 2
+
+    @property
+    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of the symmetric unweighted adjacency."""
+        return self.indptr, self.indices
 
     @cached_property
-    def dist_array(self) -> np.ndarray:
-        return np.asarray(self.dist_to_base, dtype=np.int64)
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor tuple of every vertex."""
+        flat = self.indices.tolist()
+        bounds = self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def dist_to_base(self) -> tuple[int, ...]:
+        return tuple(self.dist.tolist())
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint arrays (u, v) of all edges with u < v, sorted ascending."""
+        rows = np.repeat(np.arange(self.vertex_count, dtype=np.int64),
+                         np.diff(self.indptr))
+        upper = self.indices > rows
+        return rows[upper], self.indices[upper]
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (u, v) with u < v, sorted ascending."""
-        out = []
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    out.append((u, v))
-        out.sort()
-        return tuple(out)
-
-    @cached_property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of the symmetric unweighted adjacency in CSR form."""
-        degrees = np.fromiter((len(n) for n in self.adjacency), dtype=np.int64,
-                              count=self.vertex_count)
-        indptr = np.zeros(self.vertex_count + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        indices = np.fromiter((v for nbrs in self.adjacency for v in nbrs),
-                              dtype=np.int64, count=int(indptr[-1]))
-        return indptr, indices
+        u, v = self.edge_arrays
+        return tuple(zip(u.tolist(), v.tolist()))
 
     @cached_property
     def spheres_by_radius(self) -> tuple[tuple[int, ...], ...]:
-        buckets: list[list[int]] = [[] for _ in range(self.radius + 1)]
-        for v, d in enumerate(self.dist_to_base):
-            buckets[d].append(v)
-        return tuple(tuple(b) for b in buckets)
+        order = np.argsort(self.dist, kind="stable").tolist()
+        counts = np.bincount(self.dist, minlength=self.radius + 1).tolist()
+        bounds = np.cumsum([0] + counts).tolist()
+        return tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def check_index(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:
             raise IndexError(f"vertex {v} out of range 0..{self.vertex_count - 1}")
+
+
+def csr_from_edges(vertex_count: int, u: np.ndarray,
+                   v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric CSR (indptr, indices), rows sorted, of distinct edges u-v."""
+    rows = np.concatenate([u, v])
+    cols = np.concatenate([v, u])
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(vertex_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=vertex_count), out=indptr[1:])
+    return indptr, cols[order]
+
+
+def csr_distances(indptr: np.ndarray, indices: np.ndarray,
+                  source: int) -> np.ndarray:
+    """Breadth-first distances from `source` over CSR arrays, level by level;
+    unreached vertices get -1."""
+    dist = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    dist[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    level = 0
+    while len(frontier):
+        level += 1
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        # Positions of every neighbor slot of the frontier, row after row.
+        slots = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        slots += np.arange(len(slots), dtype=np.int64)
+        nbrs = indices[slots]
+        frontier = np.unique(nbrs[dist[nbrs] < 0])
+        dist[frontier] = level
+    return dist
 
 
 @dataclass(frozen=True)
@@ -217,22 +296,14 @@ def build_ball(edges: Iterable[tuple[Hashable, Hashable]], base: Hashable,
         raise RadiusMismatch(
             f"vertex at distance {max_dist} exceeds declared radius {declared_radius}")
 
-    new_adj: list[tuple[int, ...]] = [
-        tuple(sorted(index[v] for v in adjacency[label])) for label in labels
-    ]
-    return GraphBall(
-        vertex_count=len(labels),
-        base=0,
-        radius=declared_radius,
-        adjacency=tuple(new_adj),
-        dist_to_base=tuple(dist),
-    )
+    return GraphBall.from_adjacency(
+        [[index[v] for v in adjacency[label]] for label in labels],
+        base=0, radius=declared_radius, dist=dist)
 
 
 def single_vertex_ball() -> GraphBall:
     """The degenerate radius-0 ball (one vertex, no edges)."""
-    return GraphBall(vertex_count=1, base=0, radius=0, adjacency=((),),
-                     dist_to_base=(0,))
+    return GraphBall.from_adjacency(((),), base=0, radius=0, dist=(0,))
 
 
 def sphere(ball: GraphBall, r: int) -> Sphere:
@@ -268,13 +339,42 @@ def graph_distance(ball: GraphBall, u: int, v: int) -> int:
     raise AssertionError("ball is connected by construction")
 
 
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _format_edges(u: np.ndarray, v: np.ndarray) -> bytes:
+    """The edge lines "u v\\n" of nonnegative endpoint arrays, as str() would
+    write them: one row of right-aligned digits plus separator per number,
+    with the leading blanks masked out."""
+    if len(u) == 0:
+        return b""
+    x = np.empty(2 * len(u), dtype=np.int64)
+    x[0::2], x[1::2] = u, v
+    ndigits = np.maximum(np.searchsorted(_POW10, x, side="right"), 1)
+    width = int(ndigits.max())
+    cells = np.empty((len(x), width + 1), dtype=np.uint8)
+    for col in range(width - 1, -1, -1):
+        q = x // 10
+        cells[:, col] = x - 10 * q
+        x = q
+    cells += ord("0")
+    cells[0::2, width] = ord(" ")
+    cells[1::2, width] = ord("\n")
+    return cells[np.arange(width + 1) >= width - ndigits[:, None]].tobytes()
+
+
+_WRITE_CHUNK = 1 << 20  # edges formatted at once, to bound the writer's memory
+
+
 def write_graph_file(path, ball: GraphBall) -> None:
     """Serialize a ball in the bit-exact v1 text format (LF endings)."""
-    lines = [FILE_MAGIC, f"{ball.vertex_count} {ball.edge_count} {ball.base} {ball.radius}"]
-    lines.extend(f"{u} {v}" for u, v in ball.edges)
-    data = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(data)
+    head = (f"{FILE_MAGIC}\n"
+            f"{ball.vertex_count} {ball.edge_count} {ball.base} {ball.radius}\n")
+    u, v = ball.edge_arrays
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
+        for i in range(0, len(u), _WRITE_CHUNK):
+            fh.write(_format_edges(u[i:i + _WRITE_CHUNK], v[i:i + _WRITE_CHUNK]))
 
 
 def _parse_int_fields(text: str, n_fields: int, line_no: int) -> list[int]:
@@ -298,31 +398,41 @@ def _parse_int_fields(text: str, n_fields: int, line_no: int) -> list[int]:
     return out
 
 
-def read_graph_file(path) -> GraphBall:
-    """Parse and validate a v1 graph file; rejects any format deviation."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        data = fh.read()
-    if not data.endswith("\n"):
-        raise ParseError("missing trailing newline", line=data.count("\n") + 1)
-    if "\r" in data:
-        raise ParseError("CR byte found; LF line endings required",
-                         line=data[: data.index("\r")].count("\n") + 1)
-    lines = data.split("\n")[:-1]
-    if not lines or lines[0] != FILE_MAGIC:
-        raise ParseError(f"bad header, expected {FILE_MAGIC!r}", line=1)
-    if len(lines) < 2:
-        raise ParseError("missing counts line", line=2)
-    v_count, e_count, base, radius = _parse_int_fields(lines[1], 4, 2)
-    if v_count <= 0 or e_count < 0 or radius < 0 or not 0 <= base < v_count:
-        raise ParseError("counts line out of range", line=2)
-    if len(lines) != 2 + e_count:
-        raise ParseError(
-            f"declared {e_count} edges but file has {len(lines) - 2} edge lines",
-            line=len(lines) + 1)
+def _parse_edges_fast(body: str, v_count: int, e_count: int):
+    """Endpoint arrays of the edge lines, or None if anything is off.
 
+    Every check is done on whole arrays: the values are parsed loosely, then
+    range, u < v and strict ascending order are checked, and the arrays are
+    written back in the exact format and compared with the text, which
+    accepts canonical integers and single separators only.
+    """
+    try:
+        raw = body.encode("ascii")
+        with warnings.catch_warnings():
+            # numpy warns (and will raise) when the text stops parsing early.
+            warnings.simplefilter("error", DeprecationWarning)
+            flat = np.fromstring(raw, dtype=np.int64, sep=" ")
+    except (UnicodeEncodeError, ValueError, DeprecationWarning):
+        return None
+    if len(flat) != 2 * e_count:
+        return None
+    u, v = flat[0::2], flat[1::2]
+    if e_count and not (u.min() >= 0 and v.max() < v_count and (u < v).all()):
+        return None
+    key = u * v_count + v
+    if not (key[1:] > key[:-1]).all():
+        return None
+    if _format_edges(u, v) != raw:
+        return None
+    return u, v
+
+
+def _parse_edges_by_line(lines: list[str], v_count: int):
+    """Endpoint arrays of the edge lines, checked line by line; raises
+    ParseError at the first bad line."""
     edges: list[tuple[int, int]] = []
     prev: tuple[int, int] | None = None
-    for i, text in enumerate(lines[2:], start=3):
+    for i, text in enumerate(lines, start=3):
         u, v = _parse_int_fields(text, 2, i)
         if not (0 <= u < v_count and 0 <= v < v_count):
             raise ParseError(f"vertex index out of range in edge {u} {v}", line=i)
@@ -332,6 +442,40 @@ def read_graph_file(path) -> GraphBall:
             raise ParseError("edges not in ascending order", line=i)
         prev = (u, v)
         edges.append((u, v))
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def read_graph_file(path) -> GraphBall:
+    """Parse and validate a v1 graph file; rejects any format deviation.
+
+    The edge lines are checked as arrays; on any deviation they are parsed
+    again line by line, so the error names the first offending line.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        data = fh.read()
+    if not data.endswith("\n"):
+        raise ParseError("missing trailing newline", line=data.count("\n") + 1)
+    if "\r" in data:
+        raise ParseError("CR byte found; LF line endings required",
+                         line=data[: data.index("\r")].count("\n") + 1)
+    n_lines = data.count("\n")
+    head = data.split("\n", 2)
+    if head[0] != FILE_MAGIC:
+        raise ParseError(f"bad header, expected {FILE_MAGIC!r}", line=1)
+    if n_lines < 2:
+        raise ParseError("missing counts line", line=2)
+    v_count, e_count, base, radius = _parse_int_fields(head[1], 4, 2)
+    if v_count <= 0 or e_count < 0 or radius < 0 or not 0 <= base < v_count:
+        raise ParseError("counts line out of range", line=2)
+    if n_lines != 2 + e_count:
+        raise ParseError(
+            f"declared {e_count} edges but file has {n_lines - 2} edge lines",
+            line=n_lines + 1)
+    body = head[2]
+    edges = _parse_edges_fast(body, v_count, e_count)
+    if edges is None:
+        edges = _parse_edges_by_line(body.split("\n")[:-1], v_count)
 
     if v_count == 1:
         ball = single_vertex_ball()
@@ -339,26 +483,12 @@ def read_graph_file(path) -> GraphBall:
             raise ConsistencyError("single-vertex ball must declare radius 0")
         return ball
 
-    try:
-        raw = _assemble_without_relabel(v_count, edges, base, radius)
-    except (DisconnectedGraph, SelfLoop, RadiusMismatch) as exc:
-        raise ConsistencyError(str(exc)) from exc
-    return raw
-
-
-def _assemble_without_relabel(v_count: int, edges: list[tuple[int, int]],
-                              base: int, radius: int) -> GraphBall:
-    """Build a ball keeping the file's vertex numbering (round-trip identity)."""
-    adjacency: list[list[int]] = [[] for _ in range(v_count)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    adj = tuple(tuple(sorted(n)) for n in adjacency)
-    dist = bfs_distances(adj, base)
-    if min(dist) < 0:
-        raise DisconnectedGraph("graph in file is not connected")
-    if max(dist) > radius:
-        raise RadiusMismatch(
-            f"vertex at distance {max(dist)} exceeds declared radius {radius}")
-    return GraphBall(vertex_count=v_count, base=base, radius=radius,
-                     adjacency=adj, dist_to_base=tuple(dist))
+    indptr, indices = csr_from_edges(v_count, *edges)
+    dist = csr_distances(indptr, indices, base)
+    if dist.min() < 0:
+        raise ConsistencyError("graph in file is not connected")
+    if dist.max() > radius:
+        raise ConsistencyError(
+            f"vertex at distance {dist.max()} exceeds declared radius {radius}")
+    return GraphBall(base=base, radius=radius, indptr=indptr, indices=indices,
+                     dist=dist)

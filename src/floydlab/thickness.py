@@ -277,9 +277,8 @@ def induced_ball(ball: GraphBall, vertices: Sequence[int]):
     dist = bfs_distances(adjacency, rank[base])
     if min(dist) < 0:
         return None
-    sub = GraphBall(vertex_count=len(verts), base=rank[base],
-                    radius=max(dist), adjacency=tuple(adjacency),
-                    dist_to_base=tuple(dist))
+    sub = GraphBall.from_adjacency(adjacency, base=rank[base], radius=max(dist),
+                                   dist=dist)
     return sub, tuple(verts)
 
 

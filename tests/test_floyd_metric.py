@@ -13,7 +13,6 @@ from floydlab.errors import (
 from floydlab.floyd_metric import (
     FloydFunction,
     check_sublinearity,
-    eval_floyd,
     floyd_distance,
     floyd_weighting,
     karlsson_set_estimate,
@@ -31,13 +30,13 @@ INVPOW2 = FloydFunction.inverse_power(2)
 
 
 def test_eval_zero_convention():
-    assert eval_floyd(INVPOW2, 0) == 1.0
-    assert eval_floyd(INVPOW2, 3) == pytest.approx(1 / 9, abs=0)
-    assert eval_floyd(FloydFunction.exponential(0.5), 4) == 0.0625
+    assert INVPOW2.value(0) == 1.0
+    assert INVPOW2.value(3) == pytest.approx(1 / 9, abs=0)
+    assert FloydFunction.exponential(0.5).value(4) == 0.0625
     table = FloydFunction.custom_table([0.5, 0.25])
-    assert eval_floyd(table, 0) == eval_floyd(table, 1) == 0.5
+    assert table.value(0) == table.value(1) == 0.5
     with pytest.raises(TableExhausted):
-        eval_floyd(table, 3)
+        table.value(3)
 
 
 def test_constructor_validation():

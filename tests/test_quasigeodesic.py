@@ -165,10 +165,8 @@ def _wind_and_rail_ball():
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    adjacency = tuple(tuple(sorted(a)) for a in adj)
-    dist = bfs_distances(adjacency, 0)
-    return GraphBall(vertex_count=23, base=0, radius=max(dist),
-                     adjacency=adjacency, dist_to_base=tuple(dist))
+    dist = bfs_distances(adj, 0)
+    return GraphBall.from_adjacency(adj, base=0, radius=max(dist), dist=dist)
 
 
 def test_escape_ray_search_backtracking_fallback():
