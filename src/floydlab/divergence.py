@@ -30,7 +30,7 @@ from .errors import (
     RangeMismatch,
 )
 from .floyd_metric import FloydFunction
-from .graph_core import GraphBall, graph_distance
+from .graph_core import GraphBall
 
 EXHAUSTIVE_CAP = 400
 
@@ -68,33 +68,37 @@ class DivergenceSample:
         return self.value is None
 
 
-def _base_matrix(ball: GraphBall) -> sp.csr_matrix:
-    indptr, indices = ball.csr_arrays
-    data = np.ones(len(indices))
-    return sp.csr_matrix((data, indices, indptr),
-                         shape=(ball.vertex_count, ball.vertex_count))
+class _Searches:
+    """Unit-weight searches over one ball: the matrix and its directed edges
+    are built once, then serve plain searches and punctured ones."""
 
+    def __init__(self, ball: GraphBall):
+        self.indptr, self.cols = ball.csr_arrays
+        n = ball.vertex_count
+        self.rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        self.matrix = sp.csr_matrix((np.ones(len(self.cols)), self.cols, self.indptr),
+                                    shape=(n, n))
 
-def _directed_edges(ball: GraphBall) -> tuple[np.ndarray, np.ndarray]:
-    indptr, indices = ball.csr_arrays
-    degrees = np.diff(indptr)
-    rows = np.repeat(np.arange(ball.vertex_count, dtype=np.int64), degrees)
-    return rows, indices
+    def plain(self, sources, **kw) -> np.ndarray:
+        return dijkstra(self.matrix, directed=True, unweighted=True,
+                        indices=sources, **kw)
 
+    def punctured(self, d_c: np.ndarray, threshold: float,
+                  sources) -> np.ndarray:
+        """Distances from `sources` over the vertices with d_c > threshold,
+        i.e. in the ball minus the closed ball B_c(threshold).
 
-def _punctured_matrix(ball: GraphBall, rows: np.ndarray, cols: np.ndarray,
-                      allowed: np.ndarray) -> sp.csr_matrix:
-    """The ball's adjacency restricted to edges between allowed vertices.
-
-    `rows`, `cols` are the directed edges in CSR order (from _directed_edges),
-    so the kept ones are already the punctured matrix's CSR arrays.
-    """
-    keep = allowed[rows] & allowed[cols]
-    kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept_before[1:])
-    indptr = kept_before[ball.csr_arrays[0]]
-    return sp.csr_matrix((np.ones(int(indptr[-1])), cols[keep], indptr),
-                         shape=(ball.vertex_count, ball.vertex_count))
+        The directed edges are in CSR order, so the kept ones are already
+        the punctured matrix's CSR arrays.
+        """
+        allowed = d_c > threshold
+        keep = allowed[self.rows] & allowed[self.cols]
+        kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        indptr = kept_before[self.indptr]
+        sub = sp.csr_matrix((np.ones(int(indptr[-1])), self.cols[keep], indptr),
+                            shape=self.matrix.shape)
+        return dijkstra(sub, directed=True, unweighted=True, indices=sources)
 
 
 def div_triple(ball: GraphBall, a: int, b: int, c: int,
@@ -107,19 +111,16 @@ def div_triple(ball: GraphBall, a: int, b: int, c: int,
     """
     for v in (a, b, c):
         ball.check_index(v)
-    mat = _base_matrix(ball)
-    d_c = dijkstra(mat, directed=True, unweighted=True, indices=[c])[0]
+    search = _Searches(ball)
+    d_c = search.plain([c])[0]
     r = min(d_c[a], d_c[b])
     if r == 0:
         raise PreconditionViolated("d(c, {a, b}) must be positive")
     threshold = params.delta * r - params.gamma
-    if threshold <= 0:
-        return graph_distance(ball, a, b)
-    if a == b:
-        return 0
-    rows, cols = _directed_edges(ball)
-    sub = _punctured_matrix(ball, rows, cols, d_c > threshold)
-    val = dijkstra(sub, directed=True, unweighted=True, indices=[a])[0][b]
+    if threshold > 0:
+        val = search.punctured(d_c, threshold, [a])[0][b]
+    else:
+        val = search.plain([a])[0][b]
     return None if math.isinf(val) else int(val)
 
 
@@ -131,24 +132,41 @@ class _Buckets:
         self.best = np.full(n_max + 1, -1.0)
         self.wit: list[tuple[int, int, int] | None] = [None] * (n_max + 1)
         self.radius: list[float] = [0.0] * (n_max + 1)
-        self.inf_dab: int | None = None
-        self.inf_wit: tuple[int, int, int] | None = None
-        self.inf_radius = 0.0
+        # (d(a,b), witness, forbidden radius) of the chosen disconnecting triple
+        self.inf: tuple[int, tuple[int, int, int], float] | None = None
 
-    def offer(self, dab: int, value: float, witness: tuple[int, int, int],
-              forbidden_radius: float) -> None:
-        if value > self.best[dab] or (value == self.best[dab]
-                                      and witness < self.wit[dab]):
-            self.best[dab] = value
-            self.wit[dab] = witness
-            self.radius[dab] = forbidden_radius
+    def offer(self, a: np.ndarray, b: np.ndarray, c, dab: np.ndarray,
+              value: np.ndarray, radius: np.ndarray) -> None:
+        """Fold triples (a, b, c), given as arrays, into the buckets.
 
-    def offer_infinite(self, dab: int, witness: tuple[int, int, int],
-                       forbidden_radius: float) -> None:
-        key = (dab, witness)
-        if self.inf_dab is None or key < (self.inf_dab, self.inf_wit):
-            self.inf_dab, self.inf_wit = dab, witness
-            self.inf_radius = forbidden_radius
+        `value` is inf for a triple that disconnects a from b. Per d(a,b)
+        the largest finite value wins, ties going to the smallest witness
+        (min(a,b), max(a,b), c); among disconnecting triples the smallest
+        (d(a,b), witness) wins. The fold is order-free, so callers may offer
+        their triples in any grouping.
+        """
+        dab = dab.astype(np.int64)
+        live = value >= self.best[dab]
+        lo, hi = np.minimum(a, b)[live], np.maximum(a, b)[live]
+        c = np.broadcast_to(c, live.shape)[live]
+        dab, value, radius = dab[live], value[live], radius[live]
+        order = np.lexsort((c, hi, lo, -value, dab))
+        cut = np.isinf(value[order])
+        if cut.any():
+            i = order[cut][0]
+            key = (int(dab[i]), (int(lo[i]), int(hi[i]), int(c[i])))
+            if self.inf is None or key < self.inf[:2]:
+                self.inf = (*key, float(radius[i]))
+        order = order[~cut]
+        # The first triple of each d(a,b) run has its largest value and,
+        # among those, the smallest witness.
+        firsts = order[np.flatnonzero(np.diff(dab[order], prepend=-1))]
+        for i in firsts.tolist():
+            d, val = int(dab[i]), float(value[i])
+            wit = (int(lo[i]), int(hi[i]), int(c[i]))
+            if val > self.best[d] or wit < self.wit[d]:
+                self.best[d], self.wit[d] = val, wit
+                self.radius[d] = float(radius[i])
 
     def finalize(self, n_min: int, protocol: str,
                  seed: int | None) -> list[DivergenceSample]:
@@ -159,11 +177,10 @@ class _Buckets:
                 run = (float(self.best[n]), self.wit[n], self.radius[n])
             if n < n_min:
                 continue
-            if self.inf_dab is not None and self.inf_dab <= n:
+            if self.inf is not None and self.inf[0] <= n:
                 samples.append(DivergenceSample(
-                    n=n, value=None, witness=self.inf_wit,
-                    forbidden_radius=self.inf_radius, protocol=protocol,
-                    seed=seed))
+                    n=n, value=None, witness=self.inf[1],
+                    forbidden_radius=self.inf[2], protocol=protocol, seed=seed))
             elif run[1] is not None:
                 samples.append(DivergenceSample(
                     n=n, value=int(run[0]), witness=run[1],
@@ -173,114 +190,47 @@ class _Buckets:
         return samples
 
 
-def _offer_group(buckets: _Buckets, c: int, a_vec: np.ndarray, ra_vec: np.ndarray,
-                 params: DivergenceParams, prows: np.ndarray,
-                 ambient_rows: np.ndarray, d_c_inner: np.ndarray,
-                 inner: np.ndarray, n_max: int) -> None:
-    """Fold a batch of (source a, center c) triples into the buckets.
-
-    Keeps only partners b with d(c, b) >= d(c, a), so each unordered pair is
-    enumerated with r = min(d(c,a), d(c,b)) exactly once (twice, harmlessly,
-    when the two distances tie).
-    """
-    vv = prows[:, inner]
-    sel = ((d_c_inner[None, :] >= ra_vec[:, None])
-           & (ambient_rows <= n_max)
-           & (inner[None, :] != a_vec[:, None]))
-    if not sel.any():
-        return
-    finite = np.isfinite(vv) & sel
-    infinite = sel & ~np.isfinite(vv)
-
-    if infinite.any():
-        dd_inf = ambient_rows[infinite].astype(np.int64)
-        dmin = int(dd_inf.min())
-        ii, jj = np.nonzero(infinite)
-        hits = dd_inf == dmin
-        best_wit = None
-        best_ra = 0
-        for i, j in zip(ii[hits].tolist(), jj[hits].tolist()):
-            a, b = int(a_vec[i]), int(inner[j])
-            wit = (min(a, b), max(a, b), c)
-            if best_wit is None or wit < best_wit:
-                best_wit, best_ra = wit, int(ra_vec[i])
-        buckets.offer_infinite(dmin, best_wit,
-                               params.delta * best_ra - params.gamma)
-
-    if finite.any():
-        dd_f = ambient_rows[finite].astype(np.int64)
-        vv_f = vv[finite]
-        group_best = np.full(n_max + 1, -1.0)
-        np.maximum.at(group_best, dd_f, vv_f)
-        for dab in np.flatnonzero((group_best >= 0) & (group_best >= buckets.best)):
-            val = float(group_best[dab])
-            ach = finite & (ambient_rows == dab) & (vv == val)
-            ii, jj = np.nonzero(ach)
-            best_wit = None
-            best_ra = 0
-            for i, j in zip(ii.tolist(), jj.tolist()):
-                a, b = int(a_vec[i]), int(inner[j])
-                wit = (min(a, b), max(a, b), c)
-                if best_wit is None or wit < best_wit:
-                    best_wit, best_ra = wit, int(ra_vec[i])
-            buckets.offer(int(dab), val, best_wit,
-                          params.delta * best_ra - params.gamma)
-
-
 def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
-    mat = _base_matrix(ball)
-    rows, cols = _directed_edges(ball)
-    d_inner = dijkstra(mat, directed=True, unweighted=True, indices=inner.tolist())
+    search = _Searches(ball)
+    d_inner = search.plain(inner)
+    ambient = d_inner[:, inner]
     buckets = _Buckets(n_max)
     for ci, c in enumerate(inner.tolist()):
         d_c = d_inner[ci]
-        d_c_inner = d_c[inner]
-        groups: dict[int, list[int]] = {}
-        for ai, ra in enumerate(d_c_inner.astype(np.int64).tolist()):
-            if ra < 1:
-                continue
-            threshold = params.delta * ra - params.gamma
-            groups.setdefault(-1 if threshold <= 0 else int(threshold), []).append(ai)
-        for fk in sorted(groups):
-            members = np.asarray(groups[fk], dtype=np.int64)
-            ra_vec = d_c_inner[members].astype(np.int64)
-            ambient_rows = d_inner[members][:, inner]
-            if fk < 0:
-                prows = d_inner[members][:, :]
-            else:
-                # A triple needs a punctured search only if its forbidden ball
-                # can reach some a-b geodesic: d(c,a) + d(c,b) <= d(a,b) + 2t.
-                # Otherwise every geodesic survives and the value is ambient.
-                t_vec = params.delta * ra_vec - params.gamma
-                sel = ((d_c_inner[None, :] >= ra_vec[:, None])
-                       & (ambient_rows <= n_max)
-                       & (inner[None, :] != inner[members][:, None]))
-                blockable = sel & (d_c_inner[None, :] + ra_vec[:, None]
-                                   <= ambient_rows + 2 * t_vec[:, None])
-                needy = np.flatnonzero(blockable.any(axis=1))
-                prows = d_inner[members].copy()
-                if needy.size:
-                    sub = _punctured_matrix(ball, rows, cols, d_c > fk)
-                    prows[needy] = dijkstra(
-                        sub, directed=True, unweighted=True,
-                        indices=inner[members[needy]].tolist())
-            _offer_group(buckets, c, inner[members], ra_vec, params, prows,
-                         ambient_rows, d_c_inner, inner, n_max)
+        ra = d_c[inner]
+        t = params.delta * ra - params.gamma
+        # Row a keeps partners b with d(c, b) >= d(c, a) > 0, so each
+        # unordered pair is enumerated with r = min(d(c,a), d(c,b)) = d(c,a)
+        # exactly once (twice, harmlessly, when the two distances tie).
+        admissible = ((ra[None, :] >= ra[:, None]) & (ra[:, None] > 0)
+                      & (ambient > 0) & (ambient <= n_max))
+        # A triple needs a punctured search only if its forbidden ball can
+        # reach some a-b geodesic: d(c,a) + d(c,b) <= d(a,b) + 2t. Otherwise
+        # every geodesic survives and the value is ambient.
+        blockable = admissible & (t[:, None] > 0) & (
+            ra[None, :] + ra[:, None] <= ambient + 2 * t[:, None])
+        needy = np.flatnonzero(blockable.any(axis=1))
+        values = ambient.copy()
+        floors = np.floor(t[needy])
+        for key in np.unique(floors):
+            rows = needy[floors == key]
+            values[rows] = search.punctured(d_c, key, inner[rows])[:, inner]
+        ii, jj = np.nonzero(admissible)
+        buckets.offer(inner[ii], inner[jj], c, ambient[ii, jj], values[ii, jj],
+                      t[ii])
     return buckets.finalize(n_min, "exhaustive", seed)
 
 
 def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
                       c_per_pair):
     rng = random.Random(seed)
-    mat = _base_matrix(ball)
-    rows, cols = _directed_edges(ball)
+    search = _Searches(ball)
     inner_set = set(inner.tolist())
-    buckets = _Buckets(n_max)
+    triples: list[tuple[int, int, int, int, float, float]] = []
     for n in range(1, n_max + 1):
         for _ in range(pairs_per_n):
             a = int(inner[rng.randrange(len(inner))])
-            d_a, pred = dijkstra(mat, directed=True, unweighted=True,
-                                 indices=[a], return_predecessors=True)
+            d_a, pred = search.plain([a], return_predecessors=True)
             d_a, pred = d_a[0], pred[0]
             partners = inner[d_a[inner] == n]
             if partners.size == 0:
@@ -304,20 +254,17 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
                 # c lies within 2 steps of the a-b geodesic, so
                 # ra = d(c, {a, b}) <= n/2 + 2 < n + 3 is exact, and a vertex
                 # beyond the limit (read as inf) is beyond the threshold too.
-                d_c = dijkstra(mat, directed=True, unweighted=True, indices=[c],
-                               limit=n + 3)[0]
+                d_c = search.plain([c], limit=n + 3)[0]
                 ra = int(min(d_c[a], d_c[b]))
                 threshold = params.delta * ra - params.gamma
-                wit = (min(a, b), max(a, b), c)
-                if threshold <= 0:
-                    buckets.offer(n, float(n), wit, threshold)
-                    continue
-                sub = _punctured_matrix(ball, rows, cols, d_c > threshold)
-                val = dijkstra(sub, directed=True, unweighted=True, indices=[a])[0][b]
-                if math.isinf(val):
-                    buckets.offer_infinite(n, wit, threshold)
-                else:
-                    buckets.offer(n, float(val), wit, threshold)
+                value = float(n)
+                if threshold > 0:
+                    value = search.punctured(d_c, threshold, [a])[0][b]
+                triples.append((a, b, c, n, value, threshold))
+    buckets = _Buckets(n_max)
+    if triples:
+        a, b, c, dab, value, radius = (np.array(col) for col in zip(*triples))
+        buckets.offer(a, b, c, dab, value, radius)
     return buckets.finalize(n_min, "sampled", seed)
 
 
@@ -337,6 +284,10 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
     mode); "auto" picks exhaustive for balls up to exhaustive_cap vertices.
     Values are certified lower bounds on Div at ball scale; the supremum is
     approximated, never certified.
+
+    Both protocols, and div_triple, run on one engine: a `_Searches` object
+    per ball does every plain and punctured search, and `_Buckets.offer`
+    picks values and witnesses from arrays of triples by one rule.
     """
     if protocol not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown protocol {protocol!r}")

@@ -51,8 +51,8 @@ class FloydFunction:
 
     @classmethod
     def inverse_power(cls, p: float) -> "FloydFunction":
-        if not p > 1:
-            raise ValueError("inverse_power requires p > 1")
+        if not 1 < p < math.inf:
+            raise ValueError("inverse_power requires a finite p > 1")
         return cls(kind="inverse_power", p=float(p))
 
     @classmethod
@@ -68,8 +68,8 @@ class FloydFunction:
     @classmethod
     def custom_table(cls, values: Sequence[float]) -> "FloydFunction":
         vals = tuple(float(v) for v in values)
-        if not vals or any(v <= 0 for v in vals):
-            raise ValueError("table must be a nonempty list of positive reals")
+        if not vals or not all(0 < v < math.inf for v in vals):
+            raise ValueError("table must be a nonempty list of finite positive reals")
         return cls(kind="custom_table", table=vals)
 
     @property
@@ -132,8 +132,20 @@ def parse_floyd(spec: str) -> FloydFunction:
     if kind == "exp":
         return FloydFunction.exponential(float(rest))
     if kind == "table":
+        values = []
         with open(rest, "r", encoding="utf-8") as fh:
-            values = [float(line) for line in fh if line.strip()]
+            for number, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    value = float(text)
+                except ValueError:
+                    value = math.nan
+                if not 0 < value < math.inf:
+                    raise ValueError(f"table {rest} line {number}: expected a "
+                                     f"finite positive real, got {text!r}")
+                values.append(value)
         return FloydFunction.custom_table(values)
     raise ValueError(f"unknown floyd spec {spec!r}")
 

@@ -11,7 +11,6 @@ bound on the ambient distance.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Sequence
@@ -247,58 +246,46 @@ def build_ball(edges: Iterable[tuple[Hashable, Hashable]], base: Hashable,
     """
     if declared_radius < 0:
         raise ValueError("declared_radius must be nonnegative")
-    edge_set: set[tuple[Hashable, Hashable]] = set()
-    adjacency: dict[Hashable, list[Hashable]] = {}
-    order: dict[Hashable, int] = {}
+    edge_set: set[tuple[int, int]] = set()
+    order: dict[Hashable, int] = {}  # label -> number in order of appearance
+    adjacency: list[list[int]] = []
 
-    def note(label: Hashable) -> None:
+    def note(label: Hashable) -> int:
         if label not in order:
             order[label] = len(order)
-            adjacency[label] = []
+            adjacency.append([])
+        return order[label]
 
     n_edges = 0
     for u, v in edges:
         n_edges += 1
         if u == v:
             raise SelfLoop(f"self-loop at vertex {u!r}")
-        note(u)
-        note(v)
-        pair = frozenset((u, v))
+        iu, iv = note(u), note(v)
+        pair = (min(iu, iv), max(iu, iv))
         if pair in edge_set:
             continue
         edge_set.add(pair)
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+        adjacency[iu].append(iv)
+        adjacency[iv].append(iu)
     if n_edges == 0:
         raise ValueError("edge list is empty")
     if base not in order:
         raise DisconnectedGraph(f"base {base!r} does not appear in any edge")
 
     # BFS from the base; discovery order defines the dense relabeling.
-    index: dict[Hashable, int] = {base: 0}
-    dist = [0]
-    labels = [base]
-    queue = deque([base])
-    while queue:
-        u = queue.popleft()
-        du = dist[index[u]]
-        for v in adjacency[u]:
-            if v not in index:
-                index[v] = len(labels)
-                labels.append(v)
-                dist.append(du + 1)
-                queue.append(v)
-    if len(index) != len(order):
-        missing = len(order) - len(index)
+    found, dist, _ = bfs(adjacency, (order[base],))
+    if len(found) != len(order):
+        missing = len(order) - len(found)
         raise DisconnectedGraph(f"{missing} vertices unreachable from the base")
-    max_dist = max(dist)
+    max_dist = dist[found[-1]]
     if max_dist > declared_radius:
         raise RadiusMismatch(
             f"vertex at distance {max_dist} exceeds declared radius {declared_radius}")
-
+    index = {v: i for i, v in enumerate(found)}
     return GraphBall.from_adjacency(
-        [[index[v] for v in adjacency[label]] for label in labels],
-        base=0, radius=declared_radius, dist=dist)
+        [[index[w] for w in adjacency[v]] for v in found],
+        base=0, radius=declared_radius, dist=[dist[v] for v in found])
 
 
 def single_vertex_ball() -> GraphBall:
@@ -321,22 +308,10 @@ def graph_distance(ball: GraphBall, u: int, v: int) -> int:
     """
     ball.check_index(u)
     ball.check_index(v)
-    if u == v:
-        return 0
-    dist = [-1] * ball.vertex_count
-    dist[u] = 0
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        dx = dist[x]
-        for y in ball.adjacency[x]:
-            if dist[y] < 0:
-                if y == v:
-                    return dx + 1
-                dist[y] = dx + 1
-                queue.append(y)
-    # Unreachable inside a connected ball only if indices were equal, handled above.
-    raise AssertionError("ball is connected by construction")
+    d = bfs(ball.adjacency, (u,))[1][v]
+    if d < 0:
+        raise AssertionError("ball is connected by construction")
+    return d
 
 
 _POW10 = 10 ** np.arange(19, dtype=np.int64)

@@ -56,17 +56,61 @@ class ThickStructure:
                 raise ValueError(f"subset {s.name!r} is empty")
 
 
-def structure_from_dict(doc: dict) -> ThickStructure:
+def _at(path: str, key: str | int) -> str:
+    """JSON path of `key` (a name or a list index) below `path`."""
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+def _located(where: str) -> str:
+    return f"structure {where}" if where else "structure"
+
+
+def _checked(value, kinds, what: str, where: str):
+    """`value` if it is one of `kinds` (a bool is never a number, nor an
+    infinite or NaN float), else a ValueError naming its JSON path."""
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or isinstance(value, float) and not math.isfinite(value)):
+        shown = json.dumps(value, default=repr)
+        shown = shown if len(shown) <= 40 else shown[:37] + "..."
+        raise ValueError(f"{_located(where)}: expected {what}, got {shown}")
+    return value
+
+
+def _field(doc: dict, key: str, kinds, what: str, path: str):
+    if key not in doc:
+        raise ValueError(f"{_located(_at(path, key))}: missing")
+    return _checked(doc[key], kinds, what, _at(path, key))
+
+
+def _structure_at(doc, path: str) -> ThickStructure:
+    _checked(doc, dict, "an object", path)
     subsets = []
-    for entry in doc["subsets"]:
+    for i, entry in enumerate(_field(doc, "subsets", list, "a list", path)):
+        here = _at(_at(path, "subsets"), i)
+        _checked(entry, dict, "an object", here)
+        vertices = _field(entry, "vertices", list, "a list", here)
         sub = entry.get("substructure")
         subsets.append(ThickSubset(
-            name=entry["name"],
-            vertices=tuple(int(v) for v in entry["vertices"]),
-            substructure=structure_from_dict(sub) if sub else None,
-        ))
-    return ThickStructure(C=float(doc["C"]), order=int(doc["order"]),
-                          D_min=int(doc["D_min"]), subsets=tuple(subsets))
+            name=_field(entry, "name", str, "a string", here),
+            vertices=tuple(_checked(v, int, "an integer", _at(_at(here, "vertices"), j))
+                           for j, v in enumerate(vertices)),
+            substructure=None if sub is None
+            else _structure_at(sub, _at(here, "substructure"))))
+    C = float(_field(doc, "C", (int, float), "a finite number", path))
+    order = _field(doc, "order", int, "an integer", path)
+    D_min = _field(doc, "D_min", int, "an integer", path)
+    try:
+        return ThickStructure(C=C, order=order, D_min=D_min, subsets=tuple(subsets))
+    except ValueError as exc:
+        raise ValueError(f"{_located(path)}: {exc}") from None
+
+
+def structure_from_dict(doc: dict) -> ThickStructure:
+    """Structure from its JSON form. Malformed input raises ValueError
+    naming the JSON path of the offending value, e.g. subsets[0].vertices[2]."""
+    return _structure_at(doc, "")
 
 
 def structure_to_dict(structure: ThickStructure) -> dict:
@@ -106,12 +150,24 @@ class ChainReport:
     D_min: int
 
 
+def _check_vertex_range(ball: GraphBall, structure: ThickStructure,
+                        path: str) -> None:
+    """ValueError naming the JSON path of the first vertex, at any depth,
+    that is not a vertex of the ball."""
+    for i, s in enumerate(structure.subsets):
+        here = _at(_at(path, "subsets"), i)
+        for j, v in enumerate(s.vertices):
+            if not 0 <= v < ball.vertex_count:
+                raise ValueError(f"{_located(_at(_at(here, 'vertices'), j))}: vertex "
+                                 f"{v} out of range 0..{ball.vertex_count - 1}")
+        if s.substructure is not None:
+            _check_vertex_range(ball, s.substructure, _at(here, "substructure"))
+
+
 def verify_cover(ball: GraphBall, structure: ThickStructure) -> CoverReport:
     """Every ball vertex must lie within C of some subset; violators are
     reported as data, not errors."""
-    for s in structure.subsets:
-        for v in s.vertices:
-            ball.check_index(v)
+    _check_vertex_range(ball, structure, "")
     cap = int(math.floor(structure.C))
     covered = [False] * ball.vertex_count
     for s in structure.subsets:

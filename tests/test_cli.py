@@ -151,6 +151,63 @@ def test_input_errors_exit_one(tmp_path):
             "invpow:2", "--radii", "1..2", expect=1)
 
 
+@pytest.fixture(scope="module")
+def z2_r6_graph(tmp_path_factory):
+    graph = tmp_path_factory.mktemp("structure") / "z.graph"
+    run_cli("gen", "--model", "zn:2", "--radius", "6", "--out", str(graph))
+    return graph
+
+
+def _leaf(vertices):
+    return {"C": 1, "order": 0, "D_min": 4,
+            "subsets": [{"name": "a", "vertices": vertices}]}
+
+
+MALFORMED_STRUCTURES = {
+    "missing-D_min": ({"C": 1, "order": 0, "subsets": []}, "structure D_min: missing"),
+    "top-level-list": ([1, 2], "structure: expected an object, got [1, 2]"),
+    "vertex-999": (_leaf([0, 999]), "structure subsets[0].vertices[1]: vertex 999 "
+                                    "out of range 0..84"),
+    "vertex-minus-1": (_leaf([-1]), "structure subsets[0].vertices[0]: vertex -1 "
+                                    "out of range 0..84"),
+    "vertices-string": (_leaf("abc"), "structure subsets[0].vertices: expected a "
+                                      "list, got \"abc\""),
+    "vertex-float": (_leaf([0, 1, 1.5]), "structure subsets[0].vertices[2]: expected "
+                                         "an integer, got 1.5"),
+    "nested-vertex": ({"C": 1, "order": 1, "D_min": 4, "subsets": [
+        {"name": "a", "vertices": [0, 1], "substructure": _leaf([1, 85])}]},
+        "structure subsets[0].substructure.subsets[0].vertices[1]: vertex 85 "
+        "out of range 0..84"),
+    "order-bool": ({**_leaf([0]), "order": True},
+                   "structure order: expected an integer, got true"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STRUCTURES))
+def test_verify_thick_rejects_malformed_structure(tmp_path, z2_r6_graph, case):
+    doc, message = MALFORMED_STRUCTURES[case]
+    spath = tmp_path / "structure.json"
+    spath.write_text(json.dumps(doc))
+    proc = run_cli("verify-thick", "--graph", str(z2_r6_graph), "--structure",
+                   str(spath), "--out", str(tmp_path / "v.json"), expect=1)
+    assert proc.stderr == f"floydlab: {message}\n"
+    assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.parametrize("line,shown", [("nan", "'nan'"), ("inf", "'inf'"),
+                                        ("-1e400", "'-1e400'"), ("abc", "'abc'"),
+                                        ("0", "'0'")])
+def test_floyd_table_rejects_bad_line(tmp_path, line, shown):
+    table = tmp_path / "t.txt"
+    table.write_text(f"1.0\n\n{line}\n0.25\n")
+    out = tmp_path / "d.csv"
+    proc = run_cli("floyd-diam", "--model", "zn:2", "--radius", "6", "--floyd",
+                   f"table:{table}", "--radii", "1..2", "--out", str(out), expect=1)
+    assert proc.stderr == (f"floydlab: table {table} line 3: expected a finite "
+                           f"positive real, got {shown}\n")
+    assert not out.exists()
+
+
 def test_env_vertex_cap_overrides(tmp_path):
     import os
     env = dict(os.environ, FLOYDLAB_VERTEX_CAP="50")

@@ -96,14 +96,30 @@ def test_div_triple_lower_bound_and_delta_monotonicity():
                 assert low is not None and high >= low
 
 
-def test_exhaustive_matches_naive_oracle():
-    ball = cayley_ball(FreeAbelian(2), 9)
-    n_max = 3
-    samples = div_function_estimate(ball, n_max, HALF, protocol="exhaustive",
-                                    margin=3.0)
-    inner = [v for v in range(ball.vertex_count) if ball.dist_to_base[v] <= 3]
-    best = {n: 0 for n in range(1, n_max + 1)}
-    has_inf = {n: False for n in range(1, n_max + 1)}
+ORACLE_BALLS = {
+    # name: (ball, n_max); the inner region is B(n_max)
+    "z2": (lambda: cayley_ball(FreeAbelian(2), 9), 3),
+    # trees and a random graph: disconnecting triples
+    "f2": (lambda: cayley_ball(Free(2), 2), 2),
+    "random": (lambda: random_small_ball(random.Random(10), 14), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BALLS))
+@pytest.mark.parametrize("delta,gamma", [(0.5, 0.0), (0.3, 0.0), (0.8, 1.0)])
+def test_exhaustive_matches_naive_oracle(name, delta, gamma):
+    make, n_max = ORACLE_BALLS[name]
+    ball = make()
+    n_max = n_max or max(ball.dist_to_base)
+    samples = div_function_estimate(ball, n_max, DivergenceParams(delta, gamma),
+                                    protocol="exhaustive",
+                                    margin=ball.radius / n_max)
+    inner = [v for v in range(ball.vertex_count) if ball.dist_to_base[v] <= n_max]
+    # Per n, the winning triple's key among triples with d(a,b) <= n: the
+    # largest value, then the smallest d(a,b), then the smallest witness
+    # (a, b, c) with a < b; any disconnecting triple beats every value, the
+    # smallest (d(a,b), witness) winning.
+    best = {n: None for n in range(1, n_max + 1)}
     for a, b in itertools.combinations(inner, 2):
         dab = graph_distance(ball, a, b)
         if dab > n_max:
@@ -111,16 +127,17 @@ def test_exhaustive_matches_naive_oracle():
         for c in inner:
             if c in (a, b):
                 continue
-            value = naive_div_triple(ball, a, b, c, 0.5, 0.0)
+            value = naive_div_triple(ball, a, b, c, delta, gamma)
+            r = min(graph_distance(ball, c, a), graph_distance(ball, c, b))
+            key = ((0, dab, (a, b, c)) if value is None
+                   else (1, -value, dab, (a, b, c)))
             for n in range(dab, n_max + 1):
-                if value is None:
-                    has_inf[n] = True
-                else:
-                    best[n] = max(best[n], value)
+                if best[n] is None or key < best[n][0]:
+                    best[n] = (key, value, (a, b, c), delta * r - gamma)
+    assert [s.n for s in samples] == list(range(1, n_max + 1))
     for s in samples:
-        assert has_inf[s.n] == s.is_infinite
-        if not s.is_infinite:
-            assert s.value == best[s.n]
+        _, value, witness, radius = best[s.n]
+        assert (s.value, s.witness, s.forbidden_radius) == (value, witness, radius)
 
 
 def test_exhaustive_z2_regression_fixture(z2_mid):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -46,6 +47,11 @@ def test_constructor_validation():
         FloydFunction.exponential(1.0)
     with pytest.raises(ValueError):
         FloydFunction.custom_table([1.0, 0.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite positive"):
+            FloydFunction.custom_table([1.0, bad])
+        with pytest.raises(ValueError, match="finite p > 1"):
+            FloydFunction.inverse_power(bad)
 
 
 def test_validate_builtins():
@@ -376,3 +382,8 @@ def test_parse_floyd(tmp_path):
     assert f.table == (1.0, 0.25, 0.125)
     with pytest.raises(ValueError):
         parse_floyd("nope:1")
+    with pytest.raises(ValueError, match="finite p > 1"):
+        parse_floyd("invpow:inf")
+    table.write_text("1.0\n\n0.5\nnan\n")
+    with pytest.raises(ValueError, match=r"line 4: expected a finite positive real, got 'nan'"):
+        parse_floyd(f"table:{table}")

@@ -2,29 +2,49 @@
 replaced.
 
 The `old_*` functions below are verbatim copies of the hand-written loops
-that `graph_core.bfs` replaced (only their names changed), and of the
+that `graph_core.bfs` replaced (only their names changed), including
+`build_ball` with its own breadth-first loop, and of the
 wideness probe's middle-segment search as it scanned whole distance rows.
 The sampled divergence estimate runs bounded searches; its reference is the
-same code with every search limit removed.
+same code with every search limit removed. The `old_*` divergence functions
+and `OldBuckets` are verbatim copies of both estimates, the exhaustive
+one's per-tie witness loops and `div_triple` as they were before one search
+object and one array witness rule replaced them.
 """
 
+import math
 import random
 from collections import deque
 from types import SimpleNamespace
+from typing import Hashable, Iterable
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from floydlab import divergence, quasigeodesic
-from floydlab.divergence import DivergenceParams, div_function_estimate
+from floydlab.divergence import (
+    DivergenceParams,
+    DivergenceSample,
+    div_function_estimate,
+    div_triple,
+)
+from floydlab.errors import (
+    DisconnectedGraph,
+    PreconditionViolated,
+    RadiusMismatch,
+    SelfLoop,
+)
 from floydlab.floyd_metric import _punctured_geodesic
 from floydlab.graph_core import (
     bfs,
     bfs_distances,
     bfs_parents,
+    GraphBall,
     build_ball,
     extract_path,
+    graph_distance,
 )
 from floydlab.group_models import DirectProduct, Free, FreeAbelian, Heisenberg, cayley_ball
 from floydlab.quasigeodesic import PathWitness, qg_certify, wideness_probe
@@ -148,6 +168,114 @@ def old_middle_segment(ball, x, C, half, u_cap):
                 if c <= C + 1e-12:
                     return PathWitness(vertices=tuple(path), certified_C=c)
     return None
+
+
+def old_build_ball(edges: Iterable[tuple[Hashable, Hashable]], base: Hashable,
+               declared_radius: int) -> GraphBall:
+    """Validate an edge list and assemble a GraphBall rooted at `base`.
+
+    Vertices may be arbitrary hashable labels; the result is relabeled to
+    dense indices with the base at 0 and the rest in BFS discovery order.
+    """
+    if declared_radius < 0:
+        raise ValueError("declared_radius must be nonnegative")
+    edge_set: set[tuple[Hashable, Hashable]] = set()
+    adjacency: dict[Hashable, list[Hashable]] = {}
+    order: dict[Hashable, int] = {}
+
+    def note(label: Hashable) -> None:
+        if label not in order:
+            order[label] = len(order)
+            adjacency[label] = []
+
+    n_edges = 0
+    for u, v in edges:
+        n_edges += 1
+        if u == v:
+            raise SelfLoop(f"self-loop at vertex {u!r}")
+        note(u)
+        note(v)
+        pair = frozenset((u, v))
+        if pair in edge_set:
+            continue
+        edge_set.add(pair)
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    if n_edges == 0:
+        raise ValueError("edge list is empty")
+    if base not in order:
+        raise DisconnectedGraph(f"base {base!r} does not appear in any edge")
+
+    # BFS from the base; discovery order defines the dense relabeling.
+    index: dict[Hashable, int] = {base: 0}
+    dist = [0]
+    labels = [base]
+    queue = deque([base])
+    while queue:
+        u = queue.popleft()
+        du = dist[index[u]]
+        for v in adjacency[u]:
+            if v not in index:
+                index[v] = len(labels)
+                labels.append(v)
+                dist.append(du + 1)
+                queue.append(v)
+    if len(index) != len(order):
+        missing = len(order) - len(index)
+        raise DisconnectedGraph(f"{missing} vertices unreachable from the base")
+    max_dist = max(dist)
+    if max_dist > declared_radius:
+        raise RadiusMismatch(
+            f"vertex at distance {max_dist} exceeds declared radius {declared_radius}")
+
+    return GraphBall.from_adjacency(
+        [[index[v] for v in adjacency[label]] for label in labels],
+        base=0, radius=declared_radius, dist=dist)
+
+
+def random_edge_case(seed):
+    """A random edge list with unsorted, reversed and repeated edges under
+    hashable labels, sometimes a second component, a self-loop, a base
+    outside the edges or a radius too small; with its base and radius."""
+    rng = random.Random(seed)
+    n = rng.randrange(1, 30)
+    edges = list(random_connected_edges(rng, n))
+    if rng.random() < 0.3:
+        edges += [(n + 1, n + 2), (n + 2, n + 3)]
+    if rng.random() < 0.1:
+        edges.append((rng.randrange(n),) * 2)
+    edges += [(v, u) for u, v in rng.sample(edges, len(edges) // 3)]
+    edges += rng.sample(edges, len(edges) // 4)
+    rng.shuffle(edges)
+    label = rng.choice([lambda v: v, lambda v: f"v{v}", lambda v: ("x", -v),
+                        lambda v: frozenset({v, 1000})])
+    edges = [(label(u), label(v)) for u, v in edges]
+    return edges, label(rng.randrange(n + 2)), rng.randrange(-1, n + 1)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_build_ball_matches_replaced_loop(seed):
+    case = random_edge_case(seed)
+    new = _outcome(build_ball, *case)
+    assert new == _outcome(old_build_ball, *case)
+    if isinstance(new, GraphBall):
+        assert new.adjacency == old_build_ball(*case).adjacency
+
+
+def test_build_ball_differential_covers_every_outcome():
+    kinds = set()
+    for seed in range(80):
+        outcome = _outcome(build_ball, *random_edge_case(seed))
+        kinds.add(outcome[0] if isinstance(outcome, tuple) else type(outcome))
+    assert {GraphBall, DisconnectedGraph, RadiusMismatch, SelfLoop,
+            ValueError} <= kinds
 
 
 def random_adjacency(rng, n):
@@ -327,16 +455,359 @@ def test_sampled_differential_covers_long_detours():
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_punctured_matrix_equals_coo_build(seed):
+def test_punctured_matrix_equals_coo_build(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     ball = cayley_ball(FreeAbelian(2), 6) if seed % 2 else cayley_ball(Free(2), 3)
-    rows, cols = divergence._directed_edges(ball)
+    rows, cols = old_directed_edges(ball)
     allowed = rng.random(ball.vertex_count) < 0.7
     keep = allowed[rows] & allowed[cols]
     coo = sp.csr_matrix((np.ones(int(keep.sum())), (rows[keep], cols[keep])),
                         shape=(ball.vertex_count, ball.vertex_count))
-    csr = divergence._punctured_matrix(ball, rows, cols, allowed)
+    searched = []
+    monkeypatch.setattr(divergence, "dijkstra",
+                        lambda mat, **kw: searched.append(mat))
+    # d_c = 1 on allowed vertices and 0 elsewhere keeps exactly `allowed`.
+    divergence._Searches(ball).punctured(allowed.astype(float), 0.5, [0])
+    csr, = searched
     assert csr.shape == coo.shape and csr.nnz == coo.nnz
     assert np.array_equal(csr.indptr, coo.indptr)
     assert np.array_equal(csr.indices, coo.indices)
     assert np.array_equal(csr.data, coo.data)
+
+
+def old_base_matrix(ball: GraphBall) -> sp.csr_matrix:
+    indptr, indices = ball.csr_arrays
+    data = np.ones(len(indices))
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(ball.vertex_count, ball.vertex_count))
+
+
+def old_directed_edges(ball: GraphBall) -> tuple[np.ndarray, np.ndarray]:
+    indptr, indices = ball.csr_arrays
+    degrees = np.diff(indptr)
+    rows = np.repeat(np.arange(ball.vertex_count, dtype=np.int64), degrees)
+    return rows, indices
+
+
+def old_punctured_matrix(ball: GraphBall, rows: np.ndarray, cols: np.ndarray,
+                      allowed: np.ndarray) -> sp.csr_matrix:
+    """The ball's adjacency restricted to edges between allowed vertices.
+
+    `rows`, `cols` are the directed edges in CSR order (from old_directed_edges),
+    so the kept ones are already the punctured matrix's CSR arrays.
+    """
+    keep = allowed[rows] & allowed[cols]
+    kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    indptr = kept_before[ball.csr_arrays[0]]
+    return sp.csr_matrix((np.ones(int(indptr[-1])), cols[keep], indptr),
+                         shape=(ball.vertex_count, ball.vertex_count))
+
+
+def old_div_triple(ball: GraphBall, a: int, b: int, c: int,
+               params: DivergenceParams) -> int | None:
+    """Shortest a-b path length avoiding the closed ball B_c(delta*r - gamma),
+    or None when the removal disconnects a from b.
+
+    With delta*r - gamma <= 0 the forbidden set is empty and the value is
+    exactly the graph distance.
+    """
+    for v in (a, b, c):
+        ball.check_index(v)
+    mat = old_base_matrix(ball)
+    d_c = dijkstra(mat, directed=True, unweighted=True, indices=[c])[0]
+    r = min(d_c[a], d_c[b])
+    if r == 0:
+        raise PreconditionViolated("d(c, {a, b}) must be positive")
+    threshold = params.delta * r - params.gamma
+    if threshold <= 0:
+        return graph_distance(ball, a, b)
+    if a == b:
+        return 0
+    rows, cols = old_directed_edges(ball)
+    sub = old_punctured_matrix(ball, rows, cols, d_c > threshold)
+    val = dijkstra(sub, directed=True, unweighted=True, indices=[a])[0][b]
+    return None if math.isinf(val) else int(val)
+
+
+class OldBuckets:
+    """Per-pair-distance maxima with deterministic lexicographic witnesses."""
+
+    def __init__(self, n_max: int):
+        self.n_max = n_max
+        self.best = np.full(n_max + 1, -1.0)
+        self.wit: list[tuple[int, int, int] | None] = [None] * (n_max + 1)
+        self.radius: list[float] = [0.0] * (n_max + 1)
+        self.inf_dab: int | None = None
+        self.inf_wit: tuple[int, int, int] | None = None
+        self.inf_radius = 0.0
+
+    def offer(self, dab: int, value: float, witness: tuple[int, int, int],
+              forbidden_radius: float) -> None:
+        if value > self.best[dab] or (value == self.best[dab]
+                                      and witness < self.wit[dab]):
+            self.best[dab] = value
+            self.wit[dab] = witness
+            self.radius[dab] = forbidden_radius
+
+    def offer_infinite(self, dab: int, witness: tuple[int, int, int],
+                       forbidden_radius: float) -> None:
+        key = (dab, witness)
+        if self.inf_dab is None or key < (self.inf_dab, self.inf_wit):
+            self.inf_dab, self.inf_wit = dab, witness
+            self.inf_radius = forbidden_radius
+
+    def finalize(self, n_min: int, protocol: str,
+                 seed: int | None) -> list[DivergenceSample]:
+        samples = []
+        run = (-1.0, None, 0.0)
+        for n in range(1, self.n_max + 1):
+            if self.best[n] > run[0]:
+                run = (float(self.best[n]), self.wit[n], self.radius[n])
+            if n < n_min:
+                continue
+            if self.inf_dab is not None and self.inf_dab <= n:
+                samples.append(DivergenceSample(
+                    n=n, value=None, witness=self.inf_wit,
+                    forbidden_radius=self.inf_radius, protocol=protocol,
+                    seed=seed))
+            elif run[1] is not None:
+                samples.append(DivergenceSample(
+                    n=n, value=int(run[0]), witness=run[1],
+                    forbidden_radius=run[2], protocol=protocol, seed=seed))
+            else:
+                raise ValueError(f"no admissible triples with d(a,b) <= {n}")
+        return samples
+
+
+def old_offer_group(buckets: OldBuckets, c: int, a_vec: np.ndarray, ra_vec: np.ndarray,
+                 params: DivergenceParams, prows: np.ndarray,
+                 ambient_rows: np.ndarray, d_c_inner: np.ndarray,
+                 inner: np.ndarray, n_max: int) -> None:
+    """Fold a batch of (source a, center c) triples into the buckets.
+
+    Keeps only partners b with d(c, b) >= d(c, a), so each unordered pair is
+    enumerated with r = min(d(c,a), d(c,b)) exactly once (twice, harmlessly,
+    when the two distances tie).
+    """
+    vv = prows[:, inner]
+    sel = ((d_c_inner[None, :] >= ra_vec[:, None])
+           & (ambient_rows <= n_max)
+           & (inner[None, :] != a_vec[:, None]))
+    if not sel.any():
+        return
+    finite = np.isfinite(vv) & sel
+    infinite = sel & ~np.isfinite(vv)
+
+    if infinite.any():
+        dd_inf = ambient_rows[infinite].astype(np.int64)
+        dmin = int(dd_inf.min())
+        ii, jj = np.nonzero(infinite)
+        hits = dd_inf == dmin
+        best_wit = None
+        best_ra = 0
+        for i, j in zip(ii[hits].tolist(), jj[hits].tolist()):
+            a, b = int(a_vec[i]), int(inner[j])
+            wit = (min(a, b), max(a, b), c)
+            if best_wit is None or wit < best_wit:
+                best_wit, best_ra = wit, int(ra_vec[i])
+        buckets.offer_infinite(dmin, best_wit,
+                               params.delta * best_ra - params.gamma)
+
+    if finite.any():
+        dd_f = ambient_rows[finite].astype(np.int64)
+        vv_f = vv[finite]
+        group_best = np.full(n_max + 1, -1.0)
+        np.maximum.at(group_best, dd_f, vv_f)
+        for dab in np.flatnonzero((group_best >= 0) & (group_best >= buckets.best)):
+            val = float(group_best[dab])
+            ach = finite & (ambient_rows == dab) & (vv == val)
+            ii, jj = np.nonzero(ach)
+            best_wit = None
+            best_ra = 0
+            for i, j in zip(ii.tolist(), jj.tolist()):
+                a, b = int(a_vec[i]), int(inner[j])
+                wit = (min(a, b), max(a, b), c)
+                if best_wit is None or wit < best_wit:
+                    best_wit, best_ra = wit, int(ra_vec[i])
+            buckets.offer(int(dab), val, best_wit,
+                          params.delta * best_ra - params.gamma)
+
+
+def old_exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
+    mat = old_base_matrix(ball)
+    rows, cols = old_directed_edges(ball)
+    d_inner = dijkstra(mat, directed=True, unweighted=True, indices=inner.tolist())
+    buckets = OldBuckets(n_max)
+    for ci, c in enumerate(inner.tolist()):
+        d_c = d_inner[ci]
+        d_c_inner = d_c[inner]
+        groups: dict[int, list[int]] = {}
+        for ai, ra in enumerate(d_c_inner.astype(np.int64).tolist()):
+            if ra < 1:
+                continue
+            threshold = params.delta * ra - params.gamma
+            groups.setdefault(-1 if threshold <= 0 else int(threshold), []).append(ai)
+        for fk in sorted(groups):
+            members = np.asarray(groups[fk], dtype=np.int64)
+            ra_vec = d_c_inner[members].astype(np.int64)
+            ambient_rows = d_inner[members][:, inner]
+            if fk < 0:
+                prows = d_inner[members][:, :]
+            else:
+                # A triple needs a punctured search only if its forbidden ball
+                # can reach some a-b geodesic: d(c,a) + d(c,b) <= d(a,b) + 2t.
+                # Otherwise every geodesic survives and the value is ambient.
+                t_vec = params.delta * ra_vec - params.gamma
+                sel = ((d_c_inner[None, :] >= ra_vec[:, None])
+                       & (ambient_rows <= n_max)
+                       & (inner[None, :] != inner[members][:, None]))
+                blockable = sel & (d_c_inner[None, :] + ra_vec[:, None]
+                                   <= ambient_rows + 2 * t_vec[:, None])
+                needy = np.flatnonzero(blockable.any(axis=1))
+                prows = d_inner[members].copy()
+                if needy.size:
+                    sub = old_punctured_matrix(ball, rows, cols, d_c > fk)
+                    prows[needy] = dijkstra(
+                        sub, directed=True, unweighted=True,
+                        indices=inner[members[needy]].tolist())
+            old_offer_group(buckets, c, inner[members], ra_vec, params, prows,
+                         ambient_rows, d_c_inner, inner, n_max)
+    return buckets.finalize(n_min, "exhaustive", seed)
+
+
+def old_sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
+                      c_per_pair):
+    rng = random.Random(seed)
+    mat = old_base_matrix(ball)
+    rows, cols = old_directed_edges(ball)
+    inner_set = set(inner.tolist())
+    buckets = OldBuckets(n_max)
+    for n in range(1, n_max + 1):
+        for _ in range(pairs_per_n):
+            a = int(inner[rng.randrange(len(inner))])
+            d_a, pred = dijkstra(mat, directed=True, unweighted=True,
+                                 indices=[a], return_predecessors=True)
+            d_a, pred = d_a[0], pred[0]
+            partners = inner[d_a[inner] == n]
+            if partners.size == 0:
+                continue
+            b = int(partners[rng.randrange(partners.size)])
+            path = [b]
+            while path[-1] != a:
+                path.append(int(pred[path[-1]]))
+            path.reverse()
+            cands = [path[len(path) // 2]]
+            for _ in range(c_per_pair - 1):
+                v = path[rng.randrange(len(path))]
+                for _ in range(rng.randrange(3)):
+                    v = ball.adjacency[v][rng.randrange(len(ball.adjacency[v]))]
+                cands.append(v)
+            seen = set()
+            for c in cands:
+                if c in seen or c not in inner_set or c in (a, b):
+                    continue
+                seen.add(c)
+                # c lies within 2 steps of the a-b geodesic, so
+                # ra = d(c, {a, b}) <= n/2 + 2 < n + 3 is exact, and a vertex
+                # beyond the limit (read as inf) is beyond the threshold too.
+                d_c = dijkstra(mat, directed=True, unweighted=True, indices=[c],
+                               limit=n + 3)[0]
+                ra = int(min(d_c[a], d_c[b]))
+                threshold = params.delta * ra - params.gamma
+                wit = (min(a, b), max(a, b), c)
+                if threshold <= 0:
+                    buckets.offer(n, float(n), wit, threshold)
+                    continue
+                sub = old_punctured_matrix(ball, rows, cols, d_c > threshold)
+                val = dijkstra(sub, directed=True, unweighted=True, indices=[a])[0][b]
+                if math.isinf(val):
+                    buckets.offer_infinite(n, wit, threshold)
+                else:
+                    buckets.offer(n, float(val), wit, threshold)
+    return buckets.finalize(n_min, "sampled", seed)
+
+
+ENGINE_BALLS = {
+    # name: (ball, margin) with inner region B(radius / margin)
+    "z2": (lambda: cayley_ball(FreeAbelian(2), 8), 2.0),
+    "f2": (lambda: cayley_ball(Free(2), 4), 1.0),
+    "heis": (lambda: cayley_ball(Heisenberg(), 6), 2.0),
+    "product": (lambda: cayley_ball(DirectProduct(FreeAbelian(1), Free(2)), 4), 2.0),
+    "cycle": (lambda: cycle_ball(14), 1.0),
+    "random": (lambda: build_ball(
+        random_connected_edges(random.Random(3), 40), 0, 40), 1.0),
+}
+ENGINE_PARAMS = [(0.5, 0.0), (0.3, 0.0), (0.8, 1.0), (0.5, 100.0)]
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_BALLS))
+@pytest.mark.parametrize("delta,gamma", ENGINE_PARAMS)
+def test_exhaustive_estimate_matches_replaced_code(name, delta, gamma):
+    make, margin = ENGINE_BALLS[name]
+    ball = make()
+    params = DivergenceParams(delta, gamma)
+    n_max = int(ball.radius / margin)
+    inner = np.flatnonzero(ball.dist <= n_max)
+    new = div_function_estimate(ball, n_max, params, protocol="exhaustive",
+                                seed=4, margin=margin)
+    old = old_exhaustive_estimate(ball, n_max, params, inner, 1, 4)
+    assert len(old) == n_max
+    assert_same_samples(new, old)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_BALLS))
+@pytest.mark.parametrize("delta,gamma", ENGINE_PARAMS)
+def test_div_triple_matches_replaced_code(name, delta, gamma):
+    ball = ENGINE_BALLS[name][0]()
+    params = DivergenceParams(delta, gamma)
+    rng = random.Random(len(name))
+    triples = [tuple(rng.randrange(ball.vertex_count) for _ in range(3))
+               for _ in range(150)]
+    for a, b, c in triples + [(0, 0, 1), (1, 1, 0)]:
+        if c in (a, b):
+            with pytest.raises(PreconditionViolated):
+                div_triple(ball, a, b, c, params)
+            continue
+        assert div_triple(ball, a, b, c, params) == old_div_triple(ball, a, b, c, params)
+
+
+def assert_same_samples(new, old):
+    assert len(new) == len(old)
+    for s_new, s_old in zip(new, old):
+        assert (s_new.n, s_new.value, s_new.witness, s_new.forbidden_radius) == (
+            s_old.n, s_old.value, s_old.witness, s_old.forbidden_radius)
+        assert type(s_new.forbidden_radius) is float
+    assert new == old
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_CASES))
+@pytest.mark.parametrize("delta,gamma", ENGINE_PARAMS)
+def test_sampled_estimate_matches_replaced_code(name, delta, gamma):
+    make, n_max, margin = SAMPLED_CASES[name]
+    ball = make()
+    params = DivergenceParams(delta, gamma)
+    inner = np.flatnonzero(ball.dist <= int(ball.radius / margin + 1e-9))
+    for seed in range(10):
+        new = _outcome(div_function_estimate, ball, n_max, params, "sampled", seed,
+                       margin=margin)
+        old = _outcome(old_sampled_estimate, ball, n_max, params, inner, 1, seed, 8, 4)
+        if isinstance(old, tuple):
+            assert new == old
+        else:
+            assert_same_samples(new, old)
+
+
+def test_engine_differential_covers_every_branch():
+    # Disconnecting triples, detours longer than d(a, b) and an empty
+    # forbidden set all occur among the cases compared above.
+    f2 = div_function_estimate(ENGINE_BALLS["f2"][0](), 4, DivergenceParams(0.5, 0.0),
+                               protocol="exhaustive", margin=1.0)
+    assert any(s.is_infinite for s in f2)
+    z2 = div_function_estimate(ENGINE_BALLS["z2"][0](), 4, DivergenceParams(0.5, 0.0),
+                               protocol="exhaustive", margin=2.0)
+    assert any(s.value > s.n for s in z2)
+    nothing = div_function_estimate(ENGINE_BALLS["z2"][0](), 4,
+                                    DivergenceParams(0.5, 100.0),
+                                    protocol="exhaustive", margin=2.0)
+    assert [s.value for s in nothing] == [1, 2, 3, 4]
