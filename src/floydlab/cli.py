@@ -31,9 +31,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _vertex_cap(args) -> int:
     env = os.environ.get(ENV_VERTEX_CAP)
-    if env is not None:
-        return int(env)
-    return args.cap
+    if env is None:
+        return args.cap
+    if not (env.isascii() and env.isdigit()):
+        raise ValueError(f"{ENV_VERTEX_CAP}: expected a nonnegative integer, "
+                         f"got {env!r}")
+    return int(env)
 
 
 def _add_source_args(p, need_radius=True):
@@ -70,10 +73,13 @@ def _emit(out_path, lines) -> None:
             fh.write(text)
 
 
-def _parse_range(text: str) -> range:
+def _parse_range(text: str, flag: str, least: int) -> range:
+    """The integers A..B of a range flag: ASCII digits, least <= A <= B."""
     lo, sep, hi = text.partition("..")
-    if not sep or not lo.isdigit() or not hi.isdigit() or int(hi) < int(lo):
-        raise ValueError(f"bad range {text!r}, expected A..B")
+    if not (sep and (lo + hi).isascii() and lo.isdigit() and hi.isdigit()
+            and least <= int(lo) <= int(hi)):
+        raise ValueError(f"{flag}: bad range {text!r}, expected A..B "
+                         f"with {least} <= A <= B")
     return range(int(lo), int(hi) + 1)
 
 
@@ -89,7 +95,7 @@ def cmd_floyd_diam(args) -> int:
     ball = _load_ball(args)
     f = fm.parse_floyd(args.floyd)
     w = fm.floyd_weighting(ball, f)
-    radii = _parse_range(args.radii)
+    radii = _parse_range(args.radii, "--radii", 0)
     keys = ["model", "graph", "radius", "floyd", "radii", "margin", "pair_cap",
             "seed"]
     lines = [_config_line("floyd-diam", args, keys), "r,diameter,witness_u,witness_v"]
@@ -123,7 +129,7 @@ _DIV_KEYS = ["model", "graph", "radius", "n_range", "delta", "gamma",
 
 def cmd_divergence(args) -> int:
     ball = _load_ball(args)
-    n_range = _parse_range(args.n_range)
+    n_range = _parse_range(args.n_range, "--n-range", 1)
     _, samples = _divergence_samples(args, ball, max(n_range))
     lines = [_config_line("divergence", args, _DIV_KEYS),
              "n,value_or_inf,a,b,c,forbidden_radius,protocol,seed"]
@@ -141,7 +147,7 @@ def cmd_divergence(args) -> int:
 def cmd_criterion(args) -> int:
     ball = _load_ball(args)
     f = fm.parse_floyd(args.floyd)
-    n_range = _parse_range(args.n_range)
+    n_range = _parse_range(args.n_range, "--n-range", 1)
     params, samples = _divergence_samples(args, ball, 2 * max(n_range))
     result = div_mod.criterion_check(samples, f, params, n_range)
     keys = _DIV_KEYS + ["floyd"]

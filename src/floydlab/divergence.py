@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     RangeMismatch,
 )
 from .floyd_metric import FloydFunction
-from .graph_core import GraphBall
+from .graph_core import GraphBall, csr_restrict, unit_matrix
 
 EXHAUSTIVE_CAP = 400
 
@@ -69,15 +68,12 @@ class DivergenceSample:
 
 
 class _Searches:
-    """Unit-weight searches over one ball: the matrix and its directed edges
-    are built once, then serve plain searches and punctured ones."""
+    """Unit-weight searches over one ball: the matrix is built once, then
+    serves plain searches and punctured ones."""
 
     def __init__(self, ball: GraphBall):
-        self.indptr, self.cols = ball.csr_arrays
-        n = ball.vertex_count
-        self.rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-        self.matrix = sp.csr_matrix((np.ones(len(self.cols)), self.cols, self.indptr),
-                                    shape=(n, n))
+        self.ball = ball
+        self.matrix = unit_matrix(*ball.csr_arrays)
 
     def plain(self, sources, **kw) -> np.ndarray:
         return dijkstra(self.matrix, directed=True, unweighted=True,
@@ -86,18 +82,8 @@ class _Searches:
     def punctured(self, d_c: np.ndarray, threshold: float,
                   sources) -> np.ndarray:
         """Distances from `sources` over the vertices with d_c > threshold,
-        i.e. in the ball minus the closed ball B_c(threshold).
-
-        The directed edges are in CSR order, so the kept ones are already
-        the punctured matrix's CSR arrays.
-        """
-        allowed = d_c > threshold
-        keep = allowed[self.rows] & allowed[self.cols]
-        kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept_before[1:])
-        indptr = kept_before[self.indptr]
-        sub = sp.csr_matrix((np.ones(int(indptr[-1])), self.cols[keep], indptr),
-                            shape=self.matrix.shape)
+        i.e. in the ball minus the closed ball B_c(threshold)."""
+        sub = unit_matrix(*csr_restrict(self.ball, d_c > threshold))
         return dijkstra(sub, directed=True, unweighted=True, indices=sources)
 
 

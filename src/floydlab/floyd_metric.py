@@ -213,35 +213,35 @@ def check_sublinearity(f: FloydFunction, n_max: int) -> SublinearityReport:
 
 @dataclass(frozen=True)
 class FloydWeighting:
-    """Edge weights f(d(b, e)) over a ball, ready for weighted shortest paths."""
+    """Edge weights f(d(b, e)) over a ball, ready for weighted shortest paths.
+
+    `weights` holds one weight per CSR entry of the ball: entry k weighs the
+    directed edge ball.slot_rows[k] -> ball.indices[k], and both directions
+    of an edge carry the same weight.
+    """
 
     ball: GraphBall
     floyd: FloydFunction
-    edge_u: np.ndarray
-    edge_v: np.ndarray
-    edge_weight: np.ndarray
+    weights: np.ndarray
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         n = self.ball.vertex_count
-        rows = np.concatenate([self.edge_u, self.edge_v])
-        cols = np.concatenate([self.edge_v, self.edge_u])
-        data = np.concatenate([self.edge_weight, self.edge_weight])
-        return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-    @cached_property
-    def weight_map(self) -> dict[tuple[int, int], float]:
-        out = {}
-        for u, v, w in zip(self.edge_u.tolist(), self.edge_v.tolist(),
-                           self.edge_weight.tolist()):
-            out[(u, v)] = w
-            out[(v, u)] = w
-        return out
+        return sp.csr_matrix((self.weights, self.ball.indices, self.ball.indptr),
+                             shape=(n, n))
 
     def path_length(self, path: Sequence[int]) -> float:
-        """Floyd length of a path given as a vertex sequence."""
-        return sum(self.weight_map[(path[i], path[i + 1])]
-                   for i in range(len(path) - 1))
+        """Floyd length of a path given as a vertex sequence; each step is
+        looked up in the CSR row of the vertex it leaves."""
+        indptr, indices = self.ball.csr_arrays
+        slots = []
+        for x, y in zip(path, path[1:]):
+            lo, hi = indptr[x], indptr[x + 1]
+            k = lo + int(np.searchsorted(indices[lo:hi], y))
+            if k == hi or indices[k] != y:
+                raise KeyError((x, y))
+            slots.append(k)
+        return sum(self.weights[slots].tolist())
 
 
 def floyd_weighting(ball: GraphBall, f: FloydFunction) -> FloydWeighting:
@@ -250,17 +250,9 @@ def floyd_weighting(ball: GraphBall, f: FloydFunction) -> FloydWeighting:
     f is evaluated only up to the largest index an edge uses: radius - 1,
     unless some edge joins two vertices of the outer sphere.
     """
-    if ball.edge_count == 0:
-        return FloydWeighting(ball=ball, floyd=f,
-                              edge_u=np.empty(0, dtype=np.int64),
-                              edge_v=np.empty(0, dtype=np.int64),
-                              edge_weight=np.empty(0))
-    u, v = ball.edge_arrays
-    dist = ball.dist
-    level = np.minimum(dist[u], dist[v])
-    weights = f.values_through(int(level.max()))[level]
-    return FloydWeighting(ball=ball, floyd=f, edge_u=u, edge_v=v,
-                          edge_weight=weights)
+    level = np.minimum(ball.dist[ball.slot_rows], ball.dist[ball.indices])
+    weights = f.values_through(int(level.max(initial=0)))[level]
+    return FloydWeighting(ball=ball, floyd=f, weights=weights)
 
 
 def _dijkstra_rows(w: FloydWeighting, sources: Sequence[int]) -> np.ndarray:

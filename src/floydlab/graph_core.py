@@ -16,6 +16,8 @@ from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     ConsistencyError,
@@ -35,10 +37,11 @@ class GraphBall:
 
     The stored form is three int64 arrays: the symmetric adjacency in CSR
     form (`indptr`, `indices`, each row sorted ascending) and the distance of
-    every vertex from the base. The ball keeps the arrays it is given and
-    makes them read-only. The tuple views (`adjacency`, `dist_to_base`,
-    `edges`, `spheres_by_radius`) are derived on first use. Safe for
-    concurrent reads; construction happens once, up front.
+    every vertex from the base; every constructor builds these arrays, and
+    no other edge layout is stored. The ball keeps the arrays it is given
+    and makes them read-only. `slot_rows`, `edge_arrays` and the tuple views
+    (`adjacency`, `dist_to_base`, `spheres_by_radius`) are derived on first
+    use. Safe for concurrent reads; construction happens once, up front.
     """
 
     base: int
@@ -54,20 +57,6 @@ class GraphBall:
             object.__setattr__(self, name, arr)
         if len(self.indptr) != len(self.dist) + 1 or self.indptr[-1] != len(self.indices):
             raise ValueError("CSR arrays do not match the vertex count")
-
-    @classmethod
-    def from_adjacency(cls, adjacency: Sequence[Sequence[int]], base: int,
-                       radius: int, dist: Sequence[int]) -> "GraphBall":
-        """Ball from per-vertex neighbor lists (symmetric, no repeats)."""
-        rows = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(r) for r in rows], out=indptr[1:])
-        indices = np.fromiter((v for r in rows for v in r), dtype=np.int64,
-                              count=int(indptr[-1]))
-        ball = cls(base=base, radius=radius, indptr=indptr, indices=indices,
-                   dist=dist)
-        ball.__dict__["adjacency"] = rows
-        return ball
 
     def __eq__(self, other):
         if not isinstance(other, GraphBall):
@@ -96,7 +85,10 @@ class GraphBall:
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuple of every vertex."""
-        flat = self.indices.tolist()
+        # One shared int object per vertex: `indices.tolist()` would make one
+        # per CSR entry, about 2.5 MB more on a ball of 80k entries.
+        labels = list(range(self.vertex_count))
+        flat = list(map(labels.__getitem__, memoryview(self.indices)))
         bounds = self.indptr.tolist()
         return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
@@ -105,18 +97,19 @@ class GraphBall:
         return tuple(self.dist.tolist())
 
     @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays (u, v) of all edges with u < v, sorted ascending."""
+    def slot_rows(self) -> np.ndarray:
+        """The row of every CSR entry: entry k is the directed edge
+        slot_rows[k] -> indices[k]."""
         rows = np.repeat(np.arange(self.vertex_count, dtype=np.int64),
                          np.diff(self.indptr))
-        upper = self.indices > rows
-        return rows[upper], self.indices[upper]
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """All edges as (u, v) with u < v, sorted ascending."""
-        u, v = self.edge_arrays
-        return tuple(zip(u.tolist(), v.tolist()))
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint arrays (u, v) of all edges with u < v, sorted ascending."""
+        upper = self.indices > self.slot_rows
+        return self.slot_rows[upper], self.indices[upper]
 
     @cached_property
     def spheres_by_radius(self) -> tuple[tuple[int, ...], ...]:
@@ -141,25 +134,33 @@ def csr_from_edges(vertex_count: int, u: np.ndarray,
     return indptr, cols[order]
 
 
+def csr_restrict(ball: GraphBall,
+                 allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices) of the ball's edges between vertices whose
+    `allowed` entry is true, in the ball's numbering; the rows of the other
+    vertices are empty. The kept entries keep their CSR order, so the rows
+    stay sorted."""
+    keep = allowed[ball.slot_rows] & allowed[ball.indices]
+    kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    return kept_before[ball.indptr], ball.indices[keep]
+
+
+def unit_matrix(indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
+    """The sparse matrix of CSR arrays with every entry 1, for scipy's
+    searches."""
+    n = len(indptr) - 1
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+
+
 def csr_distances(indptr: np.ndarray, indices: np.ndarray,
                   source: int) -> np.ndarray:
-    """Breadth-first distances from `source` over CSR arrays, level by level;
-    unreached vertices get -1."""
-    dist = np.full(len(indptr) - 1, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while len(frontier):
-        level += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        # Positions of every neighbor slot of the frontier, row after row.
-        slots = np.repeat(starts - np.cumsum(counts) + counts, counts)
-        slots += np.arange(len(slots), dtype=np.int64)
-        nbrs = indices[slots]
-        frontier = np.unique(nbrs[dist[nbrs] < 0])
-        dist[frontier] = level
-    return dist
+    """Breadth-first distances from `source` over CSR arrays; unreached
+    vertices get -1."""
+    dist = dijkstra(unit_matrix(indptr, indices), directed=True,
+                    unweighted=True, indices=source)
+    dist[np.isinf(dist)] = -1
+    return dist.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -282,15 +283,19 @@ def build_ball(edges: Iterable[tuple[Hashable, Hashable]], base: Hashable,
     if max_dist > declared_radius:
         raise RadiusMismatch(
             f"vertex at distance {max_dist} exceeds declared radius {declared_radius}")
-    index = {v: i for i, v in enumerate(found)}
-    return GraphBall.from_adjacency(
-        [[index[w] for w in adjacency[v]] for v in found],
-        base=0, radius=declared_radius, dist=[dist[v] for v in found])
+    index = np.empty(len(found), dtype=np.int64)
+    index[found] = np.arange(len(found))
+    pairs = index[np.array(list(edge_set), dtype=np.int64)]
+    indptr, indices = csr_from_edges(len(found), pairs[:, 0], pairs[:, 1])
+    return GraphBall(base=0, radius=declared_radius, indptr=indptr,
+                     indices=indices, dist=np.array(dist)[found])
 
 
 def single_vertex_ball() -> GraphBall:
     """The degenerate radius-0 ball (one vertex, no edges)."""
-    return GraphBall.from_adjacency(((),), base=0, radius=0, dist=(0,))
+    none = np.empty(0, dtype=np.int64)
+    indptr, indices = csr_from_edges(1, none, none)
+    return GraphBall(base=0, radius=0, indptr=indptr, indices=indices, dist=(0,))
 
 
 def sphere(ball: GraphBall, r: int) -> Sphere:

@@ -533,7 +533,7 @@ def parse_model(spec: str) -> GroupModel:
 
 
 def _positive_int(text: str, spec: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise ValueError(f"bad rank in model spec {spec!r}")
     return int(text)
 

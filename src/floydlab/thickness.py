@@ -20,9 +20,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .divergence import DivergenceParams, div_function_estimate, growth_fit
 from .errors import InsufficientData, SegmentTooLong, StructureDepthMismatch
-from .graph_core import GraphBall, bfs, bfs_distances
+from .graph_core import GraphBall, bfs, bfs_distances, csr_distances, csr_restrict
 from .quasigeodesic import wideness_probe
 
 
@@ -151,17 +153,23 @@ class ChainReport:
 
 
 def _check_vertex_range(ball: GraphBall, structure: ThickStructure,
-                        path: str) -> None:
+                        path: str, parent: ThickSubset | None = None) -> None:
     """ValueError naming the JSON path of the first vertex, at any depth,
-    that is not a vertex of the ball."""
+    that is not a vertex of the ball or, inside a substructure, not a
+    vertex of its parent subset."""
+    inside = None if parent is None else set(parent.vertices)
     for i, s in enumerate(structure.subsets):
         here = _at(_at(path, "subsets"), i)
         for j, v in enumerate(s.vertices):
+            where = _located(_at(_at(here, "vertices"), j))
             if not 0 <= v < ball.vertex_count:
-                raise ValueError(f"{_located(_at(_at(here, 'vertices'), j))}: vertex "
-                                 f"{v} out of range 0..{ball.vertex_count - 1}")
+                raise ValueError(f"{where}: vertex {v} out of range "
+                                 f"0..{ball.vertex_count - 1}")
+            if inside is not None and v not in inside:
+                raise ValueError(f"{where}: vertex {v} not in parent subset "
+                                 f"{parent.name!r}")
         if s.substructure is not None:
-            _check_vertex_range(ball, s.substructure, _at(here, "substructure"))
+            _check_vertex_range(ball, s.substructure, _at(here, "substructure"), s)
 
 
 def verify_cover(ball: GraphBall, structure: ThickStructure) -> CoverReport:
@@ -322,20 +330,23 @@ def _check_nesting(structure: ThickStructure) -> None:
 def induced_ball(ball: GraphBall, vertices: Sequence[int]):
     """Ball on the induced subgraph of `vertices`, or None if disconnected
     or too small to carry edges. Returns (sub_ball, original_labels)."""
-    verts = sorted(set(vertices))
-    rank = {v: i for i, v in enumerate(verts)}
-    adjacency = []
-    for v in verts:
-        adjacency.append(tuple(rank[u] for u in ball.adjacency[v] if u in rank))
-    if len(verts) < 2 or all(not a for a in adjacency):
+    verts = np.unique(np.asarray(vertices, dtype=np.int64))
+    member = np.zeros(ball.vertex_count, dtype=bool)
+    member[verts] = True
+    indptr, indices = csr_restrict(ball, member)
+    if len(verts) < 2 or len(indices) == 0:
         return None
-    base = min(verts, key=lambda v: (ball.dist_to_base[v], v))
-    dist = bfs_distances(adjacency, rank[base])
-    if min(dist) < 0:
+    # The other vertices' rows are empty, so the member rows' starts and the
+    # total are the induced CSR; ranks renumber the kept entries.
+    indptr = np.append(indptr[verts], indptr[-1])
+    indices = (np.cumsum(member) - 1)[indices]
+    base = int(np.argmin(ball.dist[verts]))  # nearest the base, then smallest
+    dist = csr_distances(indptr, indices, base)
+    if dist.min() < 0:
         return None
-    sub = GraphBall.from_adjacency(adjacency, base=rank[base], radius=max(dist),
-                                   dist=dist)
-    return sub, tuple(verts)
+    sub = GraphBall(base=base, radius=int(dist.max()), indptr=indptr,
+                    indices=indices, dist=dist)
+    return sub, tuple(verts.tolist())
 
 
 def _leaf_wideness(name: str, ball: GraphBall, C: float,
@@ -407,17 +418,9 @@ def verify_thick(ball: GraphBall, structure: ThickStructure,
 
 
 def _remap_structure(structure: ThickStructure, remap: dict) -> ThickStructure:
-    subsets = []
-    for s in structure.subsets:
-        try:
-            verts = tuple(remap[v] for v in s.vertices)
-        except KeyError as exc:
-            raise ValueError(
-                f"substructure subset {s.name!r} uses vertex {exc} outside "
-                f"its parent subset") from exc
-        subsets.append(ThickSubset(
-            name=s.name, vertices=verts,
-            substructure=_remap_structure(s.substructure, remap)
-            if s.substructure else None))
+    subsets = tuple(ThickSubset(
+        name=s.name, vertices=tuple(remap[v] for v in s.vertices),
+        substructure=_remap_structure(s.substructure, remap)
+        if s.substructure else None) for s in structure.subsets)
     return ThickStructure(C=structure.C, order=structure.order,
-                          D_min=structure.D_min, subsets=tuple(subsets))
+                          D_min=structure.D_min, subsets=subsets)

@@ -14,8 +14,13 @@ from floydlab.graph_core import build_ball
 
 
 def min_floyd_over_simple_paths(weighting, u, v):
-    """Exhaustive minimum of Floyd path lengths over all simple u-v paths."""
+    """Exhaustive minimum of Floyd path lengths over all simple u-v paths.
+
+    Each edge weight is recomputed from its definition, f(min(d(b,x), d(b,y))),
+    not read from the weighting's stored weights."""
     ball = weighting.ball
+    dist = ball.dist_to_base
+    f = weighting.floyd
     if u == v:
         return 0.0
     best = [float("inf")]
@@ -31,7 +36,7 @@ def min_floyd_over_simple_paths(weighting, u, v):
         for y in ball.adjacency[x]:
             if not seen[y]:
                 seen[y] = True
-                dfs(y, acc + weighting.weight_map[(x, y)])
+                dfs(y, acc + f.value(min(dist[x], dist[y])))
                 seen[y] = False
 
     dfs(u, 0.0)

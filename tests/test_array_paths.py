@@ -55,7 +55,7 @@ def test_array_enumeration_matches_scalar(spec, radius):
     elements, scalar = _enumerate_ball(model, radius, 10 ** 6)
     assert ball == scalar
     assert ball.dist_to_base == scalar.dist_to_base
-    assert ball.edges == scalar.edges
+    assert all(map(np.array_equal, ball.edge_arrays, scalar.edge_arrays))
     assert model.elements_from_coordinates(coords) == elements
 
 
@@ -134,12 +134,12 @@ def test_array_path_keeps_the_safety_checks():
 
 def test_graph_ball_equality_and_round_trip(tmp_path):
     ball = cayley_ball(Heisenberg(), 4)
-    same = GraphBall.from_adjacency(ball.adjacency, base=0, radius=4,
-                                    dist=ball.dist_to_base)
+    same = GraphBall(base=0, radius=4, indptr=ball.indptr.copy(),
+                     indices=ball.indices.copy(), dist=ball.dist.copy())
     assert same == ball and hash(same) == hash(ball)
     assert ball != cayley_ball(Heisenberg(), 5)
-    assert ball != GraphBall.from_adjacency(ball.adjacency, base=0, radius=5,
-                                            dist=ball.dist_to_base)
+    assert ball != GraphBall(base=0, radius=5, indptr=ball.indptr,
+                             indices=ball.indices, dist=ball.dist)
     path = tmp_path / "heis.graph"
     write_graph_file(path, ball)
     assert read_graph_file(path) == ball
@@ -153,7 +153,8 @@ def test_derived_views_match_the_arrays():
     ball = build_ball([(5, 7), (7, 9), (5, 9), (9, 11), (11, 13)], 7, 3)
     assert ball.adjacency == ((1, 2), (0, 2), (0, 1, 3), (2, 4), (3,))
     assert ball.dist_to_base == (0, 1, 1, 2, 3)
-    assert ball.edges == ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4))
+    assert [a.tolist() for a in ball.edge_arrays] == [[0, 0, 1, 2, 3], [1, 2, 2, 3, 4]]
+    assert ball.slot_rows.tolist() == [0, 0, 1, 1, 2, 2, 2, 3, 3, 4]
     assert ball.spheres_by_radius == ((0,), (1, 2), (3,), (4,))
     assert sphere(ball, 1).vertices == (1, 2)
     assert ball.edge_count == 5 and ball.vertex_count == 5

@@ -151,6 +151,53 @@ def test_input_errors_exit_one(tmp_path):
             "invpow:2", "--radii", "1..2", expect=1)
 
 
+_SOURCE = ("--model", "zn:2", "--radius", "6")
+
+
+@pytest.mark.parametrize("argv,message", [
+    # str.isdigit accepts these digits, but int() rejects '²' and reads '٣' as 3.
+    (("divergence", *_SOURCE, "--n-range", "²..2"),
+     "--n-range: bad range '²..2', expected A..B with 1 <= A <= B"),
+    (("divergence", *_SOURCE, "--n-range", "0..1"),
+     "--n-range: bad range '0..1', expected A..B with 1 <= A <= B"),
+    (("criterion", *_SOURCE, "--floyd", "invpow:2", "--n-range", "0..2"),
+     "--n-range: bad range '0..2', expected A..B with 1 <= A <= B"),
+    (("floyd-diam", *_SOURCE, "--floyd", "invpow:2", "--radii", "1..٣"),
+     "--radii: bad range '1..٣', expected A..B with 0 <= A <= B"),
+    (("floyd-diam", *_SOURCE, "--floyd", "invpow:2", "--radii", "2..1"),
+     "--radii: bad range '2..1', expected A..B with 0 <= A <= B"),
+    (("gen", "--model", "zn:٣", "--radius", "2", "--out", "unused.graph"),
+     "bad rank in model spec 'zn:٣'"),
+    (("gen", "--model", "free:²", "--radius", "2", "--out", "unused.graph"),
+     "bad rank in model spec 'free:²'"),
+])
+def test_integer_text_is_ascii_and_named(argv, message):
+    proc = run_cli(*argv, expect=1)
+    assert proc.stderr == f"floydlab: {message}\n"
+
+
+def test_radii_may_start_at_zero(tmp_path):
+    out = tmp_path / "d.csv"
+    run_cli("floyd-diam", *_SOURCE, "--floyd", "invpow:2", "--radii", "0..1",
+            "--out", str(out))
+    assert [line.split(",")[:2] for line in out.read_text().splitlines()[2:3]] == [
+        ["0", "0.0"]]
+
+
+@pytest.mark.parametrize("value", ["abc", "٣", "-5", ""])
+def test_env_vertex_cap_must_be_ascii_digits(tmp_path, value):
+    import os
+    env = dict(os.environ, FLOYDLAB_VERTEX_CAP=value)
+    proc = subprocess.run(
+        [sys.executable, "-m", "floydlab.cli", "gen", "--model", "zn:2",
+         "--radius", "2", "--out", str(tmp_path / "z.graph")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == ("floydlab: FLOYDLAB_VERTEX_CAP: expected a nonnegative "
+                           f"integer, got {value!r}\n")
+    assert not (tmp_path / "z.graph").exists()
+
+
 @pytest.fixture(scope="module")
 def z2_r6_graph(tmp_path_factory):
     graph = tmp_path_factory.mktemp("structure") / "z.graph"
@@ -178,6 +225,12 @@ MALFORMED_STRUCTURES = {
         {"name": "a", "vertices": [0, 1], "substructure": _leaf([1, 85])}]},
         "structure subsets[0].substructure.subsets[0].vertices[1]: vertex 85 "
         "out of range 0..84"),
+    "nested-vertex-outside-parent": ({"C": 1, "order": 1, "D_min": 4, "subsets": [
+        {"name": "a", "vertices": [0, 1, 2]},
+        {"name": "c", "vertices": [3, 4, 5, 6],
+         "substructure": _leaf([4, 60])}]},
+        "structure subsets[1].substructure.subsets[0].vertices[1]: vertex 60 "
+        "not in parent subset 'c'"),
     "order-bool": ({**_leaf([0]), "order": True},
                    "structure order: expected an integer, got true"),
 }

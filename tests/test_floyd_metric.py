@@ -102,8 +102,14 @@ def test_sublinearity_sequences():
 def test_weighting_path_example():
     ball = build_ball([(0, 1), (1, 2), (2, 3)], 0, 3)
     w = floyd_weighting(ball, INVPOW2)
-    assert w.edge_weight.tolist() == [1.0, 1.0, 0.25]
+    # One weight per CSR entry: rows 0: [1], 1: [0, 2], 2: [1, 3], 3: [2].
+    assert w.weights.tolist() == [1.0, 1.0, 1.0, 1.0, 0.25, 0.25]
     assert floyd_distance(w, 0, 3) == pytest.approx(2.25, abs=1e-12)
+    assert w.path_length([3, 2, 1, 0]) == w.path_length([0, 1, 2, 3]) == 2.25
+    assert w.path_length([2]) == 0
+    for step in ([0, 2], [3, 0], [1, 1]):
+        with pytest.raises(KeyError):
+            w.path_length(step)
 
 
 def test_weighting_uses_min_endpoint_distance():
@@ -111,9 +117,9 @@ def test_weighting_uses_min_endpoint_distance():
     ball = build_ball([(i, (i + 1) % 6) for i in range(6)], 0, 3)
     w = floyd_weighting(ball, INVPOW2)
     dist = ball.dist_to_base
-    for u, v, weight in zip(w.edge_u, w.edge_v, w.edge_weight):
+    for u, v, weight in zip(ball.slot_rows, ball.indices, w.weights):
         assert weight == INVPOW2.value(min(dist[u], dist[v]))
-    assert sorted(w.edge_weight.tolist()) == [0.25, 0.25, 1.0, 1.0, 1.0, 1.0]
+    assert sorted(w.weights.tolist()) == [0.25] * 4 + [1.0] * 8
 
 
 def test_weighting_needs_table_only_through_radius_minus_one():
@@ -122,32 +128,36 @@ def test_weighting_needs_table_only_through_radius_minus_one():
     ball = cayley_ball(FreeAbelian(2), 5)
     short = FloydFunction.custom_table([INVPOW2.value(n) for n in range(1, 5)])
     w = floyd_weighting(ball, short)
-    assert w.edge_weight.tolist() == floyd_weighting(ball, INVPOW2).edge_weight.tolist()
+    assert w.weights.tolist() == floyd_weighting(ball, INVPOW2).weights.tolist()
     # On a 5-cycle the two outer-sphere vertices are adjacent and need f(2).
     odd = build_ball([(i, (i + 1) % 5) for i in range(5)], 0, 2)
     with pytest.raises(TableExhausted):
         floyd_weighting(odd, FloydFunction.custom_table([1.0]))
-    assert floyd_weighting(odd, FloydFunction.custom_table([1.0, 0.5])).edge_weight.min() == 0.5
+    assert floyd_weighting(odd, FloydFunction.custom_table([1.0, 0.5])).weights.min() == 0.5
 
 
 def test_base_edge_gets_f0():
     ball = build_ball([(0, 1)], 0, 1)
     f = FloydFunction.exponential(0.25)
     w = floyd_weighting(ball, f)
-    assert w.edge_weight[0] == f.value(1)
+    assert w.weights.tolist() == [f.value(1)] * 2
 
 
 def test_weights_nonincreasing_outward(z2_small):
     ball, _ = z2_small
     w = floyd_weighting(ball, INVPOW2)
     dist = ball.dist_to_base
-    weight = w.weight_map
-    for u, v in ball.edges:
+
+    def weight(x, y):
+        return INVPOW2.value(min(dist[x], dist[y]))
+
+    for u, v in zip(*(a.tolist() for a in ball.edge_arrays)):
+        assert w.path_length([u, v]) == w.path_length([v, u]) == weight(u, v)
         if dist[v] != dist[u] + 1:
             continue
         for t in ball.adjacency[v]:
             if dist[t] == dist[v] + 1:
-                assert weight[(v, t)] <= weight[(u, v)]
+                assert weight(v, t) <= weight(u, v)
 
 
 def test_floyd_distance_identity_and_symmetry(z2_small):

@@ -118,7 +118,7 @@ def test_graph_distance_is_a_metric(seed):
 @given(st.integers(0, 10_000))
 def test_bfs_layering(seed):
     ball = random_small_ball(random.Random(seed))
-    for u, v in ball.edges:
+    for u, v in zip(*ball.edge_arrays):
         assert abs(ball.dist_to_base[u] - ball.dist_to_base[v]) <= 1
 
 

@@ -103,8 +103,8 @@ def test_direct_product_of_lines_is_z2():
         mapping = {i: z_index[to_pair[i]] for i in range(pball.vertex_count)}
         assert mapping[0] == 0
         p_edges = {(min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
-                   for u, v in pball.edges}
-        assert p_edges == set(zball.edges)
+                   for u, v in zip(*(a.tolist() for a in pball.edge_arrays))}
+        assert p_edges == set(zip(*(a.tolist() for a in zball.edge_arrays)))
 
 
 def test_free_product_of_lines_matches_free_group():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from floydlab.errors import BadRadii, NonPath, SegmentTooLong
@@ -154,19 +155,18 @@ def _wind_and_rail_ball():
     """Hub at 1; from x = 3 the shortest punctured route to the unique
     sphere vertex 10 winds past hub-close vertices (certifies only at 4/3),
     while an equally long rail-supported chain certifies at 1.2."""
-    from floydlab.graph_core import GraphBall, bfs_distances
+    from floydlab.graph_core import GraphBall, csr_distances, csr_from_edges
 
     edges = [(0, 1), (0, 2), (2, 3), (1, 4), (1, 5), (3, 4), (4, 6), (6, 7),
              (7, 8), (8, 5), (5, 9), (9, 10), (3, 11), (11, 12), (12, 13),
              (13, 14), (14, 15), (15, 16), (16, 10), (1, 17), (17, 7),
              (1, 18), (18, 12), (1, 19), (19, 13), (1, 20), (20, 14),
              (1, 21), (21, 15), (1, 22), (22, 16)]
-    adj = [[] for _ in range(23)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    dist = bfs_distances(adj, 0)
-    return GraphBall.from_adjacency(adj, base=0, radius=max(dist), dist=dist)
+    u, v = np.array(edges).T
+    indptr, indices = csr_from_edges(23, u, v)
+    dist = csr_distances(indptr, indices, 0)
+    return GraphBall(base=0, radius=int(dist.max()), indptr=indptr,
+                     indices=indices, dist=dist)
 
 
 def test_escape_ray_search_backtracking_fallback():

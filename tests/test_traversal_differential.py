@@ -3,13 +3,19 @@ replaced.
 
 The `old_*` functions below are verbatim copies of the hand-written loops
 that `graph_core.bfs` replaced (only their names changed), including
-`build_ball` with its own breadth-first loop, and of the
+`build_ball` with its own breadth-first loop (its final assembly builds the
+ball's CSR arrays with `csr_from_edges`, as every ball is now built), and of the
 wideness probe's middle-segment search as it scanned whole distance rows.
 The sampled divergence estimate runs bounded searches; its reference is the
 same code with every search limit removed. The `old_*` divergence functions
 and `OldBuckets` are verbatim copies of both estimates, the exhaustive
 one's per-tie witness loops and `div_triple` as they were before one search
 object and one array witness rule replaced them.
+
+The last group compares the code that kept a second edge layout beside the
+ball's CSR arrays with the CSR-only code that replaced it: the COO-built
+Floyd matrix, the numpy level-by-level `csr_distances`, `induced_ball` with
+its neighbor-list loop, and the punctured search's inline edge mask.
 """
 
 import math
@@ -36,18 +42,23 @@ from floydlab.errors import (
     RadiusMismatch,
     SelfLoop,
 )
-from floydlab.floyd_metric import _punctured_geodesic
+from floydlab.floyd_metric import FloydFunction, _punctured_geodesic, floyd_weighting
 from floydlab.graph_core import (
     bfs,
     bfs_distances,
     bfs_parents,
     GraphBall,
     build_ball,
+    csr_distances,
+    csr_from_edges,
+    csr_restrict,
     extract_path,
     graph_distance,
+    single_vertex_ball,
 )
 from floydlab.group_models import DirectProduct, Free, FreeAbelian, Heisenberg, cayley_ball
 from floydlab.quasigeodesic import PathWitness, qg_certify, wideness_probe
+from floydlab.thickness import induced_ball
 
 from helpers import random_connected_edges
 
@@ -228,9 +239,12 @@ def old_build_ball(edges: Iterable[tuple[Hashable, Hashable]], base: Hashable,
         raise RadiusMismatch(
             f"vertex at distance {max_dist} exceeds declared radius {declared_radius}")
 
-    return GraphBall.from_adjacency(
-        [[index[v] for v in adjacency[label]] for label in labels],
-        base=0, radius=declared_radius, dist=dist)
+    pairs = np.array([(index[label], index[v]) for label in labels
+                      for v in adjacency[label]], dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+    indptr, indices = csr_from_edges(len(labels), pairs[:, 0], pairs[:, 1])
+    return GraphBall(base=0, radius=declared_radius, indptr=indptr,
+                     indices=indices, dist=dist)
 
 
 def random_edge_case(seed):
@@ -811,3 +825,152 @@ def test_engine_differential_covers_every_branch():
                                     DivergenceParams(0.5, 100.0),
                                     protocol="exhaustive", margin=2.0)
     assert [s.value for s in nothing] == [1, 2, 3, 4]
+
+
+# ------------------------------------------------- one edge layout: CSR only
+
+def old_floyd_matrix(ball: GraphBall, f: FloydFunction) -> sp.csr_matrix:
+    """`floyd_weighting` and `FloydWeighting.matrix` as they were: weights
+    per undirected edge, then a COO build of both directions."""
+    if ball.edge_count == 0:
+        edge_u = np.empty(0, dtype=np.int64)
+        edge_v = np.empty(0, dtype=np.int64)
+        edge_weight = np.empty(0)
+    else:
+        edge_u, edge_v = ball.edge_arrays
+        dist = ball.dist
+        level = np.minimum(dist[edge_u], dist[edge_v])
+        edge_weight = f.values_through(int(level.max()))[level]
+    n = ball.vertex_count
+    rows = np.concatenate([edge_u, edge_v])
+    cols = np.concatenate([edge_v, edge_u])
+    data = np.concatenate([edge_weight, edge_weight])
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def old_csr_distances(indptr: np.ndarray, indices: np.ndarray,
+                      source: int) -> np.ndarray:
+    """Breadth-first distances from `source` over CSR arrays, level by level;
+    unreached vertices get -1."""
+    dist = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    dist[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    level = 0
+    while len(frontier):
+        level += 1
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        # Positions of every neighbor slot of the frontier, row after row.
+        slots = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        slots += np.arange(len(slots), dtype=np.int64)
+        nbrs = indices[slots]
+        frontier = np.unique(nbrs[dist[nbrs] < 0])
+        dist[frontier] = level
+    return dist
+
+
+def old_induced_ball(ball: GraphBall, vertices):
+    """Ball on the induced subgraph of `vertices`, or None if disconnected
+    or too small to carry edges. Returns (sub_ball, original_labels)."""
+    verts = sorted(set(vertices))
+    rank = {v: i for i, v in enumerate(verts)}
+    adjacency = []
+    for v in verts:
+        adjacency.append(tuple(rank[u] for u in ball.adjacency[v] if u in rank))
+    if len(verts) < 2 or all(not a for a in adjacency):
+        return None
+    base = min(verts, key=lambda v: (ball.dist_to_base[v], v))
+    dist = bfs_distances(adjacency, rank[base])
+    if min(dist) < 0:
+        return None
+    pairs = np.array([(i, j) for i, row in enumerate(adjacency) for j in row
+                      if i < j], dtype=np.int64)
+    indptr, indices = csr_from_edges(len(verts), pairs[:, 0], pairs[:, 1])
+    sub = GraphBall(base=rank[base], radius=max(dist), indptr=indptr,
+                    indices=indices, dist=dist)
+    return sub, tuple(verts)
+
+
+LAYOUT_BALLS = {
+    "z2": lambda: cayley_ball(FreeAbelian(2), 7),
+    "f2": lambda: cayley_ball(Free(2), 4),
+    "heis": lambda: cayley_ball(Heisenberg(), 5),
+    "product": lambda: cayley_ball(DirectProduct(FreeAbelian(1), Free(2)), 4),
+    "star": star_ball,
+    "random": lambda: build_ball(
+        random_connected_edges(random.Random(11), 60), 0, 60),
+    "single": single_vertex_ball,
+}
+LAYOUT_FLOYD = [FloydFunction.inverse_power(2), FloydFunction.exponential(0.5),
+                FloydFunction.custom_table([1.0, 0.75, 0.5, 0.3, 0.2, 0.1, 0.05,
+                                            0.02, 0.01, 0.005, 0.002])]
+
+
+def _vertex_masks(ball: GraphBall, seed: int):
+    """Every vertex, none, a random half, most vertices, and the ball minus
+    a closed ball around a vertex (which may disconnect it)."""
+    rng = np.random.default_rng(seed)
+    n = ball.vertex_count
+    yield np.ones(n, dtype=bool)
+    yield np.zeros(n, dtype=bool)
+    for share in (0.5, 0.8):
+        yield rng.random(n) < share
+    d_c = old_csr_distances(*ball.csr_arrays, int(rng.integers(n)))
+    yield d_c > 1
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_BALLS))
+@pytest.mark.parametrize("floyd", LAYOUT_FLOYD, ids=lambda f: f.kind)
+def test_floyd_matrix_equals_coo_build(name, floyd):
+    ball = LAYOUT_BALLS[name]()
+    old = old_floyd_matrix(ball, floyd)
+    new = floyd_weighting(ball, floyd).matrix
+    assert new.shape == old.shape and new.nnz == old.nnz
+    assert np.array_equal(new.indptr, old.indptr)
+    assert np.array_equal(new.indices, old.indices)
+    assert np.array_equal(new.data, old.data)
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_BALLS))
+def test_csr_distances_match_level_bfs(name):
+    ball = LAYOUT_BALLS[name]()
+    rng = random.Random(name)
+    for mask in _vertex_masks(ball, len(name)):
+        indptr, indices = csr_restrict(ball, mask)
+        for source in {0, ball.vertex_count - 1,
+                       rng.randrange(ball.vertex_count)}:
+            new = csr_distances(indptr, indices, source)
+            assert new.dtype == np.int64
+            assert np.array_equal(new, old_csr_distances(indptr, indices, source))
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_BALLS))
+def test_csr_restrict_equals_inline_punctured_mask(name):
+    ball = LAYOUT_BALLS[name]()
+    rows, cols = old_directed_edges(ball)
+    for mask in _vertex_masks(ball, 3 * len(name)):
+        old = old_punctured_matrix(ball, rows, cols, mask)
+        indptr, indices = csr_restrict(ball, mask)
+        assert np.array_equal(indptr, old.indptr)
+        assert np.array_equal(indices, old.indices)
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_BALLS))
+def test_induced_ball_matches_neighbor_list_loop(name):
+    ball = LAYOUT_BALLS[name]()
+    outcomes = set()
+    for mask in _vertex_masks(ball, 5 * len(name)):
+        vertices = np.flatnonzero(mask).tolist()
+        for chosen in (vertices, vertices[::-1] + vertices[:3]):
+            new = induced_ball(ball, chosen)
+            old = old_induced_ball(ball, chosen)
+            outcomes.add(old is None)
+            if old is None:
+                assert new is None
+                continue
+            (sub, labels), (old_sub, old_labels) = new, old
+            assert labels == old_labels
+            assert sub == old_sub
+            assert sub.adjacency == old_sub.adjacency
+            assert sub.dist_to_base == old_sub.dist_to_base
+    assert outcomes == ({True} if name == "single" else {True, False})
