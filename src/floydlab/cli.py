@@ -258,10 +258,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+_COUNT_FLAGS = ("cap", "pair_cap", "pairs_per_n", "c_per_pair", "threads")
+
+
+def _check_counts(args) -> None:
+    """Every count flag the command has must be at least 1."""
+    for name in _COUNT_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag}: expected an integer >= 1, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except (FloydlabError, ValueError, OSError) as exc:
         print(f"floydlab: {exc}", file=sys.stderr)

@@ -211,18 +211,28 @@ def check_sublinearity(f: FloydFunction, n_max: int) -> SublinearityReport:
                               tending_to_zero=values[-1] < 0.1 * values[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FloydWeighting:
     """Edge weights f(d(b, e)) over a ball, ready for weighted shortest paths.
 
     `weights` holds one weight per CSR entry of the ball: entry k weighs the
     directed edge ball.slot_rows[k] -> ball.indices[k], and both directions
-    of an edge carry the same weight.
+    of an edge carry the same weight. Weightings compare equal when their
+    balls, functions and weight arrays are equal.
     """
 
     ball: GraphBall
     floyd: FloydFunction
     weights: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, FloydWeighting):
+            return NotImplemented
+        return (self.ball == other.ball and self.floyd == other.floyd
+                and np.array_equal(self.weights, other.weights))
+
+    def __hash__(self):
+        return hash((self.ball, self.floyd))
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -294,7 +304,8 @@ def sphere_floyd_diameter(w: FloydWeighting, r: int, *, margin: float = 3.0,
     |S_r|^2 exceeds pair_cap, a deterministic evenly-spaced subset of source
     vertices is used and pairs = sources x sphere. Ties on the max are broken
     toward the lexicographically smallest witness pair, so results do not
-    depend on the thread count.
+    depend on the thread count. Dijkstra runs once per symmetry orbit of the
+    sources (see `_sphere_rows`), with the same result as one run per source.
     """
     ball = w.ball
     if margin < 1.0:
@@ -317,36 +328,61 @@ def sphere_floyd_diameter(w: FloydWeighting, r: int, *, margin: float = 3.0,
         k = max(1, pair_cap // n)
         sources = sorted({verts[(i * n) // k] for i in range(k)})
     target_idx = np.asarray(verts, dtype=np.int64)
+    src = np.asarray(sources, dtype=np.int64)
+    rows = _sphere_rows(w, src, target_idx, threads)
 
-    def scan(chunk: list[int]) -> tuple[float, tuple[int, int]]:
-        rows = _dijkstra_rows(w, chunk)[:, target_idx]
-        row_max = rows.max(axis=1)
-        best = row_max.max()
-        # Targets ascend, so a row's first argmax is its smallest tied
-        # target t, and (min(s, t), max(s, t)) grows with t: that target
-        # gives the row's smallest pair.
-        tied = np.flatnonzero(row_max == best)
-        s = np.asarray(chunk, dtype=np.int64)[tied]
-        t = target_idx[rows[tied].argmax(axis=1)]
-        lo, hi = np.minimum(s, t), np.maximum(s, t)
-        k = np.lexsort((hi, lo))[0]
-        return float(best), (int(lo[k]), int(hi[k]))
-
-    if threads <= 1 or len(sources) < 2:
-        results = [scan(sources)]
-    else:
-        size = math.ceil(len(sources) / threads)
-        chunks = [sources[i:i + size] for i in range(0, len(sources), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, chunks))
-
-    best, witness = results[0]
-    for m, pair in results[1:]:
-        if m > best or (m == best and pair < witness):
-            best, witness = m, pair
-    return SphereDiameter(radius=r, diameter=best, witness=witness,
+    # Targets ascend, so a row's first argmax is its smallest tied target t,
+    # and (min(s, t), max(s, t)) grows with t: that target gives the row's
+    # smallest pair.
+    row_max = rows.max(axis=1)
+    best = row_max.max()
+    tied = np.flatnonzero(row_max == best)
+    s = src[tied]
+    t = target_idx[rows[tied].argmax(axis=1)]
+    lo, hi = np.minimum(s, t), np.maximum(s, t)
+    k = np.lexsort((hi, lo))[0]
+    return SphereDiameter(radius=r, diameter=float(best),
+                          witness=(int(lo[k]), int(hi[k])),
                           exhaustive=exhaustive, sources_used=len(sources),
                           pair_count=len(sources) * n)
+
+
+def _sphere_rows(w: FloydWeighting, sources: np.ndarray, targets: np.ndarray,
+                 threads: int) -> np.ndarray:
+    """Floyd distances d(s, t) from each source to each target of a sphere,
+    as a (sources, targets) block, with Dijkstra run once per orbit.
+
+    The ball's base-fixing automorphisms keep every edge's level, so they
+    map paths to paths with the same weight sequence, and scipy's float
+    Dijkstra gives d(s, t) == d(h(s), h(t)) bit for bit. Each source's
+    representative is the smallest source in its orbit; for an automorphism
+    h with h(s) = rep, the row of s is the row of rep read at h(targets),
+    which stays in the sphere. Sources are never swapped with targets:
+    d(s, t) and d(t, s) may differ in the last place.
+    """
+    group = w.ball.automorphisms
+    images = group[:, sources]
+    is_source = np.zeros(w.ball.vertex_count, dtype=bool)
+    is_source[sources] = True
+    candidates = np.where(is_source[images], images, w.ball.vertex_count)
+    which = candidates.argmin(axis=0)
+    rep = candidates[which, np.arange(len(sources))]
+    reps = np.unique(rep).tolist()
+
+    def run(chunk: list[int]) -> np.ndarray:
+        return _dijkstra_rows(w, chunk)[:, targets]
+
+    if threads <= 1 or len(reps) < 2:
+        rep_rows = run(reps)
+    else:
+        size = math.ceil(len(reps) / threads)
+        chunks = [reps[i:i + size] for i in range(0, len(reps), size)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rep_rows = np.concatenate(list(pool.map(run, chunks)))
+    column = np.empty(w.ball.vertex_count, dtype=np.int64)
+    column[targets] = np.arange(len(targets))
+    moved = column[group[which[:, None], targets[None, :]]]
+    return rep_rows[np.searchsorted(reps, rep)[:, None], moved]
 
 
 def sphere_diameter_trend(diameters: Sequence[tuple[int, float]], *,
@@ -406,6 +442,7 @@ def karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
     rng = random.Random(seed)
     dist = ball.dist_to_base
     segments: list[tuple[int, float]] = []  # (min base distance, floyd length)
+    outside: dict[int, list[bool]] = {}  # rho -> which vertices lie beyond it
 
     def record(path: list[int]) -> None:
         md = min(dist[x] for x in path)
@@ -422,7 +459,9 @@ def karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
         if C > 1:
             rho = rng.randrange(0, max(1, ball.radius))
             if dist[u] > rho and dist[v] > rho:
-                detour = _punctured_geodesic(ball, u, v, rho)
+                if rho not in outside:
+                    outside[rho] = (ball.dist > rho).tolist()
+                detour = _punctured_geodesic(ball, u, v, outside[rho])
                 if detour is not None and qg_certify(
                         ball, PathWitness(vertices=tuple(detour))) <= C:
                     record(detour)
@@ -436,8 +475,7 @@ def karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
 
 
 def _punctured_geodesic(ball: GraphBall, u: int, v: int,
-                        rho: int) -> list[int] | None:
-    """Shortest u-v path avoiding the closed base ball of radius rho."""
-    _, dist, parent = bfs(ball.adjacency, [u],
-                          allowed=(ball.dist > rho).tolist())
+                        allowed: Sequence[bool]) -> list[int] | None:
+    """Shortest u-v path through the vertices whose `allowed` entry is true."""
+    _, dist, parent = bfs(ball.adjacency, [u], allowed=allowed)
     return extract_path(parent, v) if dist[v] >= 0 else None

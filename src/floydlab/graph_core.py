@@ -112,6 +112,15 @@ class GraphBall:
         return self.slot_rows[upper], self.indices[upper]
 
     @cached_property
+    def automorphisms(self) -> np.ndarray:
+        """Base-fixing automorphisms found in the graph: a read-only (|G|, V)
+        array whose rows are verified permutations of the vertices, forming
+        a group, with the identity first (see `find_automorphisms`)."""
+        perms = find_automorphisms(self)
+        perms.flags.writeable = False
+        return perms
+
+    @cached_property
     def spheres_by_radius(self) -> tuple[tuple[int, ...], ...]:
         order = np.argsort(self.dist, kind="stable").tolist()
         counts = np.bincount(self.dist, minlength=self.radius + 1).tolist()
@@ -161,6 +170,188 @@ def csr_distances(indptr: np.ndarray, indices: np.ndarray,
                     unweighted=True, indices=source)
     dist[np.isinf(dist)] = -1
     return dist.astype(np.int64)
+
+
+GROUP_CAP = 64  # most automorphisms find_automorphisms keeps
+_S1_CAP = 64  # larger first spheres are not searched for symmetries
+_SEARCH_CAP = 20_000  # S_1 vertex images the candidate search may try
+_EXTENSION_CAP = 64  # candidate maps extended past S_1
+
+
+def is_automorphism(ball: GraphBall, perm: np.ndarray) -> bool:
+    """Whether `perm` (vertex v goes to perm[v]) is a bijection of the
+    vertices that fixes the base and maps the edge set onto itself."""
+    n = ball.vertex_count
+    perm = np.asarray(perm)
+    if (perm.shape != (n,) or perm.min() < 0 or perm.max() >= n
+            or perm[ball.base] != ball.base):
+        return False
+    hit = np.zeros(n, dtype=bool)
+    hit[perm] = True
+    if not hit.all():
+        return False
+    # A bijection maps distinct edges to distinct pairs, so the edge set
+    # goes onto itself exactly when the sorted image keys are its keys.
+    u, v = ball.edge_arrays
+    a, b = perm[u], perm[v]
+    image = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    return np.array_equal(image, u * n + v)
+
+
+def _first_sphere_maps(ball: GraphBall, s1: np.ndarray):
+    """Candidate actions on S_1 (ascending) of a base-fixing automorphism, as
+    tuples of positions in s1, in lexicographic order: the bijections of S_1
+    that keep each vertex's degree, adjacency inside S_1 and the number of
+    common neighbors in S_2 of every pair. Stops after _SEARCH_CAP tries."""
+    m = len(s1)
+    rows, cols = ball.slot_rows, ball.indices
+    index = np.full(ball.vertex_count, -1, dtype=np.int64)
+    index[s1] = np.arange(m)
+    from_s1 = index[rows] >= 0
+    up = from_s1 & (ball.dist[cols] == 2)
+    incidence = sp.csr_matrix(
+        (np.ones(int(up.sum()), dtype=np.int64), (index[rows[up]], cols[up])),
+        shape=(m, ball.vertex_count))
+    q = 2 * (incidence @ incidence.T).toarray()
+    side = from_s1 & (index[cols] >= 0)
+    q[index[rows[side]], index[cols[side]]] += 1
+    q[np.arange(m), np.arange(m)] = -1 - np.diff(ball.indptr)[s1]
+    q = q.tolist()
+    image: list[int] = []
+    used = [False] * m
+    tries = 0
+
+    def place(i):
+        nonlocal tries
+        if i == m:
+            yield tuple(image)
+            return
+        for j in range(m):
+            tries += 1
+            if tries > _SEARCH_CAP:
+                return
+            if used[j] or q[j][j] != q[i][i] or any(
+                    q[image[p]][j] != q[p][i] for p in range(i)):
+                continue
+            used[j] = True
+            image.append(j)
+            yield from place(i + 1)
+            image.pop()
+            used[j] = False
+
+    return place(0)
+
+
+class _Layering:
+    """The BFS layers of a ball beyond S_1, with the sort keys that extend a
+    map of S_1 one layer at a time."""
+
+    def __init__(self, ball: GraphBall):
+        n = ball.vertex_count
+        rows, cols = ball.slot_rows, ball.indices
+        lower = ball.dist[cols] == ball.dist[rows] - 1
+        r, c = rows[lower], cols[lower]
+        start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(r, minlength=n), out=start[1:])
+        width = max(int(np.diff(start).max(initial=0)), 1)
+        # Lower neighbors of every vertex, ascending, padded with n.
+        self.lower = np.full((n, width), n, dtype=np.int64)
+        self.lower[r, np.arange(len(r)) - start[r]] = c
+        self.degree = np.diff(ball.indptr)
+        order = np.argsort(ball.dist, kind="stable")
+        self.layers = np.split(order, np.cumsum(np.bincount(ball.dist))[:-1])[2:]
+        self.targets = []
+        for layer in self.layers:
+            keys = np.column_stack([self.degree[layer], self.lower[layer]])
+            o = np.lexsort(keys.T[::-1])
+            self.targets.append((keys[o], layer[o]))
+
+    def extend(self, base: int, s1: np.ndarray,
+               images: Sequence[int]) -> np.ndarray | None:
+        """The map fixing the base, sending s1 to `images`, and each vertex of
+        layer k >= 2 to the layer-k vertex with its degree and the sorted
+        images of its lower neighbors as lower neighbors (ties in ascending
+        id order); None at the first layer where the keys differ."""
+        n = len(self.degree)
+        perm = np.full(n + 1, -1, dtype=np.int64)
+        perm[n] = n
+        perm[base] = base
+        perm[s1] = images
+        for layer, (want, dest) in zip(self.layers, self.targets):
+            keys = np.column_stack([self.degree[layer],
+                                    np.sort(perm[self.lower[layer]], axis=1)])
+            o = np.lexsort(keys.T[::-1])
+            if not np.array_equal(keys[o], want):
+                return None
+            perm[layer[o]] = dest
+        return perm[:n]
+
+
+def _closure(gens: list[np.ndarray], key: np.ndarray) -> list[np.ndarray] | None:
+    """The group the permutations `gens` generate, identity first and the
+    rest in breadth-first order, or None past GROUP_CAP elements. Elements
+    are told apart by their images of `key` first."""
+    group = [np.arange(len(gens[0]), dtype=np.int64)]
+    by_key = {group[0][key].tobytes(): [group[0]]}
+    for g in group:  # grows while it is walked: breadth-first
+        for h in gens:
+            p = h[g]
+            bucket = by_key.setdefault(p[key].tobytes(), [])
+            if any(np.array_equal(p, e) for e in bucket):
+                continue
+            if len(group) == GROUP_CAP:
+                return None
+            bucket.append(p)
+            group.append(p)
+    return group
+
+
+def find_automorphisms(ball: GraphBall) -> np.ndarray:
+    """A group of base-fixing automorphisms of the ball, as a (|G|, V) array
+    of permutations with the identity first.
+
+    Each candidate map of S_1 (see `_first_sphere_maps`) that the group found
+    so far does not already realise is extended one BFS layer at a time
+    (`_Layering.extend`) and kept only if `is_automorphism` verifies it;
+    the group is then closed over the kept maps. A map whose group would pass
+    GROUP_CAP elements is dropped. Symmetries may be missed, which only
+    makes the group smaller: every returned row is a verified automorphism.
+    """
+    n = ball.vertex_count
+    s1 = np.flatnonzero(ball.dist == 1)
+    group = [np.arange(n, dtype=np.int64)]
+    m = len(s1)
+    if not 2 <= m <= _S1_CAP:
+        return np.stack(group)
+    layering = None
+    gens: list[np.ndarray] = []
+    actions: list[np.ndarray] = []  # the generators' actions on S_1 positions
+    realised = {tuple(range(m))}  # the group's actions on S_1 positions
+    extensions = 0
+    for action in _first_sphere_maps(ball, s1):
+        # A larger group has at least twice the order, so none fits.
+        if 2 * len(group) > GROUP_CAP or extensions == _EXTENSION_CAP:
+            break
+        if action in realised:
+            continue
+        action = np.array(action)
+        # The group's action on S_1 is no larger than the group.
+        acting = _closure(actions + [action], np.arange(m))
+        if acting is None:
+            continue
+        extensions += 1
+        layering = layering or _Layering(ball)
+        perm = layering.extend(ball.base, s1, s1[action])
+        if perm is None or not is_automorphism(ball, perm):
+            continue
+        closed = _closure(gens + [perm], s1)
+        if closed is None:
+            continue
+        gens.append(perm)
+        actions.append(action)
+        group = closed
+        realised = {tuple(a.tolist()) for a in acting}
+    return np.stack(group)
 
 
 @dataclass(frozen=True)

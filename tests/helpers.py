@@ -169,3 +169,23 @@ def naive_div_triple(ball, a, b, c, delta, gamma):
     else:
         forbidden = {v for v, d in enumerate(d_c) if d <= threshold}
     return python_punctured_bfs(ball, a, b, forbidden)
+
+
+def check_automorphism_group(ball, perms):
+    """Assert that `perms` (rows: vertex v goes to row[v]) are base-fixing
+    automorphisms of the ball forming a group, identity first, using only
+    Python sets over the neighbor lists."""
+    n = ball.vertex_count
+    maps = [tuple(int(x) for x in row) for row in perms]
+    assert maps and maps[0] == tuple(range(n)), "identity is not first"
+    assert len(set(maps)) == len(maps), "repeated element"
+    edges = {frozenset((u, v)) for u in range(n) for v in ball.adjacency[u]}
+    for g in maps:
+        assert sorted(g) == list(range(n)), "not a bijection"
+        assert g[ball.base] == ball.base, "base moved"
+        assert {frozenset((g[u], g[v])) for u, v in map(tuple, edges)} == edges, \
+            "adjacency not preserved"
+    group = set(maps)
+    for g in maps:
+        for h in maps:
+            assert tuple(g[x] for x in h) in group, "not closed"

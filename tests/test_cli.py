@@ -176,6 +176,31 @@ def test_integer_text_is_ascii_and_named(argv, message):
     assert proc.stderr == f"floydlab: {message}\n"
 
 
+@pytest.mark.parametrize("argv,flag,value", [
+    (("floyd-diam", *_SOURCE, "--floyd", "invpow:2", "--radii", "1..2"),
+     "--pair-cap", "0"),
+    (("floyd-diam", *_SOURCE, "--floyd", "invpow:2", "--radii", "1..2"),
+     "--threads", "-1"),
+    (("divergence", *_SOURCE, "--n-range", "1..2", "--protocol", "sampled"),
+     "--pairs-per-n", "-3"),
+    (("divergence", *_SOURCE, "--n-range", "1..2", "--protocol", "sampled"),
+     "--c-per-pair", "0"),
+    (("criterion", *_SOURCE, "--floyd", "invpow:2", "--n-range", "1..2"),
+     "--threads", "0"),
+    (("verify-thick", *_SOURCE, "--structure", "unused.json"),
+     "--pairs-per-n", "0"),
+    (("gen", "--model", "zn:2", "--radius", "2", "--out", "unused.graph"),
+     "--cap", "0"),
+    (("gen", "--model", "zn:2", "--radius", "2", "--out", "unused.graph"),
+     "--threads", "-1"),
+    (("floyd-diam", *_SOURCE, "--floyd", "invpow:2", "--radii", "1..2"),
+     "--cap", "-1"),
+])
+def test_count_flags_need_a_positive_integer(argv, flag, value):
+    proc = run_cli(*argv, flag, value, expect=1)
+    assert proc.stderr == f"floydlab: {flag}: expected an integer >= 1, got {value}\n"
+
+
 def test_radii_may_start_at_zero(tmp_path):
     out = tmp_path / "d.csv"
     run_cli("floyd-diam", *_SOURCE, "--floyd", "invpow:2", "--radii", "0..1",

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +13,10 @@ from floydlab.errors import (
     SampleExhausted,
     TableExhausted,
 )
+from floydlab import floyd_metric
 from floydlab.floyd_metric import (
     FloydFunction,
+    _sphere_rows,
     check_sublinearity,
     floyd_distance,
     floyd_weighting,
@@ -22,10 +26,29 @@ from floydlab.floyd_metric import (
     sphere_floyd_diameter,
     validate_floyd_function,
 )
-from floydlab.graph_core import build_ball, graph_distance, single_vertex_ball
-from floydlab.group_models import Free, FreeAbelian, cayley_ball, vertex_of
+from floydlab.graph_core import (
+    _Layering,
+    build_ball,
+    graph_distance,
+    is_automorphism,
+    single_vertex_ball,
+)
+from floydlab.group_models import (
+    DirectProduct,
+    Free,
+    FreeAbelian,
+    FreeProduct,
+    Heisenberg,
+    cayley_ball,
+    vertex_of,
+)
 
-from helpers import min_floyd_over_simple_paths, random_small_ball
+from helpers import (
+    check_automorphism_group,
+    min_floyd_over_simple_paths,
+    random_connected_edges,
+    random_small_ball,
+)
 
 INVPOW2 = FloydFunction.inverse_power(2)
 
@@ -397,3 +420,127 @@ def test_parse_floyd(tmp_path):
     table.write_text("1.0\n\n0.5\nnan\n")
     with pytest.raises(ValueError, match=r"line 4: expected a finite positive real, got 'nan'"):
         parse_floyd(f"table:{table}")
+
+
+def test_floyd_weighting_equality(z2_small):
+    ball, _ = z2_small
+    a, b = floyd_weighting(ball, INVPOW2), floyd_weighting(ball, INVPOW2)
+    assert a == b and hash(a) == hash(b)
+    assert a != floyd_weighting(ball, FloydFunction.exponential(0.5))
+    assert a != floyd_weighting(cayley_ball(FreeAbelian(2), 4), INVPOW2)
+    assert a != "weighting"
+
+
+def two_pentagons():
+    """Two 5-cycles through the base: the automorphism group has order 8,
+    and swapping the far ends of one pair of S_1 vertices extends layer by
+    layer but breaks an edge inside S_2."""
+    return build_ball([(0, 1), (1, 5), (5, 6), (6, 2), (2, 0),
+                       (0, 3), (3, 7), (7, 8), (8, 4), (4, 0)], 0, 2)
+
+
+@pytest.mark.parametrize("model,radius,order", [
+    (FreeAbelian(2), 6, 8), (Free(2), 4, 24), (FreeAbelian(3), 4, 48),
+    (Heisenberg(), 6, 1)])
+def test_group_orders(model, radius, order):
+    ball = cayley_ball(model, radius)
+    assert ball.automorphisms.shape == (order, ball.vertex_count)
+    check_automorphism_group(ball, ball.automorphisms)
+
+
+ORACLE_BALLS = {
+    "product": lambda: cayley_ball(DirectProduct(FreeAbelian(1), Free(2)), 3),
+    "free-product": lambda: cayley_ball(FreeProduct(FreeAbelian(1), Free(1)), 4),
+    "pentagons": two_pentagons,
+    "single": single_vertex_ball,
+    **{f"random-{seed}": (lambda seed=seed: build_ball(random_connected_edges(
+        random.Random(seed), 12), 0, 12)) for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BALLS))
+def test_automorphisms_pass_the_set_oracle(name):
+    ball = ORACLE_BALLS[name]()
+    check_automorphism_group(ball, ball.automorphisms)
+    assert not ball.automorphisms.flags.writeable
+
+
+def test_verification_rejects_maps_that_extend():
+    ball = two_pentagons()
+    assert len(ball.automorphisms) == 8
+    s1 = np.flatnonzero(ball.dist == 1)
+    layering = _Layering(ball)
+    extended = [layering.extend(ball.base, s1, images)
+                for images in itertools.permutations(s1.tolist())]
+    assert sum(p is not None for p in extended) == 24
+    assert sum(p is not None and is_automorphism(ball, p) for p in extended) == 8
+
+
+def test_is_automorphism_rejects_non_maps():
+    ball = cayley_ball(FreeAbelian(2), 3)
+    n = ball.vertex_count
+    assert is_automorphism(ball, np.arange(n))
+    assert not is_automorphism(ball, np.arange(n - 1))
+    assert not is_automorphism(ball, np.zeros(n, dtype=np.int64))
+    swap = np.arange(n)
+    swap[[0, 1]] = [1, 0]
+    assert not is_automorphism(ball, swap)  # moves the base
+    swap = np.arange(n)
+    swap[[1, n - 1]] = [n - 1, 1]
+    assert not is_automorphism(ball, swap)  # breaks edges
+
+
+ROW_BALLS = {
+    "z2": lambda: cayley_ball(FreeAbelian(2), 10),
+    "f2": lambda: cayley_ball(Free(2), 5),
+    "z3": lambda: cayley_ball(FreeAbelian(3), 5),
+    "product": lambda: cayley_ball(DirectProduct(FreeAbelian(1), Free(2)), 4),
+    "free-product": lambda: cayley_ball(FreeProduct(FreeAbelian(1), FreeAbelian(1)), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_BALLS))
+@pytest.mark.parametrize("threads", [1, 4])
+def test_gathered_rows_equal_direct_rows(name, threads):
+    from scipy.sparse.csgraph import dijkstra
+
+    ball = ROW_BALLS[name]()
+    w = floyd_weighting(ball, INVPOW2)
+    assert len(ball.automorphisms) > 1
+    for r in range(1, ball.radius + 1):
+        verts = np.array(ball.spheres_by_radius[r])
+        for sources in (verts, verts[1::3]):
+            direct = dijkstra(w.matrix, directed=True, indices=sources)[:, verts]
+            block = _sphere_rows(w, sources, verts, threads)
+            assert np.array_equal(block, direct)  # bit for bit
+
+
+def test_floyd_distance_is_not_symmetric_in_the_last_place():
+    # Why the scan reduces sources only: swapping s and t may change d(s, t).
+    ball = cayley_ball(FreeAbelian(2), 10)
+    w = floyd_weighting(ball, INVPOW2)
+    verts = np.array(ball.spheres_by_radius[3])
+    block = _sphere_rows(w, verts, verts, 1)
+    assert not np.array_equal(block, block.T)
+    assert np.allclose(block, block.T, rtol=1e-12, atol=0)
+
+
+def test_scan_runs_one_row_per_orbit(monkeypatch):
+    ball = cayley_ball(FreeAbelian(2), 12)
+    w = floyd_weighting(ball, INVPOW2)
+    rows = []
+    dijkstra = floyd_metric.dijkstra
+
+    def counted(*args, indices, **kwargs):
+        rows.append(list(indices))
+        return dijkstra(*args, indices=indices, **kwargs)
+
+    monkeypatch.setattr(floyd_metric, "dijkstra", counted)
+    results = [sphere_floyd_diameter(w, r, margin=3.0) for r in range(1, 5)]
+    # The dihedral orbits of the Z^2 sphere S_r: floor(r / 2) + 1 of them,
+    # each scanned from its smallest vertex.
+    assert [len(reps) for reps in rows] == [r // 2 + 1 for r in range(1, 5)]
+    for r, reps in zip(range(1, 5), rows):
+        assert reps == sorted({int(ball.automorphisms[:, s].min())
+                               for s in ball.spheres_by_radius[r]})
+    assert [res.sources_used for res in results] == [4, 8, 12, 16]

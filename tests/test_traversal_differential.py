@@ -12,14 +12,22 @@ and `OldBuckets` are verbatim copies of both estimates, the exhaustive
 one's per-tie witness loops and `div_triple` as they were before one search
 object and one array witness rule replaced them.
 
-The last group compares the code that kept a second edge layout beside the
+The next group compares the code that kept a second edge layout beside the
 ball's CSR arrays with the CSR-only code that replaced it: the COO-built
 Floyd matrix, the numpy level-by-level `csr_distances`, `induced_ball` with
 its neighbor-list loop, and the punctured search's inline edge mask.
+
+The last group compares the sphere scan that ran Dijkstra from every source
+with the scan that runs it once per symmetry orbit, and the escape-set
+estimate that built its punctured-search mask on every call with the one
+that builds it once per radius.
 """
 
 import math
 import random
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from collections import deque
 from types import SimpleNamespace
 from typing import Hashable, Iterable
@@ -40,9 +48,22 @@ from floydlab.errors import (
     DisconnectedGraph,
     PreconditionViolated,
     RadiusMismatch,
+    RadiusOutOfMargin,
+    RadiusOutOfRange,
+    SampleExhausted,
     SelfLoop,
 )
-from floydlab.floyd_metric import FloydFunction, _punctured_geodesic, floyd_weighting
+from floydlab.floyd_metric import (
+    FloydFunction,
+    FloydWeighting,
+    KarlssonEstimate,
+    SphereDiameter,
+    _dijkstra_rows,
+    _punctured_geodesic,
+    floyd_weighting,
+    karlsson_set_estimate,
+    sphere_floyd_diameter,
+)
 from floydlab.graph_core import (
     bfs,
     bfs_distances,
@@ -54,9 +75,18 @@ from floydlab.graph_core import (
     csr_restrict,
     extract_path,
     graph_distance,
+    read_graph_file,
     single_vertex_ball,
+    sphere,
 )
-from floydlab.group_models import DirectProduct, Free, FreeAbelian, Heisenberg, cayley_ball
+from floydlab.group_models import (
+    DirectProduct,
+    Free,
+    FreeAbelian,
+    FreeProduct,
+    Heisenberg,
+    cayley_ball,
+)
 from floydlab.quasigeodesic import PathWitness, qg_certify, wideness_probe
 from floydlab.thickness import induced_ball
 
@@ -356,7 +386,8 @@ def test_punctured_geodesic_matches_replaced_loop(seed):
         u, v = rng.randrange(ball.vertex_count), rng.randrange(ball.vertex_count)
         rho = rng.randrange(-1, max(1, max(ball.dist_to_base)))
         if ball.dist_to_base[u] > rho and ball.dist_to_base[v] > rho:
-            assert _punctured_geodesic(ball, u, v, rho) == old_punctured_geodesic(
+            allowed = (ball.dist > rho).tolist()
+            assert _punctured_geodesic(ball, u, v, allowed) == old_punctured_geodesic(
                 ball, u, v, rho)
 
 
@@ -974,3 +1005,211 @@ def test_induced_ball_matches_neighbor_list_loop(name):
             assert sub.adjacency == old_sub.adjacency
             assert sub.dist_to_base == old_sub.dist_to_base
     assert outcomes == ({True} if name == "single" else {True, False})
+
+
+# ---------------------------------------------------------------- orbit scan
+
+def old_sphere_floyd_diameter(w: FloydWeighting, r: int, *, margin: float = 3.0,
+                              pair_cap: int = 250_000,
+                              threads: int = 1) -> SphereDiameter:
+    """Max Floyd distance over pairs on the sphere S_r, with a witness pair.
+
+    Refuses radii with r * margin > ball.radius: closer to the boundary the
+    truncation can distort optimal (outward-detouring) Floyd paths. When
+    |S_r|^2 exceeds pair_cap, a deterministic evenly-spaced subset of source
+    vertices is used and pairs = sources x sphere. Ties on the max are broken
+    toward the lexicographically smallest witness pair, so results do not
+    depend on the thread count.
+    """
+    ball = w.ball
+    if margin < 1.0:
+        raise ValueError("margin must be >= 1")
+    if r * margin > ball.radius + 1e-9:
+        raise RadiusOutOfMargin(
+            f"sphere radius {r} violates margin {margin} on ball radius {ball.radius}")
+    verts = sphere(ball, r).vertices
+    if not verts:
+        raise RadiusOutOfRange(f"sphere at radius {r} is empty")
+    if len(verts) == 1:
+        return SphereDiameter(radius=r, diameter=0.0, witness=(verts[0], verts[0]),
+                              exhaustive=True, sources_used=1, pair_count=1)
+
+    n = len(verts)
+    exhaustive = n * n <= pair_cap
+    if exhaustive:
+        sources = list(verts)
+    else:
+        k = max(1, pair_cap // n)
+        sources = sorted({verts[(i * n) // k] for i in range(k)})
+    target_idx = np.asarray(verts, dtype=np.int64)
+
+    def scan(chunk: list[int]) -> tuple[float, tuple[int, int]]:
+        rows = _dijkstra_rows(w, chunk)[:, target_idx]
+        row_max = rows.max(axis=1)
+        best = row_max.max()
+        # Targets ascend, so a row's first argmax is its smallest tied
+        # target t, and (min(s, t), max(s, t)) grows with t: that target
+        # gives the row's smallest pair.
+        tied = np.flatnonzero(row_max == best)
+        s = np.asarray(chunk, dtype=np.int64)[tied]
+        t = target_idx[rows[tied].argmax(axis=1)]
+        lo, hi = np.minimum(s, t), np.maximum(s, t)
+        k = np.lexsort((hi, lo))[0]
+        return float(best), (int(lo[k]), int(hi[k]))
+
+    if threads <= 1 or len(sources) < 2:
+        results = [scan(sources)]
+    else:
+        size = math.ceil(len(sources) / threads)
+        chunks = [sources[i:i + size] for i in range(0, len(sources), size)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(scan, chunks))
+
+    best, witness = results[0]
+    for m, pair in results[1:]:
+        if m > best or (m == best and pair < witness):
+            best, witness = m, pair
+    return SphereDiameter(radius=r, diameter=best, witness=witness,
+                          exhaustive=exhaustive, sources_used=len(sources),
+                          pair_count=len(sources) * n)
+
+
+def relabeled_file_ball():
+    """A Z^2 ball written to a graph file under a random numbering, so its
+    base is not vertex 0 and its vertices are not in BFS order."""
+    ball = cayley_ball(FreeAbelian(2), 9)
+    label = np.random.default_rng(4).permutation(ball.vertex_count)
+    u, v = ball.edge_arrays
+    a, b = label[u], label[v]
+    edges = sorted(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+    text = (f"floydlab-graph v1\n{ball.vertex_count} {len(edges)} {label[0]} "
+            f"{ball.radius}\n" + "".join(f"{x} {y}\n" for x, y in edges))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "z2.graph"
+        path.write_text(text)
+        return read_graph_file(path)
+
+
+# name -> (ball, margin, radii)
+SCAN_BALLS = {
+    "z2": (lambda: cayley_ball(FreeAbelian(2), 12), 3.0, range(0, 5)),
+    "f2": (lambda: cayley_ball(Free(2), 6), 1.0, range(1, 7)),
+    "z3": (lambda: cayley_ball(FreeAbelian(3), 6), 3.0, range(1, 3)),
+    "heis": (lambda: cayley_ball(Heisenberg(), 9), 3.0, range(1, 4)),
+    "product": (lambda: cayley_ball(DirectProduct(FreeAbelian(1), Free(2)), 4),
+                1.0, range(1, 5)),
+    "free-product": (lambda: cayley_ball(FreeProduct(FreeAbelian(1), FreeAbelian(1)), 6),
+                     1.0, range(1, 7)),
+    "random": (lambda: build_ball(random_connected_edges(random.Random(7), 80), 0, 80),
+               1.0, range(1, 9)),
+    "file": (relabeled_file_ball, 1.0, range(1, 10)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_BALLS))
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("pair_cap", [250_000, 40])
+def test_sphere_scan_matches_unreduced_scan(name, threads, pair_cap):
+    make, margin, radii = SCAN_BALLS[name]
+    w = floyd_weighting(make(), FloydFunction.inverse_power(2))
+    for r in radii:
+        outcome = _outcome(sphere_floyd_diameter, w, r, margin=margin,
+                           pair_cap=pair_cap, threads=threads)
+        old = _outcome(old_sphere_floyd_diameter, w, r, margin=margin,
+                       pair_cap=pair_cap, threads=threads)
+        if isinstance(old, tuple):
+            assert outcome == old
+            continue
+        assert repr(outcome.diameter) == repr(old.diameter)
+        assert outcome.witness == old.witness
+        assert outcome.exhaustive == old.exhaustive
+        assert outcome.sources_used == old.sources_used
+        assert outcome.pair_count == old.pair_count
+
+
+def test_scan_differential_covers_symmetric_sampled_and_asymmetric_balls():
+    orders = {name: len(make().automorphisms)
+              for name, (make, _, _) in SCAN_BALLS.items()}
+    assert orders["random"] == orders["heis"] == 1
+    assert orders["file"] == 8 and orders["f2"] == 24
+    make, margin, _ = SCAN_BALLS["f2"]
+    w = floyd_weighting(make(), FloydFunction.inverse_power(2))
+    assert not sphere_floyd_diameter(w, 6, margin=margin).exhaustive
+    assert relabeled_file_ball().base != 0
+
+
+# ---------------------------------------------------------------- escape set
+
+def old_karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
+                              samples: int, seed: int) -> KarlssonEstimate:
+    """Smallest ball radius rho such that every sampled C-quasi-geodesic
+    avoiding the closed ball B_b(rho) has Floyd length < epsilon.
+
+    Sampling is seed-deterministic: geodesic segments between random vertex
+    pairs (geodesics are C-quasi-geodesic for every C >= 1), plus, for C > 1,
+    detour segments around random base balls kept when they certify at C.
+    """
+    if C < 1:
+        raise ValueError("C must be >= 1")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    ball = w.ball
+    if ball.vertex_count < 2 or samples <= 0:
+        raise SampleExhausted("no quasi-geodesic segments available to sample")
+
+    from floydlab.quasigeodesic import PathWitness, qg_certify  # local: avoids heavier import at module load
+
+    rng = random.Random(seed)
+    dist = ball.dist_to_base
+    segments: list[tuple[int, float]] = []  # (min base distance, floyd length)
+
+    def record(path: list[int]) -> None:
+        md = min(dist[x] for x in path)
+        segments.append((md, w.path_length(path)))
+
+    for _ in range(samples):
+        u = rng.randrange(ball.vertex_count)
+        v = rng.randrange(ball.vertex_count)
+        if u == v:
+            continue
+        _, parent = bfs_parents(ball.adjacency, u)
+        path = extract_path(parent, v)
+        record(path)
+        if C > 1:
+            rho = rng.randrange(0, max(1, ball.radius))
+            if dist[u] > rho and dist[v] > rho:
+                detour = old_rho_punctured_geodesic(ball, u, v, rho)
+                if detour is not None and qg_certify(
+                        ball, PathWitness(vertices=tuple(detour))) <= C:
+                    record(detour)
+
+    if not segments:
+        raise SampleExhausted("no qualifying quasi-geodesic segments found")
+    bad = [md for md, length in segments if length >= epsilon]
+    return KarlssonEstimate(radius=max(bad, default=0), epsilon=epsilon, C=C,
+                            segments_used=len(segments), bad_segments=len(bad),
+                            seed=seed)
+
+
+def old_rho_punctured_geodesic(ball: GraphBall, u: int, v: int,
+                               rho: int) -> list[int] | None:
+    """Shortest u-v path avoiding the closed base ball of radius rho."""
+    _, dist, parent = bfs(ball.adjacency, [u],
+                          allowed=(ball.dist > rho).tolist())
+    return extract_path(parent, v) if dist[v] >= 0 else None
+
+
+KARLSSON_BALLS = {
+    "z2": lambda: cayley_ball(FreeAbelian(2), 8),
+    "f2": lambda: cayley_ball(Free(2), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KARLSSON_BALLS))
+@pytest.mark.parametrize("C", [1.0, 1.5])
+def test_karlsson_estimate_matches_mask_per_call(name, C):
+    w = floyd_weighting(KARLSSON_BALLS[name](), FloydFunction.inverse_power(2))
+    for seed in range(10):
+        new = karlsson_set_estimate(w, C=C, epsilon=0.3, samples=40, seed=seed)
+        old = old_karlsson_set_estimate(w, C=C, epsilon=0.3, samples=40, seed=seed)
+        assert new == old
