@@ -32,7 +32,6 @@ from .graph_core import (
     GraphBall,
     Sphere,
     build_ball,
-    graph_distance,
     read_graph_file,
     sphere,
     write_graph_file,
@@ -87,7 +86,6 @@ __all__ = [
     "GraphBall",
     "Sphere",
     "build_ball",
-    "graph_distance",
     "read_graph_file",
     "sphere",
     "write_graph_file",

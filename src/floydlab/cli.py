@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -270,11 +271,28 @@ def _check_counts(args) -> None:
             raise ValueError(f"{flag}: expected an integer >= 1, got {value}")
 
 
+# flag -> (range test, which is false for NaN; what the flag expects)
+_REAL_FLAGS = {
+    "delta": (lambda x: 0 < x < 1, "a real in (0, 1)"),
+    "gamma": (lambda x: 0 <= x < math.inf, "a finite real >= 0"),
+    "margin": (lambda x: 1 <= x < math.inf, "a finite real >= 1"),
+}
+
+
+def _check_reals(args) -> None:
+    """Every real flag the command has must lie in its range."""
+    for name, (ok, want) in _REAL_FLAGS.items():
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise ValueError(f"--{name}: expected {want}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _check_counts(args)
+        _check_reals(args)
         return args.func(args)
     except (FloydlabError, ValueError, OSError) as exc:
         print(f"floydlab: {exc}", file=sys.stderr)

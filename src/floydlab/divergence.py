@@ -44,8 +44,8 @@ class DivergenceParams:
     def __post_init__(self):
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be a finite real >= 0")
 
 
 @dataclass(frozen=True)
@@ -176,12 +176,48 @@ class _Buckets:
         return samples
 
 
+def _orbit_witnesses(group: np.ndarray, low: np.ndarray, key: np.ndarray,
+                     a: np.ndarray, b: np.ndarray, c: int, radius: np.ndarray):
+    """Per distinct `key` (a small nonnegative int), the smallest witness
+    (min(ha, hb), max(ha, hb), hc) over every h in `group` and every triple
+    (a[i], b[i], c) with that key, with the radius of the triple that gives
+    it. Returns (key, lo, hi, c, radius) arrays, one entry per key.
+
+    `low` is each vertex's smallest orbit image, so the least first entry
+    of a key is lo* = min(low[a], low[b]) over its triples, and only
+    triples with low[a] == lo* or low[b] == lo* are mapped through the
+    group.
+    """
+    lo_orbit = np.minimum(low[a], low[b])
+    lo_star = np.full(key.max() + 1, len(low))
+    np.minimum.at(lo_star, key, lo_orbit)
+    near = np.flatnonzero(lo_orbit == lo_star[key])
+    key, radius = key[near], radius[near]
+    ha, hb = group[:, a[near]], group[:, b[near]]
+    g, i = np.nonzero(np.minimum(ha, hb) == lo_star[key])
+    hi, hc, key = np.maximum(ha[g, i], hb[g, i]), group[g, c], key[i]
+    order = np.lexsort((hc, hi, key))
+    first = order[np.flatnonzero(np.diff(key[order], prepend=-1))]
+    return (key[first], lo_star[key[first]], hi[first], hc[first],
+            radius[i[first]])
+
+
 def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
     search = _Searches(ball)
     d_inner = search.plain(inner)
     ambient = d_inner[:, inner]
-    buckets = _Buckets(n_max)
-    for ci, c in enumerate(inner.tolist()):
+    # A base-fixing automorphism h keeps every distance, so it maps the
+    # inner region onto itself and the triples at c, with their values and
+    # radii, onto the triples at h(c). Only the smallest vertex of each
+    # orbit is scanned as a center; its winning triples are then turned
+    # into the smallest witness over all their images.
+    group = ball.automorphisms
+    low = group.min(axis=0)
+    reps = np.unique(low[inner])
+    best = np.full(n_max + 1, -1.0)  # largest value so far per d(a,b)
+    d_inf = n_max + 1  # least d(a,b) of a disconnecting triple so far
+    winners = []
+    for ci, c in zip(np.searchsorted(inner, reps).tolist(), reps.tolist()):
         d_c = d_inner[ci]
         ra = d_c[inner]
         t = params.delta * ra - params.gamma
@@ -202,8 +238,24 @@ def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
             rows = needy[floors == key]
             values[rows] = search.punctured(d_c, key, inner[rows])[:, inner]
         ii, jj = np.nonzero(admissible)
-        buckets.offer(inner[ii], inner[jj], c, ambient[ii, jj], values[ii, jj],
-                      t[ii])
+        dab, value = ambient[ii, jj].astype(np.int64), values[ii, jj]
+        cut = np.isinf(value)
+        if cut.any():
+            d_inf = min(d_inf, int(dab[cut].min()))
+        # Div(n) is infinite for n >= d_inf, so finite buckets there are
+        # never read, and only disconnecting triples of least d(a,b) can win.
+        live = np.flatnonzero(np.where(cut, dab == d_inf, dab < d_inf))
+        np.maximum.at(best, dab[live], value[live])
+        tied = live[value[live] == best[dab[live]]]
+        if tied.size:
+            dabs, *witness = _orbit_witnesses(
+                group, low, dab[tied], inner[ii[tied]], inner[jj[tied]], c,
+                t[ii[tied]])
+            winners.append((dabs, best[dabs], *witness))
+    buckets = _Buckets(n_max)
+    if winners:
+        dab, value, lo, hi, hc, radius = map(np.concatenate, zip(*winners))
+        buckets.offer(lo, hi, hc, dab, value, radius)
     return buckets.finalize(n_min, "exhaustive", seed)
 
 
@@ -263,13 +315,16 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
     """Estimate Div(n) for n = n_min..n_max over triples drawn from the
     inner region B_b(ball.radius / margin).
 
-    protocol "exhaustive" enumerates every admissible triple in the inner
-    region (grouped so one punctured search serves many partners);
-    "sampled" draws seeded a-b pairs at distance n and centers c near their
-    geodesics (a heuristic for finding large values, kept out of exhaustive
-    mode); "auto" picks exhaustive for balls up to exhaustive_cap vertices.
-    Values are certified lower bounds on Div at ball scale; the supremum is
-    approximated, never certified.
+    protocol "exhaustive" covers every admissible triple in the inner
+    region (grouped so one punctured search serves many partners), scanning
+    one center per orbit of `ball.automorphisms` and picking each witness
+    over the images of the tied triples, with the same samples as a scan
+    of every center; "sampled" draws seeded a-b pairs at distance n and
+    centers c near their geodesics (a heuristic for finding large values,
+    kept out of exhaustive mode); "auto" picks exhaustive for balls up to
+    exhaustive_cap vertices. Values are certified lower bounds on Div at
+    ball scale; the supremum is approximated, never certified. margin must
+    be a finite real >= 1.
 
     Both protocols, and div_triple, run on one engine: a `_Searches` object
     per ball does every plain and punctured search, and `_Buckets.offer`
@@ -277,8 +332,8 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
     """
     if protocol not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown protocol {protocol!r}")
-    if margin < 1:
-        raise ValueError("margin must be >= 1")
+    if not 1 <= margin < math.inf:
+        raise ValueError("margin must be a finite real >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max * margin > ball.radius + 1e-9:

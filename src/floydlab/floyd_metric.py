@@ -308,8 +308,8 @@ def sphere_floyd_diameter(w: FloydWeighting, r: int, *, margin: float = 3.0,
     sources (see `_sphere_rows`), with the same result as one run per source.
     """
     ball = w.ball
-    if margin < 1.0:
-        raise ValueError("margin must be >= 1")
+    if not 1 <= margin < math.inf:
+        raise ValueError("margin must be a finite real >= 1")
     if r * margin > ball.radius + 1e-9:
         raise RadiusOutOfMargin(
             f"sphere radius {r} violates margin {margin} on ball radius {ball.radius}")

@@ -496,20 +496,6 @@ def sphere(ball: GraphBall, r: int) -> Sphere:
     return Sphere(radius=r, vertices=ball.spheres_by_radius[r])
 
 
-def graph_distance(ball: GraphBall, u: int, v: int) -> int:
-    """BFS shortest-path length between u and v inside the ball.
-
-    Equals the ambient distance away from the truncation boundary; near it
-    the value is an upper bound on the ambient distance.
-    """
-    ball.check_index(u)
-    ball.check_index(v)
-    d = bfs(ball.adjacency, (u,))[1][v]
-    if d < 0:
-        raise AssertionError("ball is connected by construction")
-    return d
-
-
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 

@@ -500,15 +500,6 @@ def growth_series(model: GroupModel, radius: int,
     return np.bincount(ball.dist, minlength=radius + 1).tolist()
 
 
-def vertex_of(model: GroupModel, elements: tuple, element) -> int:
-    """Index of a group element inside a labeled ball (KeyError if absent)."""
-    key = model.canonical_key(element)
-    for i, el in enumerate(elements):
-        if model.canonical_key(el) == key:
-            return i
-    raise KeyError(f"element {element!r} not in ball")
-
-
 def parse_model(spec: str) -> GroupModel:
     """Parse a CLI model string.
 

@@ -156,6 +156,25 @@ def python_punctured_bfs(ball, source, target, forbidden):
     return None
 
 
+def graph_distance(ball, u, v):
+    """BFS shortest-path length between u and v inside the ball."""
+    ball.check_index(u)
+    ball.check_index(v)
+    d = python_punctured_bfs(ball, u, v, set())
+    if d is None:
+        raise AssertionError("ball is connected by construction")
+    return d
+
+
+def vertex_of(model, elements, element):
+    """Index of a group element inside a labeled ball (KeyError if absent)."""
+    key = model.canonical_key(element)
+    for i, el in enumerate(elements):
+        if model.canonical_key(el) == key:
+            return i
+    raise KeyError(f"element {element!r} not in ball")
+
+
 def naive_div_triple(ball, a, b, c, delta, gamma):
     """Reference divergence value using only python BFS over the ball."""
     from floydlab.graph_core import bfs_distances

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from floydlab.cli import main
 from floydlab.graph_core import read_graph_file
 from floydlab.group_models import Heisenberg, growth_series
 
@@ -199,6 +200,33 @@ def test_integer_text_is_ascii_and_named(argv, message):
 def test_count_flags_need_a_positive_integer(argv, flag, value):
     proc = run_cli(*argv, flag, value, expect=1)
     assert proc.stderr == f"floydlab: {flag}: expected an integer >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize("argv,flag,want", [
+    (("divergence", *_SOURCE, "--n-range", "1..2", "--protocol", "exhaustive",
+      "--gamma", "inf"), "--gamma", "a finite real >= 0, got inf"),
+    (("criterion", *_SOURCE, "--floyd", "invpow:2", "--n-range", "1..2",
+      "--gamma=-inf"), "--gamma", "a finite real >= 0, got -inf"),
+    (("divergence", *_SOURCE, "--n-range", "1..2", "--gamma", "nan"),
+     "--gamma", "a finite real >= 0, got nan"),
+    (("divergence", *_SOURCE, "--n-range", "1..2", "--delta", "nan"),
+     "--delta", "a real in (0, 1), got nan"),
+    (("verify-thick", *_SOURCE, "--structure", "unused.json", "--delta", "1.5"),
+     "--delta", "a real in (0, 1), got 1.5"),
+    (("floyd-diam", *_SOURCE, "--floyd", "invpow:2", "--radii", "0..2",
+      "--margin", "nan"), "--margin", "a finite real >= 1, got nan"),
+    (("floyd-diam", *_SOURCE, "--floyd", "invpow:2", "--radii", "1..2",
+      "--margin", "0.5"), "--margin", "a finite real >= 1, got 0.5"),
+    (("divergence", *_SOURCE, "--n-range", "1..2", "--margin", "nan"),
+     "--margin", "a finite real >= 1, got nan"),
+    (("criterion", *_SOURCE, "--floyd", "invpow:2", "--n-range", "1..2",
+      "--margin", "inf"), "--margin", "a finite real >= 1, got inf"),
+    (("verify-thick", *_SOURCE, "--structure", "unused.json", "--margin", "-2"),
+     "--margin", "a finite real >= 1, got -2.0"),
+])
+def test_real_flags_need_a_value_in_range(argv, flag, want, capsys):
+    assert main(list(argv)) == 1
+    assert capsys.readouterr().err == f"floydlab: {flag}: expected {want}\n"
 
 
 def test_radii_may_start_at_zero(tmp_path):

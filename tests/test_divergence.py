@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -19,10 +20,15 @@ from floydlab.errors import (
     RangeMismatch,
 )
 from floydlab.floyd_metric import FloydFunction
-from floydlab.graph_core import graph_distance
-from floydlab.group_models import Free, FreeAbelian, cayley_ball, cayley_ball_labeled, vertex_of
+from floydlab.group_models import Free, FreeAbelian, cayley_ball, cayley_ball_labeled
 
-from helpers import grid_punctured_distance, naive_div_triple, random_small_ball
+from helpers import (
+    graph_distance,
+    grid_punctured_distance,
+    naive_div_triple,
+    random_small_ball,
+    vertex_of,
+)
 
 HALF = DivergenceParams(0.5, 0.0)
 
@@ -34,6 +40,12 @@ def test_params_validation():
         DivergenceParams(1.0, 0.0)
     with pytest.raises(ValueError):
         DivergenceParams(0.5, -1.0)
+    for gamma in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma must be a finite real"):
+            DivergenceParams(0.5, gamma)
+    for delta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta must lie"):
+            DivergenceParams(delta, 0.0)
 
 
 def test_div_triple_grid_example():
@@ -198,6 +210,9 @@ def test_margin_violated(z2_small):
     ball, _ = z2_small
     with pytest.raises(MarginViolated):
         div_function_estimate(ball, 5, HALF, margin=3.0)
+    for margin in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="margin must be a finite real >= 1"):
+            div_function_estimate(ball, 1, HALF, margin=margin)
 
 
 def _synthetic(values):

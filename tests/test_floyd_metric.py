@@ -29,7 +29,6 @@ from floydlab.floyd_metric import (
 from floydlab.graph_core import (
     _Layering,
     build_ball,
-    graph_distance,
     is_automorphism,
     single_vertex_ball,
 )
@@ -40,14 +39,15 @@ from floydlab.group_models import (
     FreeProduct,
     Heisenberg,
     cayley_ball,
-    vertex_of,
 )
 
 from helpers import (
     check_automorphism_group,
+    graph_distance,
     min_floyd_over_simple_paths,
     random_connected_edges,
     random_small_ball,
+    vertex_of,
 )
 
 INVPOW2 = FloydFunction.inverse_power(2)
@@ -291,6 +291,9 @@ def test_sphere_diameter_margin_policy(z2_small):
     w = floyd_weighting(ball, INVPOW2)
     with pytest.raises(RadiusOutOfMargin):
         sphere_floyd_diameter(w, 4, margin=3.0)
+    for margin in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="margin must be a finite real >= 1"):
+            sphere_floyd_diameter(w, 0, margin=margin)
     res = sphere_floyd_diameter(w, 2, margin=3.0)
     assert res.diameter > 0
 

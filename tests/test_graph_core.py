@@ -14,14 +14,13 @@ from floydlab.errors import (
 )
 from floydlab.graph_core import (
     build_ball,
-    graph_distance,
     read_graph_file,
     sphere,
     write_graph_file,
 )
-from floydlab.group_models import FreeAbelian, cayley_ball, cayley_ball_labeled, vertex_of
+from floydlab.group_models import FreeAbelian, cayley_ball, cayley_ball_labeled
 
-from helpers import random_small_ball
+from helpers import graph_distance, random_small_ball, vertex_of
 
 
 def test_build_ball_path():

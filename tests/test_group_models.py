@@ -1,7 +1,6 @@
 import pytest
 
 from floydlab.errors import BallTooLarge, ModelAxiomViolation
-from floydlab.graph_core import graph_distance
 from floydlab.group_models import (
     DirectProduct,
     Free,
@@ -15,7 +14,7 @@ from floydlab.group_models import (
     parse_model,
 )
 
-from helpers import brute_force_word_lengths, heisenberg_matrix_words
+from helpers import brute_force_word_lengths, graph_distance, heisenberg_matrix_words
 
 ALL_MODELS = [
     FreeAbelian(2),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from floydlab.errors import BadRadii, NonPath, SegmentTooLong
-from floydlab.graph_core import bfs_parents, build_ball, extract_path, graph_distance
+from floydlab.graph_core import bfs_parents, build_ball, extract_path
 from floydlab.group_models import (
     DirectProduct,
     Free,
@@ -13,7 +13,6 @@ from floydlab.group_models import (
     Heisenberg,
     cayley_ball,
     cayley_ball_labeled,
-    vertex_of,
 )
 from floydlab.quasigeodesic import (
     PathWitness,
@@ -23,6 +22,8 @@ from floydlab.quasigeodesic import (
     qg_certify,
     wideness_probe,
 )
+
+from helpers import graph_distance, vertex_of
 
 
 def cycle_ball(d):

@@ -4,7 +4,7 @@ import pytest
 
 from floydlab import thickness
 from floydlab.errors import StructureDepthMismatch
-from floydlab.graph_core import bfs_distances, graph_distance
+from floydlab.graph_core import bfs_distances
 from floydlab.group_models import Free, cayley_ball
 from floydlab.thickness import (
     DivergenceCheckConfig,
@@ -19,6 +19,8 @@ from floydlab.thickness import (
     verify_cover,
     verify_thick,
 )
+
+from helpers import graph_distance
 
 
 def whole_ball_structure(ball, order=0, C=1.0, D_min=4):

@@ -17,12 +17,18 @@ ball's CSR arrays with the CSR-only code that replaced it: the COO-built
 Floyd matrix, the numpy level-by-level `csr_distances`, `induced_ball` with
 its neighbor-list loop, and the punctured search's inline edge mask.
 
-The last group compares the sphere scan that ran Dijkstra from every source
+The next group compares the sphere scan that ran Dijkstra from every source
 with the scan that runs it once per symmetry orbit, and the escape-set
 estimate that built its punctured-search mask on every call with the one
 that builds it once per radius.
+
+The last group compares the exhaustive divergence estimate that scanned
+every center (`old_all_centers_exhaustive_estimate`, a verbatim copy) with
+the one that scans one center per symmetry orbit and picks each witness
+over the images of the tied triples.
 """
 
+import functools
 import math
 import random
 import tempfile
@@ -41,6 +47,8 @@ from floydlab import divergence, quasigeodesic
 from floydlab.divergence import (
     DivergenceParams,
     DivergenceSample,
+    _Buckets,
+    _Searches,
     div_function_estimate,
     div_triple,
 )
@@ -74,7 +82,6 @@ from floydlab.graph_core import (
     csr_from_edges,
     csr_restrict,
     extract_path,
-    graph_distance,
     read_graph_file,
     single_vertex_ball,
     sphere,
@@ -90,7 +97,7 @@ from floydlab.group_models import (
 from floydlab.quasigeodesic import PathWitness, qg_certify, wideness_probe
 from floydlab.thickness import induced_ball
 
-from helpers import random_connected_edges
+from helpers import graph_distance, random_connected_edges
 
 
 def old_bfs_distances(adjacency, source, cap=None):
@@ -1213,3 +1220,98 @@ def test_karlsson_estimate_matches_mask_per_call(name, C):
         new = karlsson_set_estimate(w, C=C, epsilon=0.3, samples=40, seed=seed)
         old = old_karlsson_set_estimate(w, C=C, epsilon=0.3, samples=40, seed=seed)
         assert new == old
+
+
+# ------------------------------------------- one divergence center per orbit
+
+def old_all_centers_exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
+    search = _Searches(ball)
+    d_inner = search.plain(inner)
+    ambient = d_inner[:, inner]
+    buckets = _Buckets(n_max)
+    for ci, c in enumerate(inner.tolist()):
+        d_c = d_inner[ci]
+        ra = d_c[inner]
+        t = params.delta * ra - params.gamma
+        # Row a keeps partners b with d(c, b) >= d(c, a) > 0, so each
+        # unordered pair is enumerated with r = min(d(c,a), d(c,b)) = d(c,a)
+        # exactly once (twice, harmlessly, when the two distances tie).
+        admissible = ((ra[None, :] >= ra[:, None]) & (ra[:, None] > 0)
+                      & (ambient > 0) & (ambient <= n_max))
+        # A triple needs a punctured search only if its forbidden ball can
+        # reach some a-b geodesic: d(c,a) + d(c,b) <= d(a,b) + 2t. Otherwise
+        # every geodesic survives and the value is ambient.
+        blockable = admissible & (t[:, None] > 0) & (
+            ra[None, :] + ra[:, None] <= ambient + 2 * t[:, None])
+        needy = np.flatnonzero(blockable.any(axis=1))
+        values = ambient.copy()
+        floors = np.floor(t[needy])
+        for key in np.unique(floors):
+            rows = needy[floors == key]
+            values[rows] = search.punctured(d_c, key, inner[rows])[:, inner]
+        ii, jj = np.nonzero(admissible)
+        buckets.offer(inner[ii], inner[jj], c, ambient[ii, jj], values[ii, jj],
+                      t[ii])
+    return buckets.finalize(n_min, "exhaustive", seed)
+
+
+# name -> (ball, margin), with inner region and n_max floor(radius / margin)
+ORBIT_BALLS = {
+    "z2": (lambda: cayley_ball(FreeAbelian(2), 15), 1.5),
+    "f2": (lambda: cayley_ball(Free(2), 4), 1.0),
+    "z3": (lambda: cayley_ball(FreeAbelian(3), 9), 3.0),
+    "heis": (lambda: cayley_ball(Heisenberg(), 9), 3.0),
+    "product": (lambda: cayley_ball(DirectProduct(FreeAbelian(1), Free(2)), 6), 2.0),
+    "free3": (lambda: cayley_ball(Free(3), 3), 1.0),
+    "random": (SCAN_BALLS["random"][0], 1.0),
+    "file": (relabeled_file_ball, 1.5),
+    **{f"engine-{name}": case for name, case in ENGINE_BALLS.items()},
+}
+
+
+@functools.cache
+def orbit_ball(name):
+    make, margin = ORBIT_BALLS[name]
+    return make(), margin
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_BALLS))
+@pytest.mark.parametrize("delta,gamma", ENGINE_PARAMS)
+def test_exhaustive_estimate_matches_all_centers(name, delta, gamma):
+    ball, margin = orbit_ball(name)
+    n_max = int(ball.radius / margin + 1e-9)
+    inner = np.flatnonzero(ball.dist <= n_max)
+    params = DivergenceParams(delta, gamma)
+    new = div_function_estimate(ball, n_max, params, protocol="exhaustive",
+                                seed=2, margin=margin)
+    old = old_all_centers_exhaustive_estimate(ball, n_max, params, inner, 1, 2)
+    assert len(old) == n_max
+    assert_same_samples(new, old)
+
+
+def test_orbit_differential_covers_symmetric_asymmetric_and_cut_balls():
+    orders = {name: len(orbit_ball(name)[0].automorphisms) for name in ORBIT_BALLS}
+    assert orders["z2"] == orders["file"] == 8
+    assert orders["f2"] == 24 and orders["z3"] == orders["free3"] == 48
+    assert orders["heis"] == orders["engine-heis"] == orders["random"] == 1
+    assert orbit_ball("file")[0].base != 0
+    tree = div_function_estimate(orbit_ball("f2")[0], 4, DivergenceParams(0.5, 0.0),
+                                 protocol="exhaustive", margin=1.0)
+    assert [s.is_infinite for s in tree] == [False, True, True, True]
+
+
+def test_exhaustive_runs_one_center_per_orbit(monkeypatch):
+    ball, margin = orbit_ball("z2")
+    centers = set()
+    punctured = _Searches.punctured
+
+    def spy(self, d_c, threshold, sources):
+        centers.add(int(np.flatnonzero(d_c == 0)[0]))
+        return punctured(self, d_c, threshold, sources)
+
+    monkeypatch.setattr(_Searches, "punctured", spy)
+    div_function_estimate(ball, 10, DivergenceParams(0.5, 0.0),
+                          protocol="exhaustive", margin=margin)
+    group = ball.automorphisms
+    assert len(centers) == 36
+    assert all(c == group[:, c].min() for c in centers)
