@@ -162,20 +162,6 @@ def cmd_criterion(args) -> int:
     return 0
 
 
-_INCONCLUSIVE_LEAVES = {"insufficient-scale", "insufficient-data", "probe-failed"}
-
-
-def _has_inconclusive(verdict) -> bool:
-    for sub in verdict.subset_verdicts:
-        inner = sub.verdict
-        if isinstance(inner, thickness.ThickVerdict):
-            if _has_inconclusive(inner):
-                return True
-        elif inner.divergence_verdict in _INCONCLUSIVE_LEAVES:
-            return True
-    return False
-
-
 def cmd_verify_thick(args) -> int:
     ball = _load_ball(args)
     structure = thickness.load_structure(args.structure)
@@ -183,14 +169,13 @@ def cmd_verify_thick(args) -> int:
         params=div_mod.DivergenceParams(delta=args.delta, gamma=args.gamma),
         margin=args.margin, protocol=args.protocol, seed=args.seed,
         pairs_per_n=args.pairs_per_n, c_per_pair=args.c_per_pair)
-    probe_cfg = thickness.WidenessProbeConfig(segment_length=args.segment_length)
-    verdict = thickness.verify_thick(ball, structure, div_cfg, probe_cfg)
+    verdict = thickness.verify_thick(ball, structure, div_cfg, args.segment_length)
     doc = verdict.to_dict()
     keys = ["model", "graph", "radius", "structure", "delta", "gamma", "margin",
             "protocol", "seed", "segment_length"]
     doc["config"] = _config_line("verify-thick", args, keys)[2:]
     _emit(args.out, [json.dumps(doc, sort_keys=True, indent=2)])
-    return 2 if _has_inconclusive(verdict) else 0
+    return 2 if verdict.inconclusive else 0
 
 
 def _add_common_divergence_args(p):

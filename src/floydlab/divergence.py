@@ -31,7 +31,8 @@ from .errors import (
 from .floyd_metric import FloydFunction
 from .graph_core import GraphBall, csr_restrict, unit_matrix
 
-EXHAUSTIVE_CAP = 400
+EXHAUSTIVE_CAP = 400  # "auto" runs the exhaustive protocol up to this many vertices
+SLOPE_BAND = (0.8, 1.2)  # growth_fit's linear-compatible log-log slopes
 
 
 @dataclass(frozen=True)
@@ -263,6 +264,7 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
                       c_per_pair):
     rng = random.Random(seed)
     search = _Searches(ball)
+    indptr, indices = ball.csr_arrays
     inner_set = set(inner.tolist())
     triples: list[tuple[int, int, int, int, float, float]] = []
     for n in range(1, n_max + 1):
@@ -282,7 +284,8 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
             for _ in range(c_per_pair - 1):
                 v = path[rng.randrange(len(path))]
                 for _ in range(rng.randrange(3)):
-                    v = ball.adjacency[v][rng.randrange(len(ball.adjacency[v]))]
+                    row = indptr[v]
+                    v = int(indices[row + rng.randrange(indptr[v + 1] - row)])
                 cands.append(v)
             seen = set()
             for c in cands:
@@ -309,8 +312,7 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
 def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
                           protocol: str = "auto", seed: int = 0, *,
                           margin: float = 3.0, n_min: int = 1,
-                          pairs_per_n: int = 8, c_per_pair: int = 4,
-                          exhaustive_cap: int = EXHAUSTIVE_CAP
+                          pairs_per_n: int = 8, c_per_pair: int = 4
                           ) -> list[DivergenceSample]:
     """Estimate Div(n) for n = n_min..n_max over triples drawn from the
     inner region B_b(ball.radius / margin).
@@ -322,7 +324,7 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
     of every center; "sampled" draws seeded a-b pairs at distance n and
     centers c near their geodesics (a heuristic for finding large values,
     kept out of exhaustive mode); "auto" picks exhaustive for balls up to
-    exhaustive_cap vertices. Values are certified lower bounds on Div at
+    EXHAUSTIVE_CAP vertices. Values are certified lower bounds on Div at
     ball scale; the supremum is approximated, never certified. margin must
     be a finite real >= 1.
 
@@ -344,7 +346,7 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
     if inner.size < 3:
         raise ValueError("inner region too small for divergence triples")
     if protocol == "auto":
-        protocol = "exhaustive" if ball.vertex_count <= exhaustive_cap else "sampled"
+        protocol = "exhaustive" if ball.vertex_count <= EXHAUSTIVE_CAP else "sampled"
     if protocol == "exhaustive":
         return _exhaustive_estimate(ball, n_max, params, inner, n_min, seed)
     return _sampled_estimate(ball, n_max, params, inner, n_min, seed,
@@ -358,13 +360,12 @@ class GrowthFit:
     n_used: int
 
 
-def growth_fit(samples: Sequence[DivergenceSample],
-               band: tuple[float, float] = (0.8, 1.2)) -> GrowthFit:
+def growth_fit(samples: Sequence[DivergenceSample]) -> GrowthFit:
     """Least-squares slope of log(value) against log(n).
 
     Verdict "infinite" as soon as any infinity marker is present,
-    "linear-compatible" inside the band, "superlinear" above it and
-    "sublinear" below.
+    "linear-compatible" inside SLOPE_BAND (ends included), "superlinear"
+    above it and "sublinear" below.
     """
     if any(s.is_infinite for s in samples):
         return GrowthFit(slope=None, verdict="infinite", n_used=len(samples))
@@ -374,9 +375,9 @@ def growth_fit(samples: Sequence[DivergenceSample],
     xs = np.log([n for n, _ in finite])
     ys = np.log([v for _, v in finite])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    if slope > band[1]:
+    if slope > SLOPE_BAND[1]:
         verdict = "superlinear"
-    elif slope >= band[0]:
+    elif slope >= SLOPE_BAND[0]:
         verdict = "linear-compatible"
     else:
         verdict = "sublinear"

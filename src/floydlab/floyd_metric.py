@@ -34,6 +34,7 @@ from .errors import (
 from .graph_core import GraphBall, bfs, bfs_parents, extract_path, sphere
 
 _BUILTIN_KINDS = ("inverse_power", "exponential", "inverse_square_plus_one")
+VANISH_RATIO = 0.35  # sphere_diameter_trend's "vanishing" end-to-start ratio
 
 
 @dataclass(frozen=True)
@@ -105,15 +106,6 @@ class FloydFunction:
     def values_through(self, n_max: int) -> np.ndarray:
         """Vector [f(0), f(1), ..., f(n_max)]."""
         return np.array([self.value(n) for n in range(n_max + 1)])
-
-    def spec_string(self) -> str:
-        if self.kind == "inverse_power":
-            return f"invpow:{self.p:g}"
-        if self.kind == "exponential":
-            return f"exp:{self.lam:g}"
-        if self.kind == "inverse_square_plus_one":
-            return "invsq1"
-        return f"table:<{len(self.table)} entries>"
 
 
 def parse_floyd(spec: str) -> FloydFunction:
@@ -385,19 +377,18 @@ def _sphere_rows(w: FloydWeighting, sources: np.ndarray, targets: np.ndarray,
     return rep_rows[np.searchsorted(reps, rep)[:, None], moved]
 
 
-def sphere_diameter_trend(diameters: Sequence[tuple[int, float]], *,
-                          vanish_ratio: float = 0.35) -> str:
+def sphere_diameter_trend(diameters: Sequence[tuple[int, float]]) -> str:
     """Classify a (radius, diameter) series as one of
     {"vanishing", "non-vanishing", "inconclusive"}.
 
     A finite probe cannot count boundary points, so the vocabulary stops at
-    the trend: strictly decreasing and ending below vanish_ratio * first is
+    the trend: strictly decreasing and ending below VANISH_RATIO * first is
     "vanishing"; never decreasing (and positive) is "non-vanishing".
     """
     if len(diameters) < 3:
         return "inconclusive"
     vals = [d for _, d in sorted(diameters)]
-    if all(b < a for a, b in zip(vals, vals[1:])) and vals[-1] <= vanish_ratio * vals[0]:
+    if all(b < a for a, b in zip(vals, vals[1:])) and vals[-1] <= VANISH_RATIO * vals[0]:
         return "vanishing"
     if all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])) and vals[-1] > 0:
         return "non-vanishing"
@@ -440,7 +431,7 @@ def karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
     from .quasigeodesic import PathWitness, qg_certify  # local: avoids heavier import at module load
 
     rng = random.Random(seed)
-    dist = ball.dist_to_base
+    dist = ball.dist.tolist()
     segments: list[tuple[int, float]] = []  # (min base distance, floyd length)
     outside: dict[int, list[bool]] = {}  # rho -> which vertices lie beyond it
 

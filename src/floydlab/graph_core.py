@@ -39,9 +39,10 @@ class GraphBall:
     form (`indptr`, `indices`, each row sorted ascending) and the distance of
     every vertex from the base; every constructor builds these arrays, and
     no other edge layout is stored. The ball keeps the arrays it is given
-    and makes them read-only. `slot_rows`, `edge_arrays` and the tuple views
-    (`adjacency`, `dist_to_base`, `spheres_by_radius`) are derived on first
-    use. Safe for concurrent reads; construction happens once, up front.
+    and makes them read-only. `slot_rows`, `edge_arrays` and the neighbor
+    tuple view `adjacency` are derived on first use; `dist` is the only view
+    of base distances. Safe for concurrent reads; construction happens
+    once, up front.
     """
 
     base: int
@@ -93,10 +94,6 @@ class GraphBall:
         return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
-    def dist_to_base(self) -> tuple[int, ...]:
-        return tuple(self.dist.tolist())
-
-    @cached_property
     def slot_rows(self) -> np.ndarray:
         """The row of every CSR entry: entry k is the directed edge
         slot_rows[k] -> indices[k]."""
@@ -119,13 +116,6 @@ class GraphBall:
         perms = find_automorphisms(self)
         perms.flags.writeable = False
         return perms
-
-    @cached_property
-    def spheres_by_radius(self) -> tuple[tuple[int, ...], ...]:
-        order = np.argsort(self.dist, kind="stable").tolist()
-        counts = np.bincount(self.dist, minlength=self.radius + 1).tolist()
-        bounds = np.cumsum([0] + counts).tolist()
-        return tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def check_index(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:
@@ -493,7 +483,8 @@ def sphere(ball: GraphBall, r: int) -> Sphere:
     """Exactly the vertices at graph distance r from the base."""
     if not 0 <= r <= ball.radius:
         raise RadiusOutOfRange(f"sphere radius {r} outside 0..{ball.radius}")
-    return Sphere(radius=r, vertices=ball.spheres_by_radius[r])
+    vertices = np.flatnonzero(ball.dist == r).tolist()
+    return Sphere(radius=r, vertices=tuple(vertices))
 
 
 _POW10 = 10 ** np.arange(19, dtype=np.int64)

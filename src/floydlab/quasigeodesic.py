@@ -14,8 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadRadii, NonPath, SegmentTooLong
 from .graph_core import GraphBall, bfs, bfs_distances, extract_path
+
+SLACK_PATHS = 200  # escape_ray_search's budget of backtracked paths per start
+U_CAP = 6  # wideness_probe's ring vertices tried as segment ends per anchor
 
 
 @dataclass(frozen=True)
@@ -95,14 +100,15 @@ def escape_constants(C: float) -> EscapeConstants:
 
 
 def escape_ray_search(ball: GraphBall, x: int, C: float, inner_radius: float,
-                      outer_radius: int, *, slack_paths: int = 200) -> PathWitness | None:
+                      outer_radius: int) -> PathWitness | None:
     """Search for a C-quasi-geodesic from within distance C of x out to the
     sphere S_outer, avoiding the closed base ball of radius inner_radius.
 
     Strategy: shortest paths in the punctured ball from candidate starts,
     certified after the fact; then bounded backtracking over near-shortest
-    paths (slack 2C edges). Returns None when nothing certifies: at finite
-    scale absence is inconclusive, never a refutation.
+    paths (slack 2C edges, at most SLACK_PATHS paths per start). Returns
+    None when nothing certifies: at finite scale absence is inconclusive,
+    never a refutation.
     """
     ball.check_index(x)
     if inner_radius >= outer_radius:
@@ -111,12 +117,11 @@ def escape_ray_search(ball: GraphBall, x: int, C: float, inner_radius: float,
         raise ValueError(f"outer radius {outer_radius} exceeds ball radius")
     if C < 1:
         raise ValueError("C must be >= 1")
-    dist_b = ball.dist_to_base
-    if dist_b[x] <= inner_radius:
+    if ball.dist[x] <= inner_radius:
         raise ValueError(f"x must lie outside the closed inner ball")
 
-    allowed = [dist_b[v] > inner_radius for v in range(ball.vertex_count)]
-    targets = {v for v in range(ball.vertex_count) if dist_b[v] == outer_radius}
+    allowed = (ball.dist > inner_radius).tolist()
+    targets = set(np.flatnonzero(ball.dist == outer_radius).tolist())
     if not targets:
         return None
 
@@ -124,13 +129,13 @@ def escape_ray_search(ball: GraphBall, x: int, C: float, inner_radius: float,
     candidates = sorted(
         (d, v) for v, d in enumerate(near) if 0 <= d <= C and allowed[v])
     for _, start in candidates:
-        witness = _search_from(ball, start, C, allowed, targets, slack_paths)
+        witness = _search_from(ball, start, C, allowed, targets)
         if witness is not None:
             return witness
     return None
 
 
-def _search_from(ball, start, C, allowed, targets, slack_paths):
+def _search_from(ball, start, C, allowed, targets):
     _, dist, parent = bfs(ball.adjacency, [start], allowed=allowed)
     reachable = [(dist[t], t) for t in targets if dist[t] >= 0]
     if not reachable:
@@ -149,7 +154,7 @@ def _search_from(ball, start, C, allowed, targets, slack_paths):
 
     def dfs(v, used, seen, trail):
         nonlocal tried
-        if tried >= slack_paths:
+        if tried >= SLACK_PATHS:
             return None
         if v in targets:
             tried += 1
@@ -167,7 +172,7 @@ def _search_from(ball, start, C, allowed, targets, slack_paths):
             found = dfs(w, used + 1, seen, trail)
             trail.pop()
             seen.discard(w)
-            if found is not None or tried >= slack_paths:
+            if found is not None or tried >= SLACK_PATHS:
                 return found
         return None
 
@@ -184,19 +189,19 @@ class WidenessReport:
     pass_fraction: float
 
 
-def wideness_probe(ball: GraphBall, C: float, segment_length: int, *,
-                   u_cap: int = 6) -> WidenessReport:
+def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessReport:
     """Finite-scale surrogate of 'every point lies near a bi-infinite
     quasi-geodesic': for each eligible vertex x, look for a certified
     segment of length >= segment_length passing within C of x with x near
     its middle.
 
     Checked only for vertices with room for half a segment:
-    dist_to_base <= radius - ceil(segment_length / 2). The search tries
-    diametrically opposed geodesic arms through a point x' in B_x(C); when
-    the arm endpoints are at full distance the concatenation is a geodesic
-    and certifies at 1. For C > 1 a relaxed endpoint distance is accepted if
-    the concatenation certifies at C.
+    ball.dist <= radius - ceil(segment_length / 2). The search tries
+    diametrically opposed geodesic arms through a point x' in B_x(C), taking
+    the first U_CAP vertices of the ring at distance half a segment from x'
+    as one end; when the arm endpoints are at full distance the
+    concatenation is a geodesic and certifies at 1. For C > 1 a relaxed
+    endpoint distance is accepted if the concatenation certifies at C.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
@@ -206,13 +211,11 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int, *,
     if ball.radius - half < 0:
         raise SegmentTooLong(
             f"segment of length {segment_length} cannot fit in radius {ball.radius}")
-    dist_b = ball.dist_to_base
-    eligible = tuple(v for v in range(ball.vertex_count)
-                     if dist_b[v] <= ball.radius - half)
+    eligible = tuple(np.flatnonzero(ball.dist <= ball.radius - half).tolist())
     witnesses: dict[int, PathWitness] = {}
     failures: list[int] = []
     for x in eligible:
-        found = _middle_segment(ball, x, C, half, u_cap)
+        found = _middle_segment(ball, x, C, half, U_CAP)
         if found is None:
             failures.append(x)
         else:

@@ -27,6 +27,9 @@ from .errors import InsufficientData, SegmentTooLong, StructureDepthMismatch
 from .graph_core import GraphBall, bfs, bfs_distances, csr_distances, csr_restrict
 from .quasigeodesic import wideness_probe
 
+DIV_N_MIN = 2  # smallest n of a leaf's divergence fit
+DIV_N_MAX_CAP = 12  # largest n of a leaf's divergence fit, when the ball allows it
+
 
 @dataclass(frozen=True)
 class ThickSubset:
@@ -93,11 +96,13 @@ def _structure_at(doc, path: str) -> ThickStructure:
         here = _at(_at(path, "subsets"), i)
         _checked(entry, dict, "an object", here)
         vertices = _field(entry, "vertices", list, "a list", here)
+        name = _field(entry, "name", str, "a string", here)
+        for j, v in enumerate(vertices):
+            if type(v) is not int:  # exact ints need no JSON path
+                _checked(v, int, "an integer", _at(_at(here, "vertices"), j))
         sub = entry.get("substructure")
         subsets.append(ThickSubset(
-            name=_field(entry, "name", str, "a string", here),
-            vertices=tuple(_checked(v, int, "an integer", _at(_at(here, "vertices"), j))
-                           for j, v in enumerate(vertices)),
+            name=name, vertices=tuple(vertices),
             substructure=None if sub is None
             else _structure_at(sub, _at(here, "substructure"))))
     C = float(_field(doc, "C", (int, float), "a finite number", path))
@@ -156,18 +161,23 @@ def _check_vertex_range(ball: GraphBall, structure: ThickStructure,
                         path: str, parent: ThickSubset | None = None) -> None:
     """ValueError naming the JSON path of the first vertex, at any depth,
     that is not a vertex of the ball or, inside a substructure, not a
-    vertex of its parent subset."""
-    inside = None if parent is None else set(parent.vertices)
+    vertex of its parent subset (the range test first, at the same vertex)."""
+    count = ball.vertex_count
     for i, s in enumerate(structure.subsets):
         here = _at(_at(path, "subsets"), i)
-        for j, v in enumerate(s.vertices):
-            where = _located(_at(_at(here, "vertices"), j))
-            if not 0 <= v < ball.vertex_count:
-                raise ValueError(f"{where}: vertex {v} out of range "
-                                 f"0..{ball.vertex_count - 1}")
-            if inside is not None and v not in inside:
-                raise ValueError(f"{where}: vertex {v} not in parent subset "
-                                 f"{parent.name!r}")
+        verts = s.vertices
+        # The first vertex out of range, if any, ends the parent test, so
+        # the first failing index wins.
+        bad, problem = len(verts), f"out of range 0..{count - 1}"
+        if min(verts) < 0 or max(verts) >= count:
+            bad = next(j for j, v in enumerate(verts) if not 0 <= v < count)
+        if parent is not None:
+            stray = np.flatnonzero(~np.isin(verts[:bad], parent.vertices))
+            if stray.size:
+                bad, problem = int(stray[0]), f"not in parent subset {parent.name!r}"
+        if bad < len(verts):
+            raise ValueError(f"{_located(_at(_at(here, 'vertices'), bad))}: "
+                             f"vertex {verts[bad]} {problem}")
         if s.substructure is not None:
             _check_vertex_range(ball, s.substructure, _at(here, "substructure"), s)
 
@@ -230,22 +240,17 @@ def verify_chains(ball: GraphBall, structure: ThickStructure) -> ChainReport:
 
 
 @dataclass(frozen=True)
-class WidenessProbeConfig:
-    segment_length: int = 8
-    u_cap: int = 6
-
-
-@dataclass(frozen=True)
 class DivergenceCheckConfig:
     params: DivergenceParams = field(default_factory=DivergenceParams)
     margin: float = 3.0
     protocol: str = "auto"
     seed: int = 0
-    n_min: int = 2
-    n_max_cap: int = 12
     pairs_per_n: int = 8
     c_per_pair: int = 4
-    slope_band: tuple[float, float] = (0.8, 1.2)
+
+
+# Leaf verdicts that could not be decided at the ball's scale.
+_INCONCLUSIVE = frozenset({"insufficient-scale", "insufficient-data", "probe-failed"})
 
 
 @dataclass(frozen=True)
@@ -256,6 +261,10 @@ class LeafVerdict:
     divergence_verdict: str
     divergence_slope: float | None
     wide_ok: bool
+
+    @property
+    def inconclusive(self) -> bool:
+        return self.divergence_verdict in _INCONCLUSIVE
 
     def to_dict(self) -> dict:
         return {
@@ -280,6 +289,12 @@ class ThickVerdict:
     subset_verdicts: tuple
     D_min: int
     order: int
+
+    @property
+    def inconclusive(self) -> bool:
+        """Whether some leaf, at any depth, could not be decided at this
+        scale (see `_INCONCLUSIVE`)."""
+        return any(s.verdict.inconclusive for s in self.subset_verdicts)
 
     def to_dict(self) -> dict:
         return {
@@ -349,29 +364,27 @@ def induced_ball(ball: GraphBall, vertices: Sequence[int]):
     return sub, tuple(verts.tolist())
 
 
-def _leaf_wideness(name: str, ball: GraphBall, C: float,
-                   probe: WidenessProbeConfig,
+def _leaf_wideness(name: str, ball: GraphBall, C: float, segment_length: int,
                    div: DivergenceCheckConfig) -> LeafVerdict:
     effective_c = max(1.0, C)
     try:
-        report = wideness_probe(ball, effective_c, probe.segment_length,
-                                u_cap=probe.u_cap)
+        report = wideness_probe(ball, effective_c, segment_length)
         frac = report.pass_fraction
     except SegmentTooLong:
         return LeafVerdict(name=name, connected=True, probe_pass_fraction=None,
                            divergence_verdict="probe-failed",
                            divergence_slope=None, wide_ok=False)
-    n_max = min(div.n_max_cap, int(math.floor(ball.radius / div.margin + 1e-9)))
-    if n_max < max(div.n_min, 1):
+    n_max = min(DIV_N_MAX_CAP, int(math.floor(ball.radius / div.margin + 1e-9)))
+    if n_max < DIV_N_MIN:
         return LeafVerdict(name=name, connected=True, probe_pass_fraction=frac,
                            divergence_verdict="insufficient-scale",
                            divergence_slope=None, wide_ok=False)
     samples = div_function_estimate(
         ball, n_max, div.params, protocol=div.protocol, seed=div.seed,
-        margin=div.margin, n_min=div.n_min, pairs_per_n=div.pairs_per_n,
+        margin=div.margin, n_min=DIV_N_MIN, pairs_per_n=div.pairs_per_n,
         c_per_pair=div.c_per_pair)
     try:
-        fit = growth_fit(samples, band=div.slope_band)
+        fit = growth_fit(samples)
         verdict, slope = fit.verdict, fit.slope
     except InsufficientData:
         verdict, slope = "insufficient-data", None
@@ -383,11 +396,15 @@ def _leaf_wideness(name: str, ball: GraphBall, C: float,
 
 def verify_thick(ball: GraphBall, structure: ThickStructure,
                  divergence_params: DivergenceCheckConfig | None = None,
-                 qg_params: WidenessProbeConfig | None = None) -> ThickVerdict:
+                 segment_length: int = 8) -> ThickVerdict:
     """Full recursive verdict: coarse cover, chain connectivity through
-    large-diameter intersections, and order-0 wideness at the leaves."""
+    large-diameter intersections, and order-0 wideness at the leaves.
+
+    A leaf is wide when `wideness_probe` finds a segment of length
+    segment_length near every eligible vertex and the divergence of its
+    induced ball, estimated for n = DIV_N_MIN..min(DIV_N_MAX_CAP,
+    radius / margin) with `divergence_params`, fits as linear."""
     div = divergence_params or DivergenceCheckConfig()
-    probe = qg_params or WidenessProbeConfig()
     _check_nesting(structure)
     cover = verify_cover(ball, structure)
     chain = verify_chains(ball, structure)
@@ -405,9 +422,10 @@ def verify_thick(ball: GraphBall, structure: ThickStructure,
         if s.substructure is not None:
             remap = {v: i for i, v in enumerate(labels)}
             nested = _remap_structure(s.substructure, remap)
-            verdict = verify_thick(sub_ball, nested, div, probe)
+            verdict = verify_thick(sub_ball, nested, div, segment_length)
         else:
-            verdict = _leaf_wideness(s.name, sub_ball, structure.C, probe, div)
+            verdict = _leaf_wideness(s.name, sub_ball, structure.C,
+                                     segment_length, div)
         subset_verdicts.append(SubsetVerdict(name=s.name, verdict=verdict))
     recursive_ok = all(v.ok for v in subset_verdicts)
     return ThickVerdict(

@@ -19,7 +19,7 @@ def min_floyd_over_simple_paths(weighting, u, v):
     Each edge weight is recomputed from its definition, f(min(d(b,x), d(b,y))),
     not read from the weighting's stored weights."""
     ball = weighting.ball
-    dist = ball.dist_to_base
+    dist = ball.dist.tolist()
     f = weighting.floyd
     if u == v:
         return 0.0

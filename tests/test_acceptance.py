@@ -44,7 +44,6 @@ from floydlab.thickness import (
     DivergenceCheckConfig,
     ThickStructure,
     ThickSubset,
-    WidenessProbeConfig,
     verify_chains,
     verify_cover,
     verify_thick,
@@ -270,7 +269,7 @@ def test_criterion_10_thickness_verifier():
 
     f4 = cayley_ball(Free(2), 4)
     tree = verify_thick(f4, _whole(f4), DivergenceCheckConfig(margin=1.0),
-                        WidenessProbeConfig(segment_length=6))
+                        segment_length=6)
     tree_leaf = tree.subset_verdicts[0].verdict
     tree_ok = (not tree.overall) and tree_leaf.divergence_verdict == "infinite"
 
@@ -278,7 +277,7 @@ def test_criterion_10_thickness_verifier():
     product = verify_thick(
         zxf2, _whole(zxf2),
         DivergenceCheckConfig(margin=1.4, protocol="sampled", seed=0),
-        WidenessProbeConfig(segment_length=6))
+        segment_length=6)
     product_ok = product.overall
 
     # Monotonicity on the even-lines fixture.

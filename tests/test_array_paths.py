@@ -54,7 +54,7 @@ def test_array_enumeration_matches_scalar(spec, radius):
     coords, ball = _enumerate_coordinates(model, radius, 10 ** 6)
     elements, scalar = _enumerate_ball(model, radius, 10 ** 6)
     assert ball == scalar
-    assert ball.dist_to_base == scalar.dist_to_base
+    assert ball.dist.tolist() == scalar.dist.tolist()
     assert all(map(np.array_equal, ball.edge_arrays, scalar.edge_arrays))
     assert model.elements_from_coordinates(coords) == elements
 
@@ -152,10 +152,10 @@ def test_graph_ball_equality_and_round_trip(tmp_path):
 def test_derived_views_match_the_arrays():
     ball = build_ball([(5, 7), (7, 9), (5, 9), (9, 11), (11, 13)], 7, 3)
     assert ball.adjacency == ((1, 2), (0, 2), (0, 1, 3), (2, 4), (3,))
-    assert ball.dist_to_base == (0, 1, 1, 2, 3)
+    assert ball.dist.tolist() == [0, 1, 1, 2, 3]
     assert [a.tolist() for a in ball.edge_arrays] == [[0, 0, 1, 2, 3], [1, 2, 2, 3, 4]]
     assert ball.slot_rows.tolist() == [0, 0, 1, 1, 2, 2, 2, 3, 3, 4]
-    assert ball.spheres_by_radius == ((0,), (1, 2), (3,), (4,))
+    assert tuple(sphere(ball, r).vertices for r in range(4)) == ((0,), (1, 2), (3,), (4,))
     assert sphere(ball, 1).vertices == (1, 2)
     assert ball.edge_count == 5 and ball.vertex_count == 5
 
@@ -246,7 +246,8 @@ def outcome(reader, path):
     except (ParseError, ConsistencyError, UnicodeDecodeError) as exc:
         return type(exc).__name__, str(exc), getattr(exc, "line", None)
     if isinstance(result, GraphBall):
-        return result.base, result.radius, result.adjacency, result.dist_to_base
+        return (result.base, result.radius, result.adjacency,
+                tuple(result.dist.tolist()))
     return result
 
 

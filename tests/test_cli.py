@@ -40,7 +40,7 @@ def test_gen_heisenberg_counts(tmp_path):
     assert vertices == sum(series)
     ball = read_graph_file(out)
     counts = [0] * 7
-    for d in ball.dist_to_base:
+    for d in ball.dist.tolist():
         counts[d] += 1
     assert counts == series
 
@@ -286,6 +286,27 @@ MALFORMED_STRUCTURES = {
         "not in parent subset 'c'"),
     "order-bool": ({**_leaf([0]), "order": True},
                    "structure order: expected an integer, got true"),
+    "late-vertex-bool": (_leaf(list(range(85)) * 40 + [True]),
+                         "structure subsets[0].vertices[3400]: expected an "
+                         "integer, got true"),
+    "late-vertex-85": (_leaf(list(range(85)) * 40 + [85]),
+                       "structure subsets[0].vertices[3400]: vertex 85 out of "
+                       "range 0..84"),
+    "vertex-huge": (_leaf([0, 1, 10 ** 30]),
+                    "structure subsets[0].vertices[2]: vertex "
+                    "1000000000000000000000000000000 out of range 0..84"),
+    "nested-outside-parent-before-out-of-range": (
+        {"C": 1, "order": 1, "D_min": 4, "subsets": [
+            {"name": "c", "vertices": [3, 4, 5, 6],
+             "substructure": _leaf([4, 5, 60, 99])}]},
+        "structure subsets[0].substructure.subsets[0].vertices[2]: vertex 60 "
+        "not in parent subset 'c'"),
+    "nested-out-of-range-before-outside-parent": (
+        {"C": 1, "order": 1, "D_min": 4, "subsets": [
+            {"name": "c", "vertices": [3, 4, 5, 6],
+             "substructure": _leaf([4, 5, 99, 60])}]},
+        "structure subsets[0].substructure.subsets[0].vertices[2]: vertex 99 "
+        "out of range 0..84"),
 }
 
 

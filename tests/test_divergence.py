@@ -122,11 +122,11 @@ ORACLE_BALLS = {
 def test_exhaustive_matches_naive_oracle(name, delta, gamma):
     make, n_max = ORACLE_BALLS[name]
     ball = make()
-    n_max = n_max or max(ball.dist_to_base)
+    n_max = n_max or max(ball.dist.tolist())
     samples = div_function_estimate(ball, n_max, DivergenceParams(delta, gamma),
                                     protocol="exhaustive",
                                     margin=ball.radius / n_max)
-    inner = [v for v in range(ball.vertex_count) if ball.dist_to_base[v] <= n_max]
+    inner = [v for v in range(ball.vertex_count) if ball.dist[v] <= n_max]
     # Per n, the winning triple's key among triples with d(a,b) <= n: the
     # largest value, then the smallest d(a,b), then the smallest witness
     # (a, b, c) with a < b; any disconnecting triple beats every value, the
@@ -189,6 +189,12 @@ def test_sampled_deterministic():
     two = div_function_estimate(ball, 4, HALF, protocol="sampled", seed=42,
                                 margin=3.0)
     assert one == two
+
+
+def test_sampled_walks_csr_rows_without_neighbor_tuples():
+    ball = cayley_ball(FreeAbelian(2), 12)
+    div_function_estimate(ball, 4, HALF, protocol="sampled", seed=3, margin=3.0)
+    assert "adjacency" not in ball.__dict__
 
 
 def test_witness_consistency(z2_mid):

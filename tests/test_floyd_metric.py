@@ -31,6 +31,7 @@ from floydlab.graph_core import (
     build_ball,
     is_automorphism,
     single_vertex_ball,
+    sphere,
 )
 from floydlab.group_models import (
     DirectProduct,
@@ -139,7 +140,7 @@ def test_weighting_uses_min_endpoint_distance():
     # 6-cycle, base 0: edge base distances are 0,1,2,2,1,0.
     ball = build_ball([(i, (i + 1) % 6) for i in range(6)], 0, 3)
     w = floyd_weighting(ball, INVPOW2)
-    dist = ball.dist_to_base
+    dist = ball.dist.tolist()
     for u, v, weight in zip(ball.slot_rows, ball.indices, w.weights):
         assert weight == INVPOW2.value(min(dist[u], dist[v]))
     assert sorted(w.weights.tolist()) == [0.25] * 4 + [1.0] * 8
@@ -169,7 +170,7 @@ def test_base_edge_gets_f0():
 def test_weights_nonincreasing_outward(z2_small):
     ball, _ = z2_small
     w = floyd_weighting(ball, INVPOW2)
-    dist = ball.dist_to_base
+    dist = ball.dist.tolist()
 
     def weight(x, y):
         return INVPOW2.value(min(dist[x], dist[y]))
@@ -282,7 +283,7 @@ def test_sphere_diameter_tree_oracle(f2_small):
         expected = 2 * sum(INVPOW2.value(k) for k in range(r))
         res = sphere_floyd_diameter(w, r, margin=1.0)
         assert res.diameter == pytest.approx(expected, abs=1e-12)
-        dist = ball.dist_to_base
+        dist = ball.dist.tolist()
         assert dist[res.witness[0]] == dist[res.witness[1]] == r
 
 
@@ -396,7 +397,7 @@ def test_karlsson_self_consistent_resample(z2_mid):
             continue
         _, parent = bfs_parents(ball.adjacency, u)
         path = extract_path(parent, v)
-        if min(ball.dist_to_base[x] for x in path) > est.radius:
+        if min(ball.dist[x] for x in path) > est.radius:
             checked += 1
             assert w.path_length(path) < epsilon
     assert checked > 0
@@ -511,7 +512,7 @@ def test_gathered_rows_equal_direct_rows(name, threads):
     w = floyd_weighting(ball, INVPOW2)
     assert len(ball.automorphisms) > 1
     for r in range(1, ball.radius + 1):
-        verts = np.array(ball.spheres_by_radius[r])
+        verts = np.array(sphere(ball, r).vertices)
         for sources in (verts, verts[1::3]):
             direct = dijkstra(w.matrix, directed=True, indices=sources)[:, verts]
             block = _sphere_rows(w, sources, verts, threads)
@@ -522,7 +523,7 @@ def test_floyd_distance_is_not_symmetric_in_the_last_place():
     # Why the scan reduces sources only: swapping s and t may change d(s, t).
     ball = cayley_ball(FreeAbelian(2), 10)
     w = floyd_weighting(ball, INVPOW2)
-    verts = np.array(ball.spheres_by_radius[3])
+    verts = np.array(sphere(ball, 3).vertices)
     block = _sphere_rows(w, verts, verts, 1)
     assert not np.array_equal(block, block.T)
     assert np.allclose(block, block.T, rtol=1e-12, atol=0)
@@ -545,5 +546,5 @@ def test_scan_runs_one_row_per_orbit(monkeypatch):
     assert [len(reps) for reps in rows] == [r // 2 + 1 for r in range(1, 5)]
     for r, reps in zip(range(1, 5), rows):
         assert reps == sorted({int(ball.automorphisms[:, s].min())
-                               for s in ball.spheres_by_radius[r]})
+                               for s in sphere(ball, r).vertices})
     assert [res.sources_used for res in results] == [4, 8, 12, 16]

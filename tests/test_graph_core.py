@@ -26,7 +26,7 @@ from helpers import graph_distance, random_small_ball, vertex_of
 def test_build_ball_path():
     ball = build_ball([(0, 1), (1, 2)], 0, 2)
     assert ball.vertex_count == 3
-    assert ball.dist_to_base == (0, 1, 2)
+    assert ball.dist.tolist() == [0, 1, 2]
     assert ball.base == 0
 
 
@@ -52,7 +52,7 @@ def test_build_ball_radius_mismatch():
 
 def test_build_ball_four_cycle():
     ball = build_ball([(0, 1), (1, 2), (2, 3), (3, 0)], 0, 2)
-    assert sorted(ball.dist_to_base) == [0, 1, 1, 2]
+    assert sorted(ball.dist.tolist()) == [0, 1, 1, 2]
     assert sphere(ball, 1).vertices == (1, 2)
     assert len(sphere(ball, 2).vertices) == 1
 
@@ -118,7 +118,7 @@ def test_graph_distance_is_a_metric(seed):
 def test_bfs_layering(seed):
     ball = random_small_ball(random.Random(seed))
     for u, v in zip(*ball.edge_arrays):
-        assert abs(ball.dist_to_base[u] - ball.dist_to_base[v]) <= 1
+        assert abs(ball.dist[u] - ball.dist[v]) <= 1
 
 
 def test_round_trip_identity(tmp_path, z2_small):

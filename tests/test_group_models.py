@@ -43,7 +43,7 @@ def test_radius_zero(model):
     ball = cayley_ball(model, 0)
     assert ball.vertex_count == 1
     assert ball.edge_count == 0
-    assert ball.dist_to_base == (0,)
+    assert ball.dist.tolist() == [0]
 
 
 def test_growth_line():
@@ -70,7 +70,7 @@ def test_word_length_matches_brute_force(model):
     oracle = brute_force_word_lengths(model, radius)
     assert ball.vertex_count == len(oracle)
     for i, el in enumerate(elements):
-        assert ball.dist_to_base[i] == oracle[model.canonical_key(el)]
+        assert ball.dist[i] == oracle[model.canonical_key(el)]
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
@@ -153,7 +153,7 @@ def test_heisenberg_central_element_distance():
     assert el == (0, 0, 1)
     ball, elements = cayley_ball_labeled(m, 4)
     idx = elements.index((0, 0, 1))
-    assert ball.dist_to_base[idx] == 4
+    assert ball.dist[idx] == 4
     assert graph_distance(ball, 0, idx) == 4
 
 

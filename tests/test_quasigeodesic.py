@@ -126,7 +126,7 @@ def test_escape_ray_search_grid():
     witness = escape_ray_search(ball, x, 1.0, 2, 10)
     assert witness is not None
     assert witness.certified_C <= 1.0
-    dist = ball.dist_to_base
+    dist = ball.dist.tolist()
     assert all(dist[v] > 2 for v in witness.vertices)
     assert dist[witness.vertices[-1]] == 10
     assert graph_distance(ball, x, witness.vertices[0]) <= 1
@@ -139,7 +139,7 @@ def test_escape_ray_search_tree():
     witness = escape_ray_search(ball, x, 1.0, 2, 10)
     assert witness is not None
     assert witness.certified_C <= 1.0
-    assert all(ball.dist_to_base[v] > 2 for v in witness.vertices)
+    assert all(ball.dist[v] > 2 for v in witness.vertices)
 
 
 def test_escape_ray_search_gadget_inconclusive():
@@ -148,7 +148,7 @@ def test_escape_ray_search_gadget_inconclusive():
     edges = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7)]
     ball = build_ball(edges, 0, 4)
     x = next(v for v in range(ball.vertex_count)
-             if ball.dist_to_base[v] == 3 and len(ball.adjacency[v]) == 1)
+             if ball.dist[v] == 3 and len(ball.adjacency[v]) == 1)
     assert escape_ray_search(ball, x, 1.0, 2, 4) is None
 
 
@@ -199,7 +199,7 @@ def test_wideness_grid_full_pass():
     report = wideness_probe(ball, 1.0, 8)
     assert report.pass_fraction == 1.0
     assert len(report.eligible) == sum(
-        1 for v in range(ball.vertex_count) if ball.dist_to_base[v] <= 8)
+        1 for v in range(ball.vertex_count) if ball.dist[v] <= 8)
     sample = report.witnesses[report.eligible[0]]
     assert sample.certified_C == 1.0
     assert len(sample.vertices) == 9
@@ -227,7 +227,7 @@ def test_wideness_star_short_leg_fails():
     assert report.pass_fraction < 1.0
     # The witness search fails exactly at the short-leg tip: it is 2 away
     # from the long line, beyond the C = 1 reach.
-    labels = {v: d for v, d in enumerate(ball.dist_to_base)}
+    labels = {v: d for v, d in enumerate(ball.dist.tolist())}
     failing = set(report.failures)
     assert failing
     for v in failing:

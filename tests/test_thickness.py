@@ -7,10 +7,14 @@ from floydlab.errors import StructureDepthMismatch
 from floydlab.graph_core import bfs_distances
 from floydlab.group_models import Free, cayley_ball
 from floydlab.thickness import (
+    ChainReport,
+    CoverReport,
     DivergenceCheckConfig,
+    LeafVerdict,
+    SubsetVerdict,
+    ThickVerdict,
     ThickStructure,
     ThickSubset,
-    WidenessProbeConfig,
     induced_ball,
     load_structure,
     structure_from_dict,
@@ -182,7 +186,7 @@ def test_verify_thick_tree_fails_infinite():
     verdict = verify_thick(
         ball, whole_ball_structure(ball),
         DivergenceCheckConfig(margin=1.0),
-        WidenessProbeConfig(segment_length=6))
+        segment_length=6)
     assert not verdict.overall
     leaf = verdict.subset_verdicts[0].verdict
     assert leaf.divergence_verdict == "infinite"
@@ -237,7 +241,7 @@ def test_verify_thick_disconnected_leaf(z2_small):
 def test_leaf_probe_failed_only_for_a_segment_too_long():
     ball = cayley_ball(Free(2), 2)
     verdict = verify_thick(ball, whole_ball_structure(ball),
-                           qg_params=WidenessProbeConfig(segment_length=8))
+                           segment_length=8)
     leaf = verdict.subset_verdicts[0].verdict
     assert leaf.divergence_verdict == "probe-failed"
     assert leaf.probe_pass_fraction is None
@@ -263,3 +267,33 @@ def test_verdict_json_shape(z2_mid):
     assert again["overall"] is True
     assert again["surrogate_D_min"] == 4
     assert again["subsets"][0]["kind"] == "leaf"
+
+
+def _leaf_verdict(divergence_verdict):
+    return LeafVerdict(name="leaf", connected=True, probe_pass_fraction=None,
+                       divergence_verdict=divergence_verdict,
+                       divergence_slope=None, wide_ok=False)
+
+
+def _node_verdict(*verdicts):
+    return ThickVerdict(
+        cover_ok=True, chain_ok=True, recursive_ok=False, overall=False,
+        cover=CoverReport(ok=True, violators=(), C=1.0),
+        chain=ChainReport(ok=True, edges=(), component_count=1, D_min=1),
+        subset_verdicts=tuple(SubsetVerdict(name=str(i), verdict=v)
+                              for i, v in enumerate(verdicts)),
+        D_min=1, order=1)
+
+
+@pytest.mark.parametrize("leaf,inconclusive", [
+    ("insufficient-scale", True), ("insufficient-data", True),
+    ("probe-failed", True), ("linear-compatible", False),
+    ("superlinear", False), ("sublinear", False), ("infinite", False),
+    ("disconnected", False)])
+def test_inconclusive_verdict_at_any_depth(leaf, inconclusive):
+    decided = _leaf_verdict("linear-compatible")
+    assert _leaf_verdict(leaf).inconclusive is inconclusive
+    assert _node_verdict(decided, _leaf_verdict(leaf)).inconclusive is inconclusive
+    deep = _node_verdict(decided, _node_verdict(_node_verdict(_leaf_verdict(leaf))))
+    assert deep.inconclusive is inconclusive
+    assert not _node_verdict(decided, _node_verdict(decided)).inconclusive

@@ -171,7 +171,7 @@ def old_neighborhood_distances(ball, seeds, cap):
 
 
 def old_punctured_geodesic(ball, u, v, rho):
-    dist_b = ball.dist_to_base
+    dist_b = ball.dist.tolist()
     parent = {u: -1}
     queue = deque([u])
     while queue:
@@ -391,8 +391,8 @@ def test_punctured_geodesic_matches_replaced_loop(seed):
     ball = build_ball(random_connected_edges(rng, rng.randrange(2, 40)), 0, 40)
     for _ in range(15):
         u, v = rng.randrange(ball.vertex_count), rng.randrange(ball.vertex_count)
-        rho = rng.randrange(-1, max(1, max(ball.dist_to_base)))
-        if ball.dist_to_base[u] > rho and ball.dist_to_base[v] > rho:
+        rho = rng.randrange(-1, max(1, max(ball.dist.tolist())))
+        if ball.dist[u] > rho and ball.dist[v] > rho:
             allowed = (ball.dist > rho).tolist()
             assert _punctured_geodesic(ball, u, v, allowed) == old_punctured_geodesic(
                 ball, u, v, rho)
@@ -447,9 +447,10 @@ PROBE_BALLS = {
 def test_wideness_probe_matches_full_row_scan(name, C, monkeypatch):
     ball = PROBE_BALLS[name]()
     for segment_length, u_cap in ((6, 6), (8, 6), (5, 1)):
-        new = wideness_probe(ball, C, segment_length, u_cap=u_cap)
+        monkeypatch.setattr(quasigeodesic, "U_CAP", u_cap)
+        new = wideness_probe(ball, C, segment_length)
         monkeypatch.setattr(quasigeodesic, "_middle_segment", old_middle_segment)
-        old = wideness_probe(ball, C, segment_length, u_cap=u_cap)
+        old = wideness_probe(ball, C, segment_length)
         monkeypatch.undo()
         assert new.eligible == old.eligible
         assert new.witnesses == old.witnesses
@@ -917,7 +918,7 @@ def old_induced_ball(ball: GraphBall, vertices):
         adjacency.append(tuple(rank[u] for u in ball.adjacency[v] if u in rank))
     if len(verts) < 2 or all(not a for a in adjacency):
         return None
-    base = min(verts, key=lambda v: (ball.dist_to_base[v], v))
+    base = min(verts, key=lambda v: (ball.dist[v], v))
     dist = bfs_distances(adjacency, rank[base])
     if min(dist) < 0:
         return None
@@ -1010,7 +1011,7 @@ def test_induced_ball_matches_neighbor_list_loop(name):
             assert labels == old_labels
             assert sub == old_sub
             assert sub.adjacency == old_sub.adjacency
-            assert sub.dist_to_base == old_sub.dist_to_base
+            assert sub.dist.tolist() == old_sub.dist.tolist()
     assert outcomes == ({True} if name == "single" else {True, False})
 
 
@@ -1167,7 +1168,7 @@ def old_karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
     from floydlab.quasigeodesic import PathWitness, qg_certify  # local: avoids heavier import at module load
 
     rng = random.Random(seed)
-    dist = ball.dist_to_base
+    dist = ball.dist.tolist()
     segments: list[tuple[int, float]] = []  # (min base distance, floyd length)
 
     def record(path: list[int]) -> None:
