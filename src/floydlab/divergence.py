@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -29,7 +30,7 @@ from .errors import (
     RangeMismatch,
 )
 from .floyd_metric import FloydFunction
-from .graph_core import GraphBall, csr_restrict, unit_matrix
+from .graph_core import GraphBall, csr_induced, csr_restrict, unit_matrix
 
 EXHAUSTIVE_CAP = 400  # "auto" runs the exhaustive protocol up to this many vertices
 SLOPE_BAND = (0.8, 1.2)  # growth_fit's linear-compatible log-log slopes
@@ -69,12 +70,12 @@ class DivergenceSample:
 
 
 class _Searches:
-    """Unit-weight searches over one ball: the matrix is built once, then
-    serves plain searches and punctured ones."""
+    """Unit-weight searches over one graph given as CSR arrays: the matrix
+    is built once, then serves plain searches, punctured ones and the
+    searches of induced windows."""
 
-    def __init__(self, ball: GraphBall):
-        self.ball = ball
-        self.matrix = unit_matrix(*ball.csr_arrays)
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        self.matrix = unit_matrix(indptr, indices)
 
     def plain(self, sources, **kw) -> np.ndarray:
         return dijkstra(self.matrix, directed=True, unweighted=True,
@@ -83,9 +84,18 @@ class _Searches:
     def punctured(self, d_c: np.ndarray, threshold: float,
                   sources) -> np.ndarray:
         """Distances from `sources` over the vertices with d_c > threshold,
-        i.e. in the ball minus the closed ball B_c(threshold)."""
-        sub = unit_matrix(*csr_restrict(self.ball, d_c > threshold))
+        i.e. in the graph minus the closed ball B_c(threshold)."""
+        sub = unit_matrix(*csr_restrict(self.matrix.indptr, self.matrix.indices,
+                                        d_c > threshold))
         return dijkstra(sub, directed=True, unweighted=True, indices=sources)
+
+    def window(self, members: np.ndarray) -> "_Searches":
+        """Searches on the subgraph induced by `members` (sorted, distinct),
+        with members[i] numbered i; self when `members` is every vertex."""
+        if len(members) == self.matrix.shape[0]:
+            return self
+        return _Searches(*csr_induced(self.matrix.indptr, self.matrix.indices,
+                                      members))
 
 
 def div_triple(ball: GraphBall, a: int, b: int, c: int,
@@ -98,7 +108,7 @@ def div_triple(ball: GraphBall, a: int, b: int, c: int,
     """
     for v in (a, b, c):
         ball.check_index(v)
-    search = _Searches(ball)
+    search = _Searches(*ball.csr_arrays)
     d_c = search.plain([c])[0]
     r = min(d_c[a], d_c[b])
     if r == 0:
@@ -204,7 +214,7 @@ def _orbit_witnesses(group: np.ndarray, low: np.ndarray, key: np.ndarray,
 
 
 def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
-    search = _Searches(ball)
+    search = _Searches(*ball.csr_arrays)
     d_inner = search.plain(inner)
     ambient = d_inner[:, inner]
     # A base-fixing automorphism h keeps every distance, so it maps the
@@ -260,17 +270,39 @@ def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
     return buckets.finalize(n_min, "exhaustive", seed)
 
 
+def _window_detour(window: _Searches, d_c: np.ndarray, threshold: float,
+                   wa: int, wb: int, rim: np.ndarray, bound: float):
+    """The a-b value of a triple from its punctured search on the window
+    W = B_a(L), numbered as the window, or None when W cannot decide it.
+
+    A path that leaves W reaches d_a = L + 1 and comes back to b, so it
+    is at least `bound` = 2L + 2 - d(a, b) long and a value up to it is
+    exact; an unreached b is exact (inf) when a's component reaches no
+    vertex of the `rim` d_a = L. `bound` is inf when W is the whole ball.
+    """
+    row = window.punctured(d_c, threshold, [wa])[0]
+    if row[wb] <= bound:
+        return float(row[wb])
+    if math.isinf(row[wb]) and np.isinf(row[rim]).all():
+        return math.inf
+    return None
+
+
 def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
                       c_per_pair):
     rng = random.Random(seed)
-    search = _Searches(ball)
+    search = _Searches(*ball.csr_arrays)
     indptr, indices = ball.csr_arrays
     inner_set = set(inner.tolist())
     triples: list[tuple[int, int, int, int, float, float]] = []
     for n in range(1, n_max + 1):
+        reach = 2 * n + 4  # window radius L
         for _ in range(pairs_per_n):
             a = int(inner[rng.randrange(len(inner))])
-            d_a, pred = search.plain([a], return_predecessors=True)
+            # A vertex within n of a gets its predecessor while the heap
+            # holds only vertices within n, which the limit L > n keeps:
+            # partners and the geodesic are those of an unbounded search.
+            d_a, pred = search.plain([a], limit=reach, return_predecessors=True)
             d_a, pred = d_a[0], pred[0]
             partners = inner[d_a[inner] == n]
             if partners.size == 0:
@@ -287,20 +319,36 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
                     row = indptr[v]
                     v = int(indices[row + rng.randrange(indptr[v + 1] - row)])
                 cands.append(v)
-            seen = set()
+            centers = []
             for c in cands:
-                if c in seen or c not in inner_set or c in (a, b):
-                    continue
-                seen.add(c)
-                # c lies within 2 steps of the a-b geodesic, so
-                # ra = d(c, {a, b}) <= n/2 + 2 < n + 3 is exact, and a vertex
-                # beyond the limit (read as inf) is beyond the threshold too.
-                d_c = search.plain([c], limit=n + 3)[0]
-                ra = int(min(d_c[a], d_c[b]))
+                if c not in centers and c in inner_set and c not in (a, b):
+                    centers.append(c)
+            if not centers:
+                continue
+            # Every search of the pair but the first runs on W = B_a(L).
+            # c lies within 2 steps of the a-b geodesic, so d(a, c) <= n + 2
+            # and ra = d(c, {a, b}) <= n/2 + 2 < n + 3: the path from c to
+            # the nearer endpoint and the forbidden ball B_c(threshold), with
+            # the geodesics into it, lie in B_a(1.5n + 4) inside W. So ra,
+            # the threshold and the forbidden set are those of the whole
+            # ball, and a vertex beyond the limit (read as inf) is beyond
+            # the threshold too.
+            members = np.flatnonzero(d_a <= reach)
+            window = search.window(members)
+            wa, wb, *wc = np.searchsorted(members, [a, b, *centers]).tolist()
+            bound = math.inf if window is search else 2 * reach + 2 - n
+            rim = np.flatnonzero(d_a[members] == reach)
+            for c, d_c in zip(centers, window.plain(wc, limit=n + 3)):
+                ra = int(min(d_c[wa], d_c[wb]))
                 threshold = params.delta * ra - params.gamma
                 value = float(n)
                 if threshold > 0:
-                    value = search.punctured(d_c, threshold, [a])[0][b]
+                    value = _window_detour(window, d_c, threshold, wa, wb, rim,
+                                           bound)
+                if value is None:  # the forbidden set lies in W
+                    d_ball = np.full(ball.vertex_count, math.inf)
+                    d_ball[members] = d_c
+                    value = search.punctured(d_ball, threshold, [a])[0][b]
                 triples.append((a, b, c, n, value, threshold))
     buckets = _Buckets(n_max)
     if triples:
@@ -324,13 +372,20 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
     of every center; "sampled" draws seeded a-b pairs at distance n and
     centers c near their geodesics (a heuristic for finding large values,
     kept out of exhaustive mode); "auto" picks exhaustive for balls up to
-    EXHAUSTIVE_CAP vertices. Values are certified lower bounds on Div at
-    ball scale; the supremum is approximated, never certified. margin must
-    be a finite real >= 1.
+    EXHAUSTIVE_CAP vertices. A forced "exhaustive" on an inner region of
+    more than EXHAUSTIVE_CAP vertices warns first (RuntimeWarning): it
+    can take minutes. Values are certified lower bounds on Div at ball
+    scale; the supremum is approximated, never certified. margin must be a
+    finite real >= 1.
 
     Both protocols, and div_triple, run on one engine: a `_Searches` object
-    per ball does every plain and punctured search, and `_Buckets.offer`
-    picks values and witnesses from arrays of triples by one rule.
+    per graph does every plain and punctured search, and `_Buckets.offer`
+    picks values and witnesses from arrays of triples by one rule. The
+    sampled protocol runs one search per a-b pair on the ball, from a up to
+    L = 2n + 4; the pair's other searches run on the induced window
+    B_a(L), falling back to the whole ball for a triple the window cannot
+    decide (see `_window_detour`), so its samples are those of whole-ball
+    searches.
     """
     if protocol not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -345,6 +400,12 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
     inner = np.flatnonzero(ball.dist <= r_in)
     if inner.size < 3:
         raise ValueError("inner region too small for divergence triples")
+    if protocol == "exhaustive" and inner.size > EXHAUSTIVE_CAP:
+        warnings.warn(
+            f"exhaustive divergence on {inner.size} inner vertices, above "
+            f"EXHAUSTIVE_CAP = {EXHAUSTIVE_CAP}: this can take minutes "
+            f"(the sampled protocol is the fast one)", RuntimeWarning,
+            stacklevel=2)
     if protocol == "auto":
         protocol = "exhaustive" if ball.vertex_count <= EXHAUSTIVE_CAP else "sampled"
     if protocol == "exhaustive":

@@ -133,16 +133,34 @@ def csr_from_edges(vertex_count: int, u: np.ndarray,
     return indptr, cols[order]
 
 
-def csr_restrict(ball: GraphBall,
+def csr_restrict(indptr: np.ndarray, indices: np.ndarray,
                  allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays (indptr, indices) of the ball's edges between vertices whose
-    `allowed` entry is true, in the ball's numbering; the rows of the other
+    """CSR arrays (indptr, indices) of the edges between vertices whose
+    `allowed` entry is true, in the same numbering; the rows of the other
     vertices are empty. The kept entries keep their CSR order, so the rows
     stay sorted."""
-    keep = allowed[ball.slot_rows] & allowed[ball.indices]
+    keep = np.repeat(allowed, np.diff(indptr)) & allowed[indices]
     kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
     np.cumsum(keep, out=kept_before[1:])
-    return kept_before[ball.indptr], ball.indices[keep]
+    return kept_before[indptr], indices[keep]
+
+
+def csr_induced(indptr: np.ndarray, indices: np.ndarray,
+                members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices) of the subgraph induced by `members`
+    (sorted ascending, distinct), with members[i] renumbered i. Only the
+    members' rows are read, and the rows stay sorted."""
+    rank = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    rank[members] = np.arange(len(members))
+    stops = indptr[members + 1]
+    sizes = stops - indptr[members]
+    ends = np.cumsum(sizes)
+    # Slot k of the gathered rows is entry k + stop - end of its row.
+    cols = rank[indices[np.arange(sizes.sum()) + np.repeat(stops - ends, sizes)]]
+    keep = cols >= 0
+    kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    return kept_before[np.append(0, ends)], cols[keep]
 
 
 def unit_matrix(indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .divergence import DivergenceParams, div_function_estimate, growth_fit
 from .errors import InsufficientData, SegmentTooLong, StructureDepthMismatch
-from .graph_core import GraphBall, bfs, bfs_distances, csr_distances, csr_restrict
+from .graph_core import GraphBall, bfs, bfs_distances, csr_distances, csr_induced
 from .quasigeodesic import wideness_probe
 
 DIV_N_MIN = 2  # smallest n of a leaf's divergence fit
@@ -346,15 +346,9 @@ def induced_ball(ball: GraphBall, vertices: Sequence[int]):
     """Ball on the induced subgraph of `vertices`, or None if disconnected
     or too small to carry edges. Returns (sub_ball, original_labels)."""
     verts = np.unique(np.asarray(vertices, dtype=np.int64))
-    member = np.zeros(ball.vertex_count, dtype=bool)
-    member[verts] = True
-    indptr, indices = csr_restrict(ball, member)
-    if len(verts) < 2 or len(indices) == 0:
+    indptr, indices = csr_induced(*ball.csr_arrays, verts)
+    if len(indices) == 0:
         return None
-    # The other vertices' rows are empty, so the member rows' starts and the
-    # total are the induced CSR; ranks renumber the kept entries.
-    indptr = np.append(indptr[verts], indptr[-1])
-    indices = (np.cumsum(member) - 1)[indices]
     base = int(np.argmin(ball.dist[verts]))  # nearest the base, then smallest
     dist = csr_distances(indptr, indices, base)
     if dist.min() < 0:

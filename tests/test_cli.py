@@ -90,6 +90,14 @@ def test_divergence_csv_and_infinity(tmp_path):
     assert all(r[1] == "inf" for r in rows[1:])
 
 
+def test_forced_exhaustive_warning_on_stderr(tmp_path):
+    proc = run_cli("divergence", "--model", "zn:2", "--radius", "15",
+                   "--n-range", "1..1", "--margin", "1", "--protocol",
+                   "exhaustive", "--out", str(tmp_path / "dv.csv"))
+    assert ("RuntimeWarning: exhaustive divergence on 481 inner vertices, "
+            "above EXHAUSTIVE_CAP = 400") in proc.stderr
+
+
 def test_criterion_verdict_line(tmp_path):
     out = tmp_path / "cr.csv"
     run_cli("criterion", "--model", "zn:2", "--radius", "24",

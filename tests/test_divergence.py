@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 
 import pytest
 
@@ -219,6 +220,20 @@ def test_margin_violated(z2_small):
     for margin in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="margin must be a finite real >= 1"):
             div_function_estimate(ball, 1, HALF, margin=margin)
+
+
+def test_forced_exhaustive_warns_above_the_cap():
+    big = cayley_ball(FreeAbelian(2), 15)
+    with pytest.warns(RuntimeWarning, match="481 inner vertices, above "
+                                            "EXHAUSTIVE_CAP = 400"):
+        div_function_estimate(big, 1, HALF, protocol="exhaustive", margin=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # The inner regions of the benchmark's exhaustive jobs, 221 and 161.
+        div_function_estimate(big, 2, HALF, protocol="exhaustive", margin=1.5)
+        div_function_estimate(cayley_ball(Free(2), 4), 2, HALF,
+                              protocol="exhaustive", margin=1.0)
+        div_function_estimate(big, 1, HALF, protocol="auto", margin=1.0)
 
 
 def _synthetic(values):

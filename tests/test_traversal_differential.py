@@ -6,8 +6,11 @@ that `graph_core.bfs` replaced (only their names changed), including
 `build_ball` with its own breadth-first loop (its final assembly builds the
 ball's CSR arrays with `csr_from_edges`, as every ball is now built), and of the
 wideness probe's middle-segment search as it scanned whole distance rows.
-The sampled divergence estimate runs bounded searches; its reference is the
-same code with every search limit removed. The `old_*` divergence functions
+The sampled divergence estimate runs bounded searches, most of them on the
+window B_a(2n + 4) of each pair; its references are the same code with
+every search limit removed and `old_sampled_estimate`, whose searches all
+run on the whole ball, and `window_exits` checks that the compared cases
+take every exit of the window rule. The `old_*` divergence functions
 and `OldBuckets` are verbatim copies of both estimates, the exhaustive
 one's per-tie witness loops and `div_triple` as they were before one search
 object and one array witness rule replaced them.
@@ -28,6 +31,7 @@ the one that scans one center per symmetry orbit and picks each witness
 over the images of the tied triples.
 """
 
+import collections
 import functools
 import math
 import random
@@ -476,6 +480,8 @@ SAMPLED_CASES = {
     "heis": (lambda: cayley_ball(Heisenberg(), 9), 3, 3.0),
     # Detours of length 38 around a 40-cycle are much longer than n.
     "cycle": (lambda: cycle_ball(40), 2, 1.0),
+    # Tree cuts whose side of a reaches the rim of the window B_a(2n + 4).
+    "f2-rim": (lambda: cayley_ball(Free(2), 6), 3, 1.0),
 }
 
 
@@ -507,6 +513,73 @@ def test_sampled_differential_covers_long_detours():
     assert samples[-1].value is not None and samples[-1].value > samples[-1].n + 3
 
 
+def window_exits(ball, n_max, params, margin, seeds, monkeypatch):
+    """How each triple of sampled estimates got its value: with no
+    forbidden set, in a window that is the whole ball, inside a smaller
+    window, as a cut closed inside it, or by a whole-ball fallback for a
+    long detour or for a cut whose side of a reaches the window's rim."""
+    exits = collections.Counter()
+    for seed in seeds:
+        detours, offered = [], []
+        detour, offer = divergence._window_detour, _Buckets.offer
+
+        def detour_spy(*args):
+            detours.append((args[-1], detour(*args)))
+            return detours[-1][1]
+
+        def offer_spy(self, *arrays):
+            offered.append(arrays)
+            return offer(self, *arrays)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(divergence, "_window_detour", detour_spy)
+            patch.setattr(_Buckets, "offer", offer_spy)
+            div_function_estimate(ball, n_max, params, protocol="sampled",
+                                  seed=seed, margin=margin)
+        (*_, value, radius), = offered
+        exits["no-puncture"] += int((radius <= 0).sum())
+        for (bound, found), final in zip(detours, value[radius > 0], strict=True):
+            if found is not None:
+                assert found == final
+                exits["whole" if math.isinf(bound) else
+                      "closed" if math.isinf(found) else "inside"] += 1
+            elif math.isinf(final):
+                exits["rim-fallback"] += 1
+            else:
+                assert final > bound
+                exits["long-fallback"] += 1
+    return +exits  # drop the exits that never occurred
+
+
+def test_sampled_differential_covers_every_window_exit(monkeypatch):
+    half, seeds = DivergenceParams(0.5, 0.0), range(10)
+
+    def exits(name, params=half):
+        make, n_max, margin = SAMPLED_CASES[name]
+        return window_exits(make(), n_max, params, margin, seeds, monkeypatch)
+
+    assert exits("cycle").keys() == {"inside", "long-fallback"}
+    assert exits("f2-rim").keys() == {"inside", "whole", "closed", "rim-fallback"}
+    assert exits("z2").keys() == {"inside"}
+    assert exits("z2", DivergenceParams(0.5, 100.0)).keys() == {"no-puncture"}
+
+
+def test_sampled_searches_leave_the_ball_only_from_a(monkeypatch):
+    ball = cayley_ball(FreeAbelian(2), 24)
+    shapes = []
+
+    def recorded(matrix, **kw):
+        shapes.append((matrix.shape[0], kw.get("return_predecessors", False)))
+        return dijkstra(matrix, **kw)
+
+    monkeypatch.setattr(divergence, "dijkstra", recorded)
+    div_function_estimate(ball, 8, DivergenceParams(0.5, 0.0), protocol="sampled",
+                          seed=0, margin=3.0)
+    on_ball = [from_a for size, from_a in shapes if size == ball.vertex_count]
+    assert on_ball == [True] * (8 * 8)  # one search per (a, n) pair, no fallback
+    assert len(shapes) > len(on_ball)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_punctured_matrix_equals_coo_build(seed, monkeypatch):
     rng = np.random.default_rng(seed)
@@ -520,7 +593,7 @@ def test_punctured_matrix_equals_coo_build(seed, monkeypatch):
     monkeypatch.setattr(divergence, "dijkstra",
                         lambda mat, **kw: searched.append(mat))
     # d_c = 1 on allowed vertices and 0 elsewhere keeps exactly `allowed`.
-    divergence._Searches(ball).punctured(allowed.astype(float), 0.5, [0])
+    divergence._Searches(*ball.csr_arrays).punctured(allowed.astype(float), 0.5, [0])
     csr, = searched
     assert csr.shape == coo.shape and csr.nnz == coo.nnz
     assert np.array_equal(csr.indptr, coo.indptr)
@@ -975,7 +1048,7 @@ def test_csr_distances_match_level_bfs(name):
     ball = LAYOUT_BALLS[name]()
     rng = random.Random(name)
     for mask in _vertex_masks(ball, len(name)):
-        indptr, indices = csr_restrict(ball, mask)
+        indptr, indices = csr_restrict(*ball.csr_arrays, mask)
         for source in {0, ball.vertex_count - 1,
                        rng.randrange(ball.vertex_count)}:
             new = csr_distances(indptr, indices, source)
@@ -989,7 +1062,7 @@ def test_csr_restrict_equals_inline_punctured_mask(name):
     rows, cols = old_directed_edges(ball)
     for mask in _vertex_masks(ball, 3 * len(name)):
         old = old_punctured_matrix(ball, rows, cols, mask)
-        indptr, indices = csr_restrict(ball, mask)
+        indptr, indices = csr_restrict(*ball.csr_arrays, mask)
         assert np.array_equal(indptr, old.indptr)
         assert np.array_equal(indices, old.indices)
 
@@ -1226,7 +1299,7 @@ def test_karlsson_estimate_matches_mask_per_call(name, C):
 # ------------------------------------------- one divergence center per orbit
 
 def old_all_centers_exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
-    search = _Searches(ball)
+    search = _Searches(*ball.csr_arrays)
     d_inner = search.plain(inner)
     ambient = d_inner[:, inner]
     buckets = _Buckets(n_max)
