@@ -2,7 +2,8 @@
 
 Commands: gen, floyd-diam, divergence, criterion, verify-thick. Every output
 file embeds a header comment with the fully resolved configuration, and
-reruns with identical flags and seed are byte-identical at any thread count.
+reruns with identical flags and seed are byte-identical. Every command
+accepts `--threads N` (N >= 1) and ignores it: the work runs serially.
 Exit codes: 0 computed, 1 input error, 2 inconclusive verdict (verify-thick
 with a sub-verdict that could not be decided at this scale).
 """
@@ -104,8 +105,7 @@ def cmd_floyd_diam(args) -> int:
     for r in radii:
         try:
             res = fm.sphere_floyd_diameter(w, r, margin=args.margin,
-                                           pair_cap=args.pair_cap,
-                                           threads=args.threads)
+                                           pair_cap=args.pair_cap)
         except FloydlabError as exc:
             print(f"radius {r} omitted: {exc}", file=sys.stderr)
             continue
@@ -200,7 +200,6 @@ def build_parser() -> _Parser:
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--cap", type=int, default=group_models.DEFAULT_VERTEX_CAP)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("floyd-diam", help="sphere Floyd diameters over a radius range")
@@ -210,7 +209,6 @@ def build_parser() -> _Parser:
     p.add_argument("--radii", required=True, help="A..B")
     p.add_argument("--margin", type=float, default=3.0)
     p.add_argument("--pair-cap", type=int, default=250_000)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_floyd_diam)
@@ -219,7 +217,6 @@ def build_parser() -> _Parser:
     _add_source_args(p)
     p.add_argument("--n-range", required=True, help="A..B")
     _add_common_divergence_args(p)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_divergence)
 
@@ -228,7 +225,6 @@ def build_parser() -> _Parser:
     p.add_argument("--floyd", required=True)
     p.add_argument("--n-range", required=True, help="A..B")
     _add_common_divergence_args(p)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_criterion)
 
@@ -237,10 +233,13 @@ def build_parser() -> _Parser:
     p.add_argument("--structure", required=True, help="structure JSON path")
     _add_common_divergence_args(p)
     p.add_argument("--segment-length", type=int, default=8)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify_thick)
 
+    for p in sub.choices.values():
+        p.add_argument("--threads", type=int, default=1,
+                       help="has no effect; accepted so that existing "
+                            "command lines keep working")
     return parser
 
 

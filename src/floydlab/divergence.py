@@ -30,7 +30,8 @@ from .errors import (
     RangeMismatch,
 )
 from .floyd_metric import FloydFunction
-from .graph_core import GraphBall, csr_induced, csr_restrict, unit_matrix
+from .graph_core import (GraphBall, csr_induced, csr_restrict, extract_path,
+                         unit_matrix)
 
 EXHAUSTIVE_CAP = 400  # "auto" runs the exhaustive protocol up to this many vertices
 SLOPE_BAND = (0.8, 1.2)  # growth_fit's linear-compatible log-log slopes
@@ -222,8 +223,7 @@ def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
     # radii, onto the triples at h(c). Only the smallest vertex of each
     # orbit is scanned as a center; its winning triples are then turned
     # into the smallest witness over all their images.
-    group = ball.automorphisms
-    low = group.min(axis=0)
+    group, low = ball.automorphisms, ball.orbit_min
     reps = np.unique(low[inner])
     best = np.full(n_max + 1, -1.0)  # largest value so far per d(a,b)
     d_inf = n_max + 1  # least d(a,b) of a disconnecting triple so far
@@ -308,10 +308,7 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
             if partners.size == 0:
                 continue
             b = int(partners[rng.randrange(partners.size)])
-            path = [b]
-            while path[-1] != a:
-                path.append(int(pred[path[-1]]))
-            path.reverse()
+            path = [int(v) for v in extract_path(pred, b)]
             cands = [path[len(path) // 2]]
             for _ in range(c_per_pair - 1):
                 v = path[rng.randrange(len(path))]

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
+# Unused here; kept because perfbench/tracer.py patches this name.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -287,17 +288,16 @@ class SphereDiameter:
 
 
 def sphere_floyd_diameter(w: FloydWeighting, r: int, *, margin: float = 3.0,
-                          pair_cap: int = 250_000,
-                          threads: int = 1) -> SphereDiameter:
+                          pair_cap: int = 250_000) -> SphereDiameter:
     """Max Floyd distance over pairs on the sphere S_r, with a witness pair.
 
     Refuses radii with r * margin > ball.radius: closer to the boundary the
     truncation can distort optimal (outward-detouring) Floyd paths. When
     |S_r|^2 exceeds pair_cap, a deterministic evenly-spaced subset of source
     vertices is used and pairs = sources x sphere. Ties on the max are broken
-    toward the lexicographically smallest witness pair, so results do not
-    depend on the thread count. Dijkstra runs once per symmetry orbit of the
-    sources (see `_sphere_rows`), with the same result as one run per source.
+    toward the lexicographically smallest witness pair. Dijkstra runs once
+    per symmetry orbit of the sources (see `_sphere_rows`), with the same
+    result as one run per source.
     """
     ball = w.ball
     if not 1 <= margin < math.inf:
@@ -321,7 +321,7 @@ def sphere_floyd_diameter(w: FloydWeighting, r: int, *, margin: float = 3.0,
         sources = sorted({verts[(i * n) // k] for i in range(k)})
     target_idx = np.asarray(verts, dtype=np.int64)
     src = np.asarray(sources, dtype=np.int64)
-    rows = _sphere_rows(w, src, target_idx, threads)
+    rows = _sphere_rows(w, src, target_idx)
 
     # Targets ascend, so a row's first argmax is its smallest tied target t,
     # and (min(s, t), max(s, t)) grows with t: that target gives the row's
@@ -339,38 +339,24 @@ def sphere_floyd_diameter(w: FloydWeighting, r: int, *, margin: float = 3.0,
                           pair_count=len(sources) * n)
 
 
-def _sphere_rows(w: FloydWeighting, sources: np.ndarray, targets: np.ndarray,
-                 threads: int) -> np.ndarray:
-    """Floyd distances d(s, t) from each source to each target of a sphere,
-    as a (sources, targets) block, with Dijkstra run once per orbit.
+def _sphere_rows(w: FloydWeighting, sources: np.ndarray,
+                 targets: np.ndarray) -> np.ndarray:
+    """Floyd distances d(s, t) from each source to each target of a whole
+    sphere, as a (sources, targets) block, with Dijkstra run once per orbit.
 
     The ball's base-fixing automorphisms keep every edge's level, so they
     map paths to paths with the same weight sequence, and scipy's float
     Dijkstra gives d(s, t) == d(h(s), h(t)) bit for bit. Each source's
-    representative is the smallest source in its orbit; for an automorphism
-    h with h(s) = rep, the row of s is the row of rep read at h(targets),
-    which stays in the sphere. Sources are never swapped with targets:
-    d(s, t) and d(t, s) may differ in the last place.
+    representative is `ball.orbit_min`, which need not be a source; for an
+    automorphism h with h(s) = rep, the row of s is the row of rep read at
+    h(targets), which stays in the sphere. Sources are never swapped with
+    targets: d(s, t) and d(t, s) may differ in the last place.
     """
     group = w.ball.automorphisms
-    images = group[:, sources]
-    is_source = np.zeros(w.ball.vertex_count, dtype=bool)
-    is_source[sources] = True
-    candidates = np.where(is_source[images], images, w.ball.vertex_count)
-    which = candidates.argmin(axis=0)
-    rep = candidates[which, np.arange(len(sources))]
-    reps = np.unique(rep).tolist()
-
-    def run(chunk: list[int]) -> np.ndarray:
-        return _dijkstra_rows(w, chunk)[:, targets]
-
-    if threads <= 1 or len(reps) < 2:
-        rep_rows = run(reps)
-    else:
-        size = math.ceil(len(reps) / threads)
-        chunks = [reps[i:i + size] for i in range(0, len(reps), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rep_rows = np.concatenate(list(pool.map(run, chunks)))
+    rep = w.ball.orbit_min[sources]
+    which = (group[:, sources] == rep).argmax(axis=0)
+    reps = np.unique(rep)
+    rep_rows = _dijkstra_rows(w, reps.tolist())[:, targets]
     column = np.empty(w.ball.vertex_count, dtype=np.int64)
     column[targets] = np.arange(len(targets))
     moved = column[group[which[:, None], targets[None, :]]]

@@ -117,6 +117,15 @@ class GraphBall:
         perms.flags.writeable = False
         return perms
 
+    @cached_property
+    def orbit_min(self) -> np.ndarray:
+        """The smallest vertex of every vertex's orbit under `automorphisms`:
+        a read-only array of length V, the representative that each
+        orbit-reduced scan runs in place of the vertex."""
+        low = self.automorphisms.min(axis=0)
+        low.flags.writeable = False
+        return low
+
     def check_index(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:
             raise IndexError(f"vertex {v} out of range 0..{self.vertex_count - 1}")

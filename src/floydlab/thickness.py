@@ -343,12 +343,13 @@ def _check_nesting(structure: ThickStructure) -> None:
 
 
 def induced_ball(ball: GraphBall, vertices: Sequence[int]):
-    """Ball on the induced subgraph of `vertices`, or None if disconnected
-    or too small to carry edges. Returns (sub_ball, original_labels)."""
+    """Ball on the induced subgraph of `vertices`, or None if `vertices` is
+    empty or that subgraph is disconnected; one vertex gives the radius-0
+    ball. Returns (sub_ball, original_labels)."""
     verts = np.unique(np.asarray(vertices, dtype=np.int64))
-    indptr, indices = csr_induced(*ball.csr_arrays, verts)
-    if len(indices) == 0:
+    if verts.size == 0:
         return None
+    indptr, indices = csr_induced(*ball.csr_arrays, verts)
     base = int(np.argmin(ball.dist[verts]))  # nearest the base, then smallest
     dist = csr_distances(indptr, indices, base)
     if dist.min() < 0:

@@ -11,7 +11,6 @@ or sit beside.
   of the per-tie loop it replaced, on balls where most pairs tie.
 """
 
-import math
 import random
 from collections import deque
 
@@ -351,10 +350,9 @@ def test_reader_matches_the_per_line_reader_on_mutated_files(tmp_path, seed):
 
 # ---------------------------------------------------------------- sphere scan
 
-def old_scan(w, r, *, margin=3.0, pair_cap=250_000, threads=1):
-    """The sphere scan's source choice, chunking, per-tie witness loop and
-    merge as they were before the witness was chosen with arrays; the chunks
-    run one after another instead of on a thread pool."""
+def old_scan(w, r, *, margin=3.0, pair_cap=250_000):
+    """The sphere scan's source choice and per-tie witness loop as they
+    were before the witness was chosen with arrays."""
     ball = w.ball
     verts = sphere(ball, r).vertices
     n = len(verts)
@@ -365,34 +363,19 @@ def old_scan(w, r, *, margin=3.0, pair_cap=250_000, threads=1):
         k = max(1, pair_cap // n)
         sources = sorted({verts[(i * n) // k] for i in range(k)})
     target_idx = np.asarray(verts, dtype=np.int64)
-
-    def scan(chunk):
-        rows = floyd_metric._dijkstra_rows(w, chunk)[:, target_idx]
-        best = -1.0
-        witness = (0, 0)
-        for i, s in enumerate(chunk):
-            row = rows[i]
-            m = float(row.max())
-            if m < best:
-                continue
-            for j in np.flatnonzero(row == m):
-                t = int(target_idx[j])
-                pair = (min(s, t), max(s, t))
-                if m > best or pair < witness:
-                    best, witness = m, pair
-        return best, witness
-
-    if threads <= 1 or len(sources) < 2:
-        results = [scan(sources)]
-    else:
-        size = math.ceil(len(sources) / threads)
-        chunks = [sources[i:i + size] for i in range(0, len(sources), size)]
-        results = [scan(c) for c in chunks]
-
-    best, witness = results[0]
-    for m, pair in results[1:]:
-        if m > best or (m == best and pair < witness):
-            best, witness = m, pair
+    rows = floyd_metric._dijkstra_rows(w, sources)[:, target_idx]
+    best = -1.0
+    witness = (0, 0)
+    for i, s in enumerate(sources):
+        row = rows[i]
+        m = float(row.max())
+        if m < best:
+            continue
+        for j in np.flatnonzero(row == m):
+            t = int(target_idx[j])
+            pair = (min(s, t), max(s, t))
+            if m > best or pair < witness:
+                best, witness = m, pair
     return best, witness
 
 
@@ -413,15 +396,13 @@ TIE_BALLS = {
 
 
 @pytest.mark.parametrize("name", sorted(TIE_BALLS))
-@pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("pair_cap", [250_000, 30])
-def test_scan_witness_matches_the_per_tie_loop(name, threads, pair_cap):
+def test_scan_witness_matches_the_per_tie_loop(name, pair_cap):
     make, margin, radii = TIE_BALLS[name]
     w = floyd_weighting(make(), FloydFunction.inverse_power(2))
     for r in radii:
         if len(sphere(w.ball, r).vertices) < 2:
             continue
-        res = sphere_floyd_diameter(w, r, margin=margin, pair_cap=pair_cap,
-                                    threads=threads)
+        res = sphere_floyd_diameter(w, r, margin=margin, pair_cap=pair_cap)
         assert (res.diameter, res.witness) == old_scan(
-            w, r, margin=margin, pair_cap=pair_cap, threads=threads)
+            w, r, margin=margin, pair_cap=pair_cap)

@@ -308,15 +308,6 @@ def test_sphere_diameter_sampling_matches_exhaustive_on_tree(f2_small):
     assert sampled.diameter == pytest.approx(full.diameter, abs=1e-12)
 
 
-def test_sphere_diameter_thread_counts_agree(z2_mid):
-    ball, _ = z2_mid
-    w = floyd_weighting(ball, INVPOW2)
-    a = sphere_floyd_diameter(w, 5, margin=3.0, threads=1)
-    b = sphere_floyd_diameter(w, 5, margin=3.0, threads=4)
-    assert a.diameter == b.diameter
-    assert a.witness == b.witness
-
-
 def test_z2_diameters_decrease(z2_mid):
     ball, _ = z2_mid
     w = floyd_weighting(ball, INVPOW2)
@@ -467,6 +458,11 @@ def test_automorphisms_pass_the_set_oracle(name):
     ball = ORACLE_BALLS[name]()
     check_automorphism_group(ball, ball.automorphisms)
     assert not ball.automorphisms.flags.writeable
+    # orbit_min[v] is an image of v, and no image of v is smaller.
+    group, low = ball.automorphisms, ball.orbit_min
+    assert not low.flags.writeable
+    assert (group == low).any(axis=0).all()
+    assert (group >= low).all()
 
 
 def test_verification_rejects_maps_that_extend():
@@ -504,8 +500,7 @@ ROW_BALLS = {
 
 
 @pytest.mark.parametrize("name", sorted(ROW_BALLS))
-@pytest.mark.parametrize("threads", [1, 4])
-def test_gathered_rows_equal_direct_rows(name, threads):
+def test_gathered_rows_equal_direct_rows(name):
     from scipy.sparse.csgraph import dijkstra
 
     ball = ROW_BALLS[name]()
@@ -515,7 +510,7 @@ def test_gathered_rows_equal_direct_rows(name, threads):
         verts = np.array(sphere(ball, r).vertices)
         for sources in (verts, verts[1::3]):
             direct = dijkstra(w.matrix, directed=True, indices=sources)[:, verts]
-            block = _sphere_rows(w, sources, verts, threads)
+            block = _sphere_rows(w, sources, verts)
             assert np.array_equal(block, direct)  # bit for bit
 
 
@@ -524,7 +519,7 @@ def test_floyd_distance_is_not_symmetric_in_the_last_place():
     ball = cayley_ball(FreeAbelian(2), 10)
     w = floyd_weighting(ball, INVPOW2)
     verts = np.array(sphere(ball, 3).vertices)
-    block = _sphere_rows(w, verts, verts, 1)
+    block = _sphere_rows(w, verts, verts)
     assert not np.array_equal(block, block.T)
     assert np.allclose(block, block.T, rtol=1e-12, atol=0)
 
@@ -548,3 +543,13 @@ def test_scan_runs_one_row_per_orbit(monkeypatch):
         assert reps == sorted({int(ball.automorphisms[:, s].min())
                                for s in sphere(ball, r).vertices})
     assert [res.sources_used for res in results] == [4, 8, 12, 16]
+
+    # A sampled radius: pair_cap 32 keeps the sources S_4[0] and S_4[8],
+    # and the orbit minimum of one of them is not a source.
+    rows.clear()
+    sampled = sphere_floyd_diameter(w, 4, margin=3.0, pair_cap=32)
+    sources = sphere(ball, 4).vertices[::8]
+    assert sampled.sources_used == len(sources) == 2
+    reps = sorted({int(ball.orbit_min[s]) for s in sources})
+    assert rows == [reps]
+    assert not set(reps) <= set(sources)

@@ -171,6 +171,31 @@ def test_induced_disconnected_subset_returns_none(z2_small):
     assert induced_ball(ball, split) is None
 
 
+def test_induced_one_vertex_subset_is_its_radius_0_ball(z2_small):
+    ball, _ = z2_small
+    sub, labels = induced_ball(ball, (5,))
+    assert (sub.vertex_count, sub.edge_count, sub.radius) == (1, 0, 0)
+    assert labels == (5,)
+
+
+def test_verify_thick_one_vertex_subset_is_connected_and_inconclusive(z2_small):
+    # A point is connected; no segment fits in it, so the probe fails and
+    # the verdict is inconclusive, as a leaf and inside a nested structure.
+    ball, _ = z2_small
+    point = ThickStructure(C=1.0, order=0, D_min=4, subsets=(
+        ThickSubset(name="p", vertices=(5,)),))
+    st = ThickStructure(C=1.0, order=1, D_min=4, subsets=(
+        ThickSubset(name="leaf", vertices=(5,)),
+        ThickSubset(name="nested", vertices=(5,), substructure=point)))
+    verdict = verify_thick(ball, st)
+    leaf = verdict.subset_verdicts[0].verdict
+    nested = verdict.subset_verdicts[1].verdict.subset_verdicts[0].verdict
+    for v in (leaf, nested):
+        assert v.connected
+        assert v.divergence_verdict == "probe-failed"
+    assert verdict.inconclusive
+
+
 def test_verify_thick_grid_passes(z2_mid):
     ball, _ = z2_mid
     verdict = verify_thick(ball, whole_ball_structure(ball))

@@ -36,7 +36,6 @@ import functools
 import math
 import random
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from collections import deque
 from types import SimpleNamespace
@@ -982,21 +981,22 @@ def old_csr_distances(indptr: np.ndarray, indices: np.ndarray,
 
 
 def old_induced_ball(ball: GraphBall, vertices):
-    """Ball on the induced subgraph of `vertices`, or None if disconnected
-    or too small to carry edges. Returns (sub_ball, original_labels)."""
+    """Ball on the induced subgraph of `vertices`, or None if `vertices` is
+    empty or that subgraph is disconnected; one vertex gives the radius-0
+    ball. Returns (sub_ball, original_labels)."""
     verts = sorted(set(vertices))
+    if not verts:
+        return None
     rank = {v: i for i, v in enumerate(verts)}
     adjacency = []
     for v in verts:
         adjacency.append(tuple(rank[u] for u in ball.adjacency[v] if u in rank))
-    if len(verts) < 2 or all(not a for a in adjacency):
-        return None
     base = min(verts, key=lambda v: (ball.dist[v], v))
     dist = bfs_distances(adjacency, rank[base])
     if min(dist) < 0:
         return None
     pairs = np.array([(i, j) for i, row in enumerate(adjacency) for j in row
-                      if i < j], dtype=np.int64)
+                      if i < j], dtype=np.int64).reshape(-1, 2)
     indptr, indices = csr_from_edges(len(verts), pairs[:, 0], pairs[:, 1])
     sub = GraphBall(base=rank[base], radius=max(dist), indptr=indptr,
                     indices=indices, dist=dist)
@@ -1073,7 +1073,7 @@ def test_induced_ball_matches_neighbor_list_loop(name):
     outcomes = set()
     for mask in _vertex_masks(ball, 5 * len(name)):
         vertices = np.flatnonzero(mask).tolist()
-        for chosen in (vertices, vertices[::-1] + vertices[:3]):
+        for chosen in (vertices, vertices[::-1] + vertices[:3], vertices[:1]):
             new = induced_ball(ball, chosen)
             old = old_induced_ball(ball, chosen)
             outcomes.add(old is None)
@@ -1085,22 +1085,20 @@ def test_induced_ball_matches_neighbor_list_loop(name):
             assert sub == old_sub
             assert sub.adjacency == old_sub.adjacency
             assert sub.dist.tolist() == old_sub.dist.tolist()
-    assert outcomes == ({True} if name == "single" else {True, False})
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------- orbit scan
 
 def old_sphere_floyd_diameter(w: FloydWeighting, r: int, *, margin: float = 3.0,
-                              pair_cap: int = 250_000,
-                              threads: int = 1) -> SphereDiameter:
+                              pair_cap: int = 250_000) -> SphereDiameter:
     """Max Floyd distance over pairs on the sphere S_r, with a witness pair.
 
     Refuses radii with r * margin > ball.radius: closer to the boundary the
     truncation can distort optimal (outward-detouring) Floyd paths. When
     |S_r|^2 exceeds pair_cap, a deterministic evenly-spaced subset of source
     vertices is used and pairs = sources x sphere. Ties on the max are broken
-    toward the lexicographically smallest witness pair, so results do not
-    depend on the thread count.
+    toward the lexicographically smallest witness pair.
     """
     ball = w.ball
     if margin < 1.0:
@@ -1124,33 +1122,19 @@ def old_sphere_floyd_diameter(w: FloydWeighting, r: int, *, margin: float = 3.0,
         sources = sorted({verts[(i * n) // k] for i in range(k)})
     target_idx = np.asarray(verts, dtype=np.int64)
 
-    def scan(chunk: list[int]) -> tuple[float, tuple[int, int]]:
-        rows = _dijkstra_rows(w, chunk)[:, target_idx]
-        row_max = rows.max(axis=1)
-        best = row_max.max()
-        # Targets ascend, so a row's first argmax is its smallest tied
-        # target t, and (min(s, t), max(s, t)) grows with t: that target
-        # gives the row's smallest pair.
-        tied = np.flatnonzero(row_max == best)
-        s = np.asarray(chunk, dtype=np.int64)[tied]
-        t = target_idx[rows[tied].argmax(axis=1)]
-        lo, hi = np.minimum(s, t), np.maximum(s, t)
-        k = np.lexsort((hi, lo))[0]
-        return float(best), (int(lo[k]), int(hi[k]))
-
-    if threads <= 1 or len(sources) < 2:
-        results = [scan(sources)]
-    else:
-        size = math.ceil(len(sources) / threads)
-        chunks = [sources[i:i + size] for i in range(0, len(sources), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, chunks))
-
-    best, witness = results[0]
-    for m, pair in results[1:]:
-        if m > best or (m == best and pair < witness):
-            best, witness = m, pair
-    return SphereDiameter(radius=r, diameter=best, witness=witness,
+    rows = _dijkstra_rows(w, sources)[:, target_idx]
+    row_max = rows.max(axis=1)
+    best = row_max.max()
+    # Targets ascend, so a row's first argmax is its smallest tied target t,
+    # and (min(s, t), max(s, t)) grows with t: that target gives the row's
+    # smallest pair.
+    tied = np.flatnonzero(row_max == best)
+    s = np.asarray(sources, dtype=np.int64)[tied]
+    t = target_idx[rows[tied].argmax(axis=1)]
+    lo, hi = np.minimum(s, t), np.maximum(s, t)
+    k = np.lexsort((hi, lo))[0]
+    return SphereDiameter(radius=r, diameter=float(best),
+                          witness=(int(lo[k]), int(hi[k])),
                           exhaustive=exhaustive, sources_used=len(sources),
                           pair_count=len(sources) * n)
 
@@ -1188,16 +1172,15 @@ SCAN_BALLS = {
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_BALLS))
-@pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("pair_cap", [250_000, 40])
-def test_sphere_scan_matches_unreduced_scan(name, threads, pair_cap):
+def test_sphere_scan_matches_unreduced_scan(name, pair_cap):
     make, margin, radii = SCAN_BALLS[name]
     w = floyd_weighting(make(), FloydFunction.inverse_power(2))
     for r in radii:
         outcome = _outcome(sphere_floyd_diameter, w, r, margin=margin,
-                           pair_cap=pair_cap, threads=threads)
+                           pair_cap=pair_cap)
         old = _outcome(old_sphere_floyd_diameter, w, r, margin=margin,
-                       pair_cap=pair_cap, threads=threads)
+                       pair_cap=pair_cap)
         if isinstance(old, tuple):
             assert outcome == old
             continue
