@@ -19,7 +19,11 @@ import pytest
 
 from floydlab import floyd_metric
 from floydlab.errors import BallTooLarge, ConsistencyError, ModelAxiomViolation, ParseError
-from floydlab.floyd_metric import FloydFunction, floyd_weighting, sphere_floyd_diameter
+from floydlab.floyd_metric import (
+    floyd_weighting,
+    parse_floyd,
+    sphere_floyd_diameter,
+)
 from floydlab.graph_core import (
     FILE_MAGIC,
     GraphBall,
@@ -396,10 +400,11 @@ TIE_BALLS = {
 
 
 @pytest.mark.parametrize("name", sorted(TIE_BALLS))
+@pytest.mark.parametrize("floyd", ["invpow:2", "exp:0.5"])
 @pytest.mark.parametrize("pair_cap", [250_000, 30])
-def test_scan_witness_matches_the_per_tie_loop(name, pair_cap):
+def test_scan_witness_matches_the_per_tie_loop(name, floyd, pair_cap):
     make, margin, radii = TIE_BALLS[name]
-    w = floyd_weighting(make(), FloydFunction.inverse_power(2))
+    w = floyd_weighting(make(), parse_floyd(floyd))
     for r in radii:
         if len(sphere(w.ball, r).vertices) < 2:
             continue

@@ -500,11 +500,12 @@ ROW_BALLS = {
 
 
 @pytest.mark.parametrize("name", sorted(ROW_BALLS))
-def test_gathered_rows_equal_direct_rows(name):
+@pytest.mark.parametrize("floyd", ["invpow:2", "exp:0.5"])
+def test_gathered_rows_equal_direct_rows(name, floyd):
     from scipy.sparse.csgraph import dijkstra
 
     ball = ROW_BALLS[name]()
-    w = floyd_weighting(ball, INVPOW2)
+    w = floyd_weighting(ball, parse_floyd(floyd))
     assert len(ball.automorphisms) > 1
     for r in range(1, ball.radius + 1):
         verts = np.array(sphere(ball, r).vertices)

@@ -73,6 +73,7 @@ from floydlab.floyd_metric import (
     _punctured_geodesic,
     floyd_weighting,
     karlsson_set_estimate,
+    parse_floyd,
     sphere_floyd_diameter,
 )
 from floydlab.graph_core import (
@@ -1172,10 +1173,11 @@ SCAN_BALLS = {
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_BALLS))
+@pytest.mark.parametrize("floyd", ["invpow:2", "exp:0.5"])
 @pytest.mark.parametrize("pair_cap", [250_000, 40])
-def test_sphere_scan_matches_unreduced_scan(name, pair_cap):
+def test_sphere_scan_matches_unreduced_scan(name, floyd, pair_cap):
     make, margin, radii = SCAN_BALLS[name]
-    w = floyd_weighting(make(), FloydFunction.inverse_power(2))
+    w = floyd_weighting(make(), parse_floyd(floyd))
     for r in radii:
         outcome = _outcome(sphere_floyd_diameter, w, r, margin=margin,
                            pair_cap=pair_cap)
