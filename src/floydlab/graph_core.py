@@ -111,8 +111,8 @@ class GraphBall:
     @cached_property
     def automorphisms(self) -> np.ndarray:
         """Base-fixing automorphisms found in the graph: a read-only (|G|, V)
-        array whose rows are verified permutations of the vertices, forming
-        a group, with the identity first (see `find_automorphisms`)."""
+        int32 array whose rows are verified permutations of the vertices,
+        forming a group, with the identity first (see `find_automorphisms`)."""
         perms = find_automorphisms(self)
         perms.flags.writeable = False
         return perms
@@ -199,7 +199,9 @@ def is_automorphism(ball: GraphBall, perm: np.ndarray) -> bool:
     """Whether `perm` (vertex v goes to perm[v]) is a bijection of the
     vertices that fixes the base and maps the edge set onto itself."""
     n = ball.vertex_count
-    perm = np.asarray(perm)
+    # int64 keeps the edge keys below from wrapping: min * n passes 2^31
+    # on balls of more than 46,340 vertices.
+    perm = np.asarray(perm, dtype=np.int64)
     if (perm.shape != (n,) or perm.min() < 0 or perm.max() >= n
             or perm[ball.base] != ball.base):
         return False
@@ -304,28 +306,42 @@ class _Layering:
         return perm[:n]
 
 
-def _closure(gens: list[np.ndarray], key: np.ndarray) -> list[np.ndarray] | None:
-    """The group the permutations `gens` generate, identity first and the
-    rest in breadth-first order, or None past GROUP_CAP elements. Elements
-    are told apart by their images of `key` first."""
-    group = [np.arange(len(gens[0]), dtype=np.int64)]
-    by_key = {group[0][key].tobytes(): [group[0]]}
-    for g in group:  # grows while it is walked: breadth-first
-        for h in gens:
-            p = h[g]
+def _closure(group: np.ndarray, size: int, gens: list[np.ndarray],
+             key: np.ndarray) -> int | None:
+    """Grow the group `group[:size]` in place into the group it generates
+    together with the last permutation of `gens`, and return the new size,
+    or None when the buffer `group` has no room for it (rows from `size` on
+    are then left undefined, so the caller rolls back by keeping its size).
+
+    `group[:size]` must be the group that `gens[:-1]` generate, identity
+    first: it is closed under those, so its elements are multiplied by the
+    new generator only, and the new elements, appended in breadth-first
+    order, by all of them. Elements are told apart by their images of
+    `key` first.
+    """
+    by_key: dict[bytes, list[int]] = {}
+    for i in range(size):
+        by_key.setdefault(group[i, key].tobytes(), []).append(i)
+    old = size
+    i = 0
+    while i < size:  # grows while it is walked: breadth-first
+        for h in gens if i >= old else gens[-1:]:
+            p = h[group[i]]
             bucket = by_key.setdefault(p[key].tobytes(), [])
-            if any(np.array_equal(p, e) for e in bucket):
+            if any(np.array_equal(p, group[j]) for j in bucket):
                 continue
-            if len(group) == GROUP_CAP:
+            if size == len(group):
                 return None
-            bucket.append(p)
-            group.append(p)
-    return group
+            bucket.append(size)
+            group[size] = p
+            size += 1
+        i += 1
+    return size
 
 
 def find_automorphisms(ball: GraphBall) -> np.ndarray:
-    """A group of base-fixing automorphisms of the ball, as a (|G|, V) array
-    of permutations with the identity first.
+    """A group of base-fixing automorphisms of the ball, as a (|G|, V) int32
+    array of permutations with the identity first.
 
     Each candidate map of S_1 (see `_first_sphere_maps`) that the group found
     so far does not already realise is extended one BFS layer at a time
@@ -333,13 +349,24 @@ def find_automorphisms(ball: GraphBall) -> np.ndarray:
     the group is then closed over the kept maps. A map whose group would pass
     GROUP_CAP elements is dropped. Symmetries may be missed, which only
     makes the group smaller: every returned row is a verified automorphism.
+
+    The group lives in one (GROUP_CAP, V) buffer that each closure grows in
+    place from the group found so far; a dropped map is rolled back by size.
+    The result is a view of the buffer's first |G| rows; the rows past them
+    are never written, so they take address space but almost no memory.
     """
     n = ball.vertex_count
     s1 = np.flatnonzero(ball.dist == 1)
-    group = [np.arange(n, dtype=np.int64)]
     m = len(s1)
+    group = np.empty((GROUP_CAP, n), dtype=np.int32)
+    group[0] = np.arange(n)
+    size = 1
     if not 2 <= m <= _S1_CAP:
-        return np.stack(group)
+        return group[:size]
+    # The group's actions on S_1 positions, grown and rolled back alike.
+    acting = np.empty((GROUP_CAP, m), dtype=np.int32)
+    acting[0] = np.arange(m)
+    acting_size = 1
     layering = None
     gens: list[np.ndarray] = []
     actions: list[np.ndarray] = []  # the generators' actions on S_1 positions
@@ -347,28 +374,29 @@ def find_automorphisms(ball: GraphBall) -> np.ndarray:
     extensions = 0
     for action in _first_sphere_maps(ball, s1):
         # A larger group has at least twice the order, so none fits.
-        if 2 * len(group) > GROUP_CAP or extensions == _EXTENSION_CAP:
+        if 2 * size > GROUP_CAP or extensions == _EXTENSION_CAP:
             break
         if action in realised:
             continue
-        action = np.array(action)
+        action = np.array(action, dtype=np.int32)
         # The group's action on S_1 is no larger than the group.
-        acting = _closure(actions + [action], np.arange(m))
-        if acting is None:
+        grown = _closure(acting, acting_size, actions + [action], np.arange(m))
+        if grown is None:
             continue
         extensions += 1
         layering = layering or _Layering(ball)
         perm = layering.extend(ball.base, s1, s1[action])
         if perm is None or not is_automorphism(ball, perm):
             continue
-        closed = _closure(gens + [perm], s1)
+        perm = perm.astype(np.int32)
+        closed = _closure(group, size, gens + [perm], s1)
         if closed is None:
             continue
         gens.append(perm)
         actions.append(action)
-        group = closed
-        realised = {tuple(a.tolist()) for a in acting}
-    return np.stack(group)
+        realised.update(map(tuple, acting[acting_size:grown].tolist()))
+        size, acting_size = closed, grown
+    return group[:size]
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ hashable normal form (`canonical_key`) for deduplication. Word lengths are
 never computed from closed formulas; they emerge from the breadth-first
 enumeration.
 
-Coordinate models (Z^n, the Heisenberg group and direct products of them)
-also multiply whole arrays of integer coordinate vectors at once; their
-balls are enumerated layer by layer with numpy, with the same vertex
-numbering as the element-by-element search that every other model uses.
+Coordinate models (Z^n, the free groups, the Heisenberg group and direct
+products of them) also multiply whole arrays of integer coordinate vectors
+at once; their balls are enumerated layer by layer with numpy, with the
+same vertex numbering as the element-by-element search that every other
+model (the free products) uses.
 
 Generator conventions are fixed per model (documented on each class) since
 Floyd geometry depends on the generating set.
@@ -128,7 +129,14 @@ class Free(GroupModel):
 
     Letter i+1 carries label string.ascii_lowercase[i]; its inverse is the
     uppercase letter.
+
+    Free is also a coordinate model with one coordinate: a reduced word is
+    coded in base 2k+1, its last letter as the lowest digit, and the letter
+    of label index g (in generator_labels() order) as the digit g+1, so no
+    digit of a word is 0 and the empty word is 0.
     """
+
+    coordinate_dim = 1
 
     def __init__(self, k: int):
         if not 1 <= k <= 26:
@@ -137,6 +145,13 @@ class Free(GroupModel):
         self.name = f"free:{k}"
         letters = string.ascii_lowercase[:k]
         self._labels = tuple(letters) + tuple(letters.upper())
+        self._base = 2 * k + 1
+        # Digit g+1 codes label g; a label cancels the letter of digit
+        # (g+k) mod 2k + 1, its inverse's. _letters maps digits to letters.
+        self._digits = np.arange(1, 2 * k + 1, dtype=np.int64)
+        self._inverse_digits = np.roll(self._digits, k)
+        self._letters = np.array([0, *range(1, k + 1), *range(-1, -k - 1, -1)],
+                                 dtype=np.int64)
 
     def identity(self):
         return ()
@@ -167,6 +182,39 @@ class Free(GroupModel):
         for ch in text:
             el = self.multiply(el, ch)
         return el
+
+    def coordinate_bounds(self, radius):
+        # A word of length <= radius + 1 has at most radius + 1 digits.
+        return (self._base ** (radius + 1) - 1,)
+
+    def to_coordinates(self, element):
+        code = 0
+        for s in element:
+            code = code * self._base + (s if s > 0 else self.k - s)
+        return (code,)
+
+    def elements_from_coordinates(self, coords):
+        codes = coords[:, 0].copy()
+        columns = []  # column j: the letter j places before the end
+        while codes.any():
+            columns.append(self._letters[codes % self._base])
+            codes //= self._base
+        letters = np.array(columns, dtype=np.int64).reshape(
+            len(columns), len(coords)).T
+        lengths = (letters != 0).sum(axis=1)
+        out: list = [()] * len(coords)
+        for length in np.unique(lengths[lengths > 0]).tolist():
+            rows = np.flatnonzero(lengths == length)
+            words = map(tuple, letters[rows, length - 1::-1].tolist())
+            for i, word in zip(rows.tolist(), words):
+                out[i] = word
+        return out
+
+    def multiply_all(self, coords):
+        code = coords[:, :1]
+        cancels = code % self._base == self._inverse_digits
+        return np.where(cancels, code // self._base,
+                        code * self._base + self._digits)[:, :, None]
 
 
 class Heisenberg(_IntVectorModel):
@@ -388,10 +436,13 @@ def _enumerate_coordinates(model: GroupModel, radius: int, vertex_cap: int):
     """
     labels = model.generator_labels()
     _check_inverse_closed(model, labels)
-    bounds = np.array(model.coordinate_bounds(radius), dtype=np.int64)
-    widths = [2 * int(b) + 1 for b in bounds]
+    # Checked on Python ints: a free factor's bound alone passes int64 at
+    # large radii.
+    limits = model.coordinate_bounds(radius)
+    widths = [2 * int(b) + 1 for b in limits]
     if math.prod(widths) >= 2 ** 63:
         return None
+    bounds = np.array(limits, dtype=np.int64)
     strides = np.array([math.prod(widths[:k]) for k in range(len(widths))],
                        dtype=np.int64)
     n_labels, dim = len(labels), len(bounds)

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadRadii, NonPath, SegmentTooLong
-from .graph_core import GraphBall, bfs, bfs_distances, extract_path
+from .graph_core import (
+    GraphBall,
+    bfs,
+    bfs_distances,
+    extract_path,
+    find_automorphisms,
+)
 
 SLACK_PATHS = 200  # escape_ray_search's budget of backtracked paths per start
 U_CAP = 6  # wideness_probe's ring vertices tried as segment ends per anchor
@@ -202,6 +208,17 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
     as one end; when the arm endpoints are at full distance the
     concatenation is a geodesic and certifies at 1. For C > 1 a relaxed
     endpoint distance is accepted if the concatenation certifies at C.
+
+    The search runs on each symmetry orbit until a member passes: eligible
+    vertices are walked in ascending order, and a vertex whose orbit under
+    the ball's base-fixing automorphisms (`find_automorphisms`) has passed
+    is skipped. An automorphism h keeps every ball distance, so it keeps
+    eligibility and maps a segment certified at C around x onto one
+    certified at C around h(x). When x is the first of its orbit to pass,
+    every h(x) gets h(path) as its witness (the first such h in group
+    order), including the members before x, which failed; x keeps its own.
+    The pass set is thus the union of the orbits that hold a vertex the
+    search passes on its own, with one witness per passing vertex.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
@@ -212,17 +229,33 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
         raise SegmentTooLong(
             f"segment of length {segment_length} cannot fit in radius {ball.radius}")
     eligible = tuple(np.flatnonzero(ball.dist <= ball.radius - half).tolist())
-    witnesses: dict[int, PathWitness] = {}
-    failures: list[int] = []
+    # Found here rather than read from the cached `ball.automorphisms`, so
+    # the (|G|, V) rows are freed when the probe returns: in verify_thick
+    # the leaf's next user, its sampled divergence, has no use for them,
+    # and kept they raised its peak memory (4.8 MiB of rows on the
+    # prod:zn:1,free:2 r=8 leaf). Orbits are named by their smallest
+    # vertex, the rule of `GraphBall.orbit_min`.
+    group = find_automorphisms(ball)
+    orbit = group.min(axis=0)
+    passed = np.zeros(ball.vertex_count, dtype=bool)  # by smallest vertex
+    found_at: dict[int, PathWitness] = {}
     for x in eligible:
+        if passed[orbit[x]]:
+            continue
         found = _middle_segment(ball, x, C, half, U_CAP)
         if found is None:
-            failures.append(x)
-        else:
-            witnesses[x] = found
+            continue
+        passed[orbit[x]] = True
+        images = group[:, list(found.vertices)].tolist()
+        for y, path in zip(group[:, x].tolist(), images):
+            if y not in found_at:
+                found_at[y] = PathWitness(vertices=tuple(path),
+                                          certified_C=found.certified_C)
+    witnesses = {x: found_at[x] for x in eligible if x in found_at}
+    failures = tuple(x for x in eligible if x not in found_at)
     frac = len(witnesses) / len(eligible) if eligible else 1.0
     return WidenessReport(C=C, segment_length=segment_length, eligible=eligible,
-                          witnesses=witnesses, failures=tuple(failures),
+                          witnesses=witnesses, failures=failures,
                           pass_fraction=frac)
 
 

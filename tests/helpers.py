@@ -166,6 +166,20 @@ def graph_distance(ball, u, v):
     return d
 
 
+def is_quasi_geodesic(ball, path, C):
+    """Whether `path` is an edge path of the ball whose vertex pairs all
+    satisfy (1/C) d - C <= |subpath| <= C d + C, with every d a python BFS
+    distance and a 1e-9 tolerance."""
+    if any(w not in set(ball.adjacency[v]) for v, w in zip(path, path[1:])):
+        return False
+    for i in range(len(path)):
+        for j in range(i + 1, len(path)):
+            d, sub = graph_distance(ball, path[i], path[j]), j - i
+            if not d / C - C <= sub + 1e-9 or not sub <= C * d + C + 1e-9:
+                return False
+    return True
+
+
 def vertex_of(model, elements, element):
     """Index of a group element inside a labeled ball (KeyError if absent)."""
     key = model.canonical_key(element)

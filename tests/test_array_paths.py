@@ -11,6 +11,7 @@ or sit beside.
   of the per-tie loop it replaced, on balls where most pairs tie.
 """
 
+import math
 import random
 from collections import deque
 
@@ -34,6 +35,7 @@ from floydlab.graph_core import (
     write_graph_file,
 )
 from floydlab.group_models import (
+    Free,
     FreeAbelian,
     Heisenberg,
     _enumerate_ball,
@@ -45,13 +47,19 @@ from floydlab.group_models import (
 
 from helpers import random_connected_edges
 
-COORDINATE_SPECS = ["zn:1", "zn:2", "zn:3", "heis", "prod:zn:1,zn:2", "prod:heis,zn:1"]
+COORDINATE_SPECS = ["zn:1", "zn:2", "zn:3", "heis", "prod:zn:1,zn:2", "prod:heis,zn:1",
+                    "free:2", "free:3", "prod:zn:1,free:2", "prod:free:2,zn:2"]
+# Largest radius compared with the element-by-element search, where it is
+# below 8: free:3 at radius 8 has about 586k vertices.
+MAX_RADIUS = {"free:3": 5, "prod:free:2,zn:2": 5}
+ENUMERATION_CASES = [pytest.param(spec, radius, id=f"{radius}-{spec}")
+                     for radius in (1, 2, 3, 5, 8) for spec in COORDINATE_SPECS
+                     if radius <= MAX_RADIUS.get(spec, 8)]
 
 
 # ---------------------------------------------------------------- enumeration
 
-@pytest.mark.parametrize("spec", COORDINATE_SPECS)
-@pytest.mark.parametrize("radius", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("spec,radius", ENUMERATION_CASES)
 def test_array_enumeration_matches_scalar(spec, radius):
     model = parse_model(spec)
     coords, ball = _enumerate_coordinates(model, radius, 10 ** 6)
@@ -80,6 +88,51 @@ def test_labeled_elements_are_python_ints():
         assert all(type(x) is int for x in flat), spec
     _, elements = cayley_ball_labeled(parse_model("prod:heis,zn:1"), 2)
     assert elements[0] == ((0, 0, 0), (0,))
+
+
+@pytest.mark.parametrize("spec", COORDINATE_SPECS)
+def test_coordinates_round_trip(spec):
+    model = parse_model(spec)
+    elements, _ = _enumerate_ball(model, 3, 10 ** 6)
+    elements = elements[::-1]  # any row order
+    coords = np.array([model.to_coordinates(el) for el in elements], dtype=np.int64)
+    assert coords.shape == (len(elements), model.coordinate_dim)
+    assert model.elements_from_coordinates(coords) == elements
+    assert model.elements_from_coordinates(coords[:1]) == elements[:1]
+    assert [model.to_coordinates(el) for el in
+            model.elements_from_coordinates(coords)] == list(map(tuple, coords.tolist()))
+
+
+def test_free_words_are_coded_in_base_2k_plus_1():
+    model = Free(2)  # digits: a 1, b 2, A 3, B 4
+    assert model.to_coordinates(()) == (0,)
+    assert model.to_coordinates(model.word("aB")) == (1 * 5 + 4,)
+    codes = np.array([[0], [9]], dtype=np.int64)
+    # Appending a letter shifts in its digit; b cancels the last letter B
+    # of aB (code 9), which drops that digit.
+    assert model.multiply_all(codes)[:, :, 0].tolist() == [
+        [1, 2, 3, 4], [46, 1, 48, 49]]
+
+
+def packed_width(model, radius):
+    return math.prod(2 * int(b) + 1 for b in model.coordinate_bounds(radius))
+
+
+@pytest.mark.parametrize("spec", ["free:2", "free:3", "prod:zn:1,free:2"])
+def test_free_keys_past_int64_are_not_enumerated(spec, monkeypatch):
+    model = parse_model(spec)
+    radius = next(r for r in range(1, 100) if packed_width(model, r) >= 2 ** 63)
+    # One radius below, the keys fit and the array search starts.
+    with pytest.raises(BallTooLarge):
+        _enumerate_coordinates(model, radius - 1, 100)
+
+    def refuse(coords):
+        raise AssertionError("enumerated past the int64 keys")
+
+    monkeypatch.setattr(model, "multiply_all", refuse)
+    assert _enumerate_coordinates(model, radius, 100) is None
+    with pytest.raises(BallTooLarge):  # the scalar search takes over
+        cayley_ball(model, radius, vertex_cap=100)
 
 
 class _WideBounds(FreeAbelian):

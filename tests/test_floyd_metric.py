@@ -40,6 +40,7 @@ from floydlab.group_models import (
     FreeProduct,
     Heisenberg,
     cayley_ball,
+    cayley_ball_labeled,
 )
 
 from helpers import (
@@ -440,6 +441,8 @@ def two_pentagons():
 def test_group_orders(model, radius, order):
     ball = cayley_ball(model, radius)
     assert ball.automorphisms.shape == (order, ball.vertex_count)
+    assert ball.automorphisms.dtype == np.int32
+    assert not ball.automorphisms.flags.writeable
     check_automorphism_group(ball, ball.automorphisms)
 
 
@@ -488,6 +491,23 @@ def test_is_automorphism_rejects_non_maps():
     swap = np.arange(n)
     swap[[1, n - 1]] = [n - 1, 1]
     assert not is_automorphism(ball, swap)  # breaks edges
+
+
+def test_is_automorphism_takes_int32_maps_of_large_balls():
+    # 51,521 vertices: an edge key min * n + max passes 2^31 in int32.
+    radius = 160
+    ball, elements = cayley_ball_labeled(FreeAbelian(2), radius)
+    xy = np.array(elements, dtype=np.int64)
+    index = np.full((2 * radius + 1, 2 * radius + 1), -1, dtype=np.int64)
+    index[xy[:, 0] + radius, xy[:, 1] + radius] = np.arange(len(xy))
+    maps = {"swap": (xy[:, 1], xy[:, 0]), "flip": (-xy[:, 0], xy[:, 1]),
+            "turn": (-xy[:, 1], xy[:, 0])}
+    for name, (x, y) in maps.items():
+        perm = index[x + radius, y + radius].astype(np.int32)
+        assert is_automorphism(ball, perm), name
+        broken = perm.copy()
+        broken[[1, len(perm) - 1]] = broken[[len(perm) - 1, 1]]
+        assert not is_automorphism(ball, broken), name
 
 
 ROW_BALLS = {

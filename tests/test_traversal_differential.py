@@ -25,10 +25,22 @@ with the scan that runs it once per symmetry orbit, and the escape-set
 estimate that built its punctured-search mask on every call with the one
 that builds it once per radius.
 
-The last group compares the exhaustive divergence estimate that scanned
+The next group compares the exhaustive divergence estimate that scanned
 every center (`old_all_centers_exhaustive_estimate`, a verbatim copy) with
 the one that scans one center per symmetry orbit and picks each witness
 over the images of the tied triples.
+
+The wideness probe is compared with `old_wideness_probe`, a verbatim copy
+of the loop that searched every eligible vertex: equal outright on balls
+without symmetries, and on symmetric balls (with `U_CAP` lowered to 1 to
+provoke misses) its pass set must be the orbit closure of the old one,
+with every mapped witness certified by `qg_certify` and the oracle in
+`helpers`.
+
+The last group compares `find_automorphisms`, which grows the group in
+place in one int32 buffer, with `old_find_automorphisms` and
+`old_closure`, verbatim copies of the list-based search, under several
+group caps.
 """
 
 import collections
@@ -46,7 +58,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from floydlab import divergence, quasigeodesic
+from floydlab import divergence, graph_core, quasigeodesic
 from floydlab.divergence import (
     DivergenceParams,
     DivergenceSample,
@@ -62,6 +74,7 @@ from floydlab.errors import (
     RadiusOutOfMargin,
     RadiusOutOfRange,
     SampleExhausted,
+    SegmentTooLong,
     SelfLoop,
 )
 from floydlab.floyd_metric import (
@@ -77,6 +90,10 @@ from floydlab.floyd_metric import (
     sphere_floyd_diameter,
 )
 from floydlab.graph_core import (
+    _EXTENSION_CAP,
+    _Layering,
+    _S1_CAP,
+    _first_sphere_maps,
     bfs,
     bfs_distances,
     bfs_parents,
@@ -86,6 +103,7 @@ from floydlab.graph_core import (
     csr_from_edges,
     csr_restrict,
     extract_path,
+    is_automorphism,
     read_graph_file,
     single_vertex_ball,
     sphere,
@@ -98,10 +116,20 @@ from floydlab.group_models import (
     Heisenberg,
     cayley_ball,
 )
-from floydlab.quasigeodesic import PathWitness, qg_certify, wideness_probe
+from floydlab.quasigeodesic import (
+    PathWitness,
+    WidenessReport,
+    qg_certify,
+    wideness_probe,
+)
 from floydlab.thickness import induced_ball
 
-from helpers import graph_distance, random_connected_edges
+from helpers import (
+    check_automorphism_group,
+    graph_distance,
+    is_quasi_geodesic,
+    random_connected_edges,
+)
 
 
 def old_bfs_distances(adjacency, source, cap=None):
@@ -220,6 +248,30 @@ def old_middle_segment(ball, x, C, half, u_cap):
                 if c <= C + 1e-12:
                     return PathWitness(vertices=tuple(path), certified_C=c)
     return None
+
+
+def old_wideness_probe(ball, C, segment_length, u_cap):
+    if C < 1:
+        raise ValueError("C must be >= 1")
+    if segment_length < 2:
+        raise ValueError("segment_length must be >= 2")
+    half = math.ceil(segment_length / 2)
+    if ball.radius - half < 0:
+        raise SegmentTooLong(
+            f"segment of length {segment_length} cannot fit in radius {ball.radius}")
+    eligible = tuple(np.flatnonzero(ball.dist <= ball.radius - half).tolist())
+    witnesses: dict[int, PathWitness] = {}
+    failures: list[int] = []
+    for x in eligible:
+        found = old_middle_segment(ball, x, C, half, u_cap)
+        if found is None:
+            failures.append(x)
+        else:
+            witnesses[x] = found
+    frac = len(witnesses) / len(eligible) if eligible else 1.0
+    return WidenessReport(C=C, segment_length=segment_length, eligible=eligible,
+                          witnesses=witnesses, failures=tuple(failures),
+                          pass_fraction=frac)
 
 
 def old_build_ball(edges: Iterable[tuple[Hashable, Hashable]], base: Hashable,
@@ -446,6 +498,17 @@ PROBE_BALLS = {
 }
 
 
+def first_passes(ball, report):
+    """The first vertex of each orbit that `report` passes: the vertices
+    the orbit-reduced probe searches and passes, given the unreduced
+    probe's `report`."""
+    low = ball.orbit_min
+    first = {}
+    for x in report.witnesses:
+        first.setdefault(int(low[x]), x)
+    return set(first.values())
+
+
 @pytest.mark.parametrize("name", sorted(PROBE_BALLS))
 @pytest.mark.parametrize("C", [1.0, 1.5])
 def test_wideness_probe_matches_full_row_scan(name, C, monkeypatch):
@@ -453,21 +516,126 @@ def test_wideness_probe_matches_full_row_scan(name, C, monkeypatch):
     for segment_length, u_cap in ((6, 6), (8, 6), (5, 1)):
         monkeypatch.setattr(quasigeodesic, "U_CAP", u_cap)
         new = wideness_probe(ball, C, segment_length)
-        monkeypatch.setattr(quasigeodesic, "_middle_segment", old_middle_segment)
-        old = wideness_probe(ball, C, segment_length)
-        monkeypatch.undo()
+        old = old_wideness_probe(ball, C, segment_length, u_cap)
         assert new.eligible == old.eligible
-        assert new.witnesses == old.witnesses
-        assert new.failures == old.failures
-        assert new.pass_fraction == old.pass_fraction
+        # A vertex the reduced probe searches gets the same witness.
+        for x in first_passes(ball, old):
+            assert new.witnesses[x] == old.witnesses[x]
+        if len(ball.automorphisms) == 1:
+            assert new.witnesses == old.witnesses
+            assert new.failures == old.failures
+            assert new.pass_fraction == old.pass_fraction
 
 
 def test_wideness_differential_covers_relaxed_and_failing_segments():
     # The Heisenberg ball at C = 1.5 needs relaxed segments, which go through
-    # qg_certify; the star has failures. Both branches are compared above.
+    # qg_certify; the star has failures. Both branches are compared above,
+    # on balls without symmetries and on balls with them.
     heis = wideness_probe(PROBE_BALLS["heis"](), 1.5, 8)
     assert any(w.certified_C > 1.0 for w in heis.witnesses.values())
     assert wideness_probe(star_ball(), 1.0, 8).failures
+    orders = {name: len(make().automorphisms) for name, make in PROBE_BALLS.items()}
+    assert orders["heis"] == orders["random"] == 1
+    assert orders["z2"] == 8 and orders["star"] == 2
+
+
+def glued_ball(seed, n, copies):
+    """`copies` copies of a random connected graph on n vertices glued at
+    vertex 0, the base: permuting the copies gives the ball symmetries that
+    the breadth-first numbering does not follow."""
+    edges = random_connected_edges(random.Random(seed), n)
+    glued = [((c, u) if u else 0, (c, v) if v else 0)
+             for c in range(copies) for u, v in edges]
+    radius = int(build_ball(glued, 0, 2 * n).dist.max())
+    return build_ball(glued, 0, radius)
+
+
+# Balls with symmetries, probed with U_CAP = 1: on the glued balls some
+# orbit member fails where another passes, because the ring's first vertex
+# by id differs between them.
+ORBIT_PROBE_BALLS = {
+    "glued-0-7x3": lambda: glued_ball(0, 7, 3),
+    "glued-56-10x2": lambda: glued_ball(56, 10, 2),
+    "glued-108-10x2": lambda: glued_ball(108, 10, 2),
+    "glued-128-9x2": lambda: glued_ball(128, 9, 2),
+    **{name: PROBE_BALLS[name] for name in ("z2", "triangular", "f2", "product", "star")},
+}
+ORBIT_PROBE_CASES = [(4, 1.0), (4, 1.5), (6, 1.0)]
+
+
+def orbit_closure(ball, vertices):
+    low = ball.orbit_min
+    orbits = {int(low[x]) for x in vertices}
+    return {v for v in range(ball.vertex_count) if int(low[v]) in orbits}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_PROBE_BALLS))
+def test_reduced_probe_passes_the_orbit_closure(name, monkeypatch):
+    ball = ORBIT_PROBE_BALLS[name]()
+    monkeypatch.setattr(quasigeodesic, "U_CAP", 1)
+    for segment_length, C in ORBIT_PROBE_CASES:
+        new = wideness_probe(ball, C, segment_length)
+        old = old_wideness_probe(ball, C, segment_length, 1)
+        passed = orbit_closure(ball, old.witnesses) & set(old.eligible)
+        assert set(new.witnesses) == passed
+        assert new.failures == tuple(x for x in old.eligible if x not in passed)
+        assert new.pass_fraction == len(passed) / len(old.eligible)
+        half = math.ceil(segment_length / 2)
+        for y, w in new.witnesses.items():
+            # Each witness certifies at its constant, is long enough and
+            # has its middle vertex within C of its own vertex.
+            assert qg_certify(ball, w) == w.certified_C
+            assert is_quasi_geodesic(ball, w.vertices, w.certified_C)
+            assert len(w.vertices) == 2 * half + 1
+            assert graph_distance(ball, y, w.vertices[half]) <= C
+
+
+def test_orbit_probe_differential_covers_mapped_failures(monkeypatch):
+    monkeypatch.setattr(quasigeodesic, "U_CAP", 1)
+    mapped = set()
+    for name, make in ORBIT_PROBE_BALLS.items():
+        ball = make()
+        for segment_length, C in ORBIT_PROBE_CASES:
+            old = old_wideness_probe(ball, C, segment_length, 1)
+            if orbit_closure(ball, old.witnesses) & set(old.failures):
+                mapped.add(name)
+    assert mapped == {name for name in ORBIT_PROBE_BALLS if name.startswith("glued")}
+    assert len(ORBIT_PROBE_BALLS["glued-0-7x3"]().automorphisms) == 6
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_PROBE_BALLS))
+def test_probe_searches_each_orbit_until_its_first_pass(name, monkeypatch):
+    ball = ORBIT_PROBE_BALLS[name]()
+    monkeypatch.setattr(quasigeodesic, "U_CAP", 1)
+    searched = []
+    middle_segment = quasigeodesic._middle_segment
+
+    def spy(ball, x, *args):
+        searched.append(x)
+        return middle_segment(ball, x, *args)
+
+    monkeypatch.setattr(quasigeodesic, "_middle_segment", spy)
+    for segment_length, C in ORBIT_PROBE_CASES:
+        searched.clear()
+        new = wideness_probe(ball, C, segment_length)
+        old = old_wideness_probe(ball, C, segment_length, 1)
+        firsts = first_passes(ball, old)
+        low = ball.orbit_min
+        # An orbit is searched in ascending order up to its first pass.
+        expected, done = [], set()
+        for x in old.eligible:
+            if low[x] not in done:
+                expected.append(x)
+                if x in firsts:
+                    done.add(low[x])
+        assert searched == expected
+        # Every other member gets the first image of that witness.
+        group = ball.automorphisms
+        for y, w in new.witnesses.items():
+            x = next(f for f in firsts if low[f] == low[y])
+            h = group[np.flatnonzero(group[:, x] == y)[0]]
+            assert w == PathWitness(tuple(h[list(old.witnesses[x].vertices)].tolist()),
+                                    old.witnesses[x].certified_C)
 
 
 def cycle_ball(length):
@@ -1374,3 +1542,107 @@ def test_exhaustive_runs_one_center_per_orbit(monkeypatch):
     group = ball.automorphisms
     assert len(centers) == 36
     assert all(c == group[:, c].min() for c in centers)
+
+
+def old_closure(gens: list[np.ndarray], key: np.ndarray) -> list[np.ndarray] | None:
+    group = [np.arange(len(gens[0]), dtype=np.int64)]
+    by_key = {group[0][key].tobytes(): [group[0]]}
+    for g in group:  # grows while it is walked: breadth-first
+        for h in gens:
+            p = h[g]
+            bucket = by_key.setdefault(p[key].tobytes(), [])
+            if any(np.array_equal(p, e) for e in bucket):
+                continue
+            if len(group) == graph_core.GROUP_CAP:
+                return None
+            bucket.append(p)
+            group.append(p)
+    return group
+
+
+def old_find_automorphisms(ball: GraphBall) -> np.ndarray:
+    n = ball.vertex_count
+    s1 = np.flatnonzero(ball.dist == 1)
+    group = [np.arange(n, dtype=np.int64)]
+    m = len(s1)
+    if not 2 <= m <= _S1_CAP:
+        return np.stack(group)
+    layering = None
+    gens: list[np.ndarray] = []
+    actions: list[np.ndarray] = []  # the generators' actions on S_1 positions
+    realised = {tuple(range(m))}  # the group's actions on S_1 positions
+    extensions = 0
+    for action in _first_sphere_maps(ball, s1):
+        # A larger group has at least twice the order, so none fits.
+        if 2 * len(group) > graph_core.GROUP_CAP or extensions == _EXTENSION_CAP:
+            break
+        if action in realised:
+            continue
+        action = np.array(action)
+        # The group's action on S_1 is no larger than the group.
+        acting = old_closure(actions + [action], np.arange(m))
+        if acting is None:
+            continue
+        extensions += 1
+        layering = layering or _Layering(ball)
+        perm = layering.extend(ball.base, s1, s1[action])
+        if perm is None or not is_automorphism(ball, perm):
+            continue
+        closed = old_closure(gens + [perm], s1)
+        if closed is None:
+            continue
+        gens.append(perm)
+        actions.append(action)
+        group = closed
+        realised = {tuple(a.tolist()) for a in acting}
+    return np.stack(group)
+
+
+GROUP_BALLS = {
+    "z2": lambda: cayley_ball(FreeAbelian(2), 6),
+    "f2": lambda: cayley_ball(Free(2), 4),
+    "z3": lambda: cayley_ball(FreeAbelian(3), 4),
+    "heis": lambda: cayley_ball(Heisenberg(), 6),
+    "product": lambda: cayley_ball(DirectProduct(FreeAbelian(1), Free(2)), 4),
+    "free-product": lambda: cayley_ball(FreeProduct(FreeAbelian(1), Free(1)), 4),
+    "glued": lambda: glued_ball(0, 7, 3),
+}
+
+
+def rows(perms):
+    return {tuple(row) for row in perms.tolist()}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_BALLS))
+@pytest.mark.parametrize("cap", [64, 4, 2])
+def test_group_in_place_matches_list_closure(name, cap, monkeypatch):
+    monkeypatch.setattr(graph_core, "GROUP_CAP", cap)
+    ball = GROUP_BALLS[name]()
+    group = graph_core.find_automorphisms(ball)
+    assert group.dtype == np.int32
+    assert rows(group) == rows(old_find_automorphisms(ball))
+    check_automorphism_group(ball, group)
+
+
+def test_group_cap_rolls_back_a_group_that_does_not_fit(monkeypatch):
+    full = cayley_ball(FreeAbelian(2), 6).automorphisms
+    assert len(full) == 8
+    # Under a cap of 4 the closures that would pass it are dropped by size,
+    # and what is kept is still a group.
+    monkeypatch.setattr(graph_core, "GROUP_CAP", 4)
+    ball = cayley_ball(FreeAbelian(2), 6)
+    assert 1 < len(ball.automorphisms) <= 4
+    check_automorphism_group(ball, ball.automorphisms)
+    # The closure itself: a generator whose group passes the buffer leaves
+    # the group before it in the buffer's first rows.
+    s1 = np.flatnonzero(ball.dist == 1)
+    flip = next(g for g in full[1:] if (g[g] == full[0]).all())
+    turn = next(g for g in full[1:] if not (g[g] == full[0]).all())
+    buffer = np.empty((4, ball.vertex_count), dtype=np.int32)
+    buffer[0] = full[0]
+    size = graph_core._closure(buffer, 1, [flip], s1)
+    assert size == 2
+    kept = buffer[:size].copy()
+    assert graph_core._closure(buffer, size, [flip, turn], s1) is None
+    assert np.array_equal(buffer[:size], kept)
+    check_automorphism_group(ball, buffer[:size])
