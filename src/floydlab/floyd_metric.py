@@ -36,6 +36,7 @@ from .graph_core import GraphBall, bfs, bfs_parents, extract_path, sphere
 
 _BUILTIN_KINDS = ("inverse_power", "exponential", "inverse_square_plus_one")
 VANISH_RATIO = 0.35  # sphere_diameter_trend's "vanishing" end-to-start ratio
+ROW_BLOCK_BYTES = 4 * 2**20  # float64 Dijkstra rows per scipy call in the scan
 
 
 @dataclass(frozen=True)
@@ -258,8 +259,25 @@ def floyd_weighting(ball: GraphBall, f: FloydFunction) -> FloydWeighting:
     return FloydWeighting(ball=ball, floyd=f, weights=weights)
 
 
-def _dijkstra_rows(w: FloydWeighting, sources: Sequence[int]) -> np.ndarray:
-    return dijkstra(w.matrix, directed=True, indices=list(sources))
+def _dijkstra_rows(w: FloydWeighting, sources: Sequence[int],
+                   limit: float = math.inf) -> np.ndarray:
+    return dijkstra(w.matrix, directed=True, indices=list(sources), limit=limit)
+
+
+def base_sums(f: FloydFunction, n_max: int) -> np.ndarray:
+    """[S(0), ..., S(n_max)] with S(n) = sum of f(k) over k < n: the Floyd
+    length of every geodesic from the base to the sphere S_n, which crosses
+    one edge of level k for each k < n."""
+    return np.concatenate(([0.0], np.cumsum(f.values_through(n_max - 1))))
+
+
+def _via_base_limit(w: FloydWeighting, u_level: int, v_level: int) -> float:
+    """Dijkstra limit for pairs on the spheres S_{u_level} and S_{v_level}:
+    the path u -> base -> v along geodesics has length
+    S(u_level) + S(v_level), so d(u, v) is at most that. The relative slack
+    covers the rounding of the float sums on both sides."""
+    sums = base_sums(w.floyd, max(u_level, v_level))
+    return float(sums[u_level] + sums[v_level]) * (1 + 1e-9)
 
 
 def floyd_distance(w: FloydWeighting, u: int, v: int) -> float:
@@ -267,14 +285,19 @@ def floyd_distance(w: FloydWeighting, u: int, v: int) -> float:
 
     This is an upper bound on the ambient Floyd distance: paths through the
     truncated exterior are unavailable. The margin policy in
-    sphere_floyd_diameter controls the resulting error.
+    sphere_floyd_diameter controls the resulting error. The search stops
+    at the via-base bound (see `_via_base_limit`), and reruns unbounded if
+    that ever leaves v unreached.
     """
     w.ball.check_index(u)
     w.ball.check_index(v)
     if u == v:
         return 0.0
-    row = _dijkstra_rows(w, [u])[0]
-    return float(row[v])
+    limit = _via_base_limit(w, int(w.ball.dist[u]), int(w.ball.dist[v]))
+    value = _dijkstra_rows(w, [u], limit)[0, v]
+    if math.isinf(value):
+        value = _dijkstra_rows(w, [u])[0, v]
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -356,11 +379,38 @@ def _sphere_rows(w: FloydWeighting, sources: np.ndarray,
     rep = w.ball.orbit_min[sources]
     which = (group[:, sources] == rep).argmax(axis=0)
     reps = np.unique(rep)
-    rep_rows = _dijkstra_rows(w, reps.tolist())[:, targets]
+    rep_rows = _target_rows(w, reps, targets)
     column = np.empty(w.ball.vertex_count, dtype=np.int64)
     column[targets] = np.arange(len(targets))
     moved = column[group[which[:, None], targets[None, :]]]
     return rep_rows[np.searchsorted(reps, rep)[:, None], moved]
+
+
+def _target_rows(w: FloydWeighting, sources: np.ndarray,
+                 targets: np.ndarray) -> np.ndarray:
+    """Floyd distances d(s, t) as a (sources, targets) block.
+
+    Each Dijkstra stops at the via-base bound of the farthest source and
+    target levels (`_via_base_limit`). With nonnegative weights every vertex
+    within the limit is reached by the same relaxations as in an unbounded
+    search, so the values read are bit for bit the unbounded ones; a row
+    that still misses a target is rerun without a limit. Sources go to
+    scipy ROW_BLOCK_BYTES of float64 rows at a time, and only the target
+    columns of each block are kept.
+    """
+    dist = w.ball.dist
+    limit = _via_base_limit(w, int(dist[sources].max()), int(dist[targets].max()))
+    block = max(1, ROW_BLOCK_BYTES // (8 * w.ball.vertex_count))
+    out = np.empty((len(sources), len(targets)))
+
+    def fill(rows: np.ndarray, bound: float) -> None:
+        for i in range(0, len(rows), block):
+            chunk = rows[i:i + block]
+            out[chunk] = _dijkstra_rows(w, sources[chunk].tolist(), bound)[:, targets]
+
+    fill(np.arange(len(sources)), limit)
+    fill(np.flatnonzero(np.isinf(out).any(axis=1)), math.inf)
+    return out
 
 
 def sphere_diameter_trend(diameters: Sequence[tuple[int, float]]) -> str:

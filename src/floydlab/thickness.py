@@ -345,7 +345,8 @@ def _check_nesting(structure: ThickStructure) -> None:
 def induced_ball(ball: GraphBall, vertices: Sequence[int]):
     """Ball on the induced subgraph of `vertices`, or None if `vertices` is
     empty or that subgraph is disconnected; one vertex gives the radius-0
-    ball. Returns (sub_ball, original_labels)."""
+    ball. Returns (sub_ball, members): `members` is the ascending int64
+    array of the original ids, so vertex i of sub_ball is members[i]."""
     verts = np.unique(np.asarray(vertices, dtype=np.int64))
     if verts.size == 0:
         return None
@@ -356,7 +357,7 @@ def induced_ball(ball: GraphBall, vertices: Sequence[int]):
         return None
     sub = GraphBall(base=base, radius=int(dist.max()), indptr=indptr,
                     indices=indices, dist=dist)
-    return sub, tuple(verts.tolist())
+    return sub, verts
 
 
 def _leaf_wideness(name: str, ball: GraphBall, C: float, segment_length: int,
@@ -413,9 +414,9 @@ def verify_thick(ball: GraphBall, structure: ThickStructure,
                                divergence_slope=None, wide_ok=False)
             subset_verdicts.append(SubsetVerdict(name=s.name, verdict=leaf))
             continue
-        sub_ball, labels = induced
+        sub_ball, members = induced
         if s.substructure is not None:
-            remap = {v: i for i, v in enumerate(labels)}
+            remap = {v: i for i, v in enumerate(members.tolist())}
             nested = _remap_structure(s.substructure, remap)
             verdict = verify_thick(sub_ball, nested, div, segment_length)
         else:

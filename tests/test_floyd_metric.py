@@ -519,20 +519,160 @@ ROW_BALLS = {
 }
 
 
+# Flat stretches (ratio exactly 1) and values that are not dyadic.
+FLAT_TABLE = (0.9, 0.9, 0.7, 0.7, 0.7, 0.3, 0.11, 0.11, 0.05, 0.013, 0.013, 0.007)
+
+
+def _floyd(spec, tmp_path):
+    """parse_floyd(spec); "table:flat" reads FLAT_TABLE from a table file."""
+    if spec == "table:flat":
+        path = tmp_path / "flat.txt"
+        path.write_text("".join(f"{v!r}\n" for v in FLAT_TABLE))
+        spec = f"table:{path}"
+    return parse_floyd(spec)
+
+
+def _recorded_dijkstra(monkeypatch):
+    """Patch floyd_metric.dijkstra to record (indices, limit, result) per call."""
+    calls = []
+    dijkstra = floyd_metric.dijkstra
+
+    def recorded(*args, indices, limit=math.inf, **kwargs):
+        result = dijkstra(*args, indices=indices, limit=limit, **kwargs)
+        calls.append((list(indices), limit, result))
+        return result
+
+    monkeypatch.setattr(floyd_metric, "dijkstra", recorded)
+    return calls
+
+
+def _via_base_bound(w, r):
+    """2 * (f(0) + ... + f(r - 1)) with the relative slack, from the definition."""
+    return 2 * sum(w.floyd.value(k) for k in range(r)) * (1 + 1e-9)
+
+
 @pytest.mark.parametrize("name", sorted(ROW_BALLS))
-@pytest.mark.parametrize("floyd", ["invpow:2", "exp:0.5"])
-def test_gathered_rows_equal_direct_rows(name, floyd):
+@pytest.mark.parametrize("floyd", ["invpow:2", "exp:0.5", "table:flat"])
+def test_gathered_rows_equal_direct_rows(name, floyd, tmp_path, monkeypatch):
     from scipy.sparse.csgraph import dijkstra
 
     ball = ROW_BALLS[name]()
-    w = floyd_weighting(ball, parse_floyd(floyd))
+    w = floyd_weighting(ball, _floyd(floyd, tmp_path))
     assert len(ball.automorphisms) > 1
+    calls = _recorded_dijkstra(monkeypatch)
     for r in range(1, ball.radius + 1):
         verts = np.array(sphere(ball, r).vertices)
         for sources in (verts, verts[1::3]):
             direct = dijkstra(w.matrix, directed=True, indices=sources)[:, verts]
+            calls.clear()
             block = _sphere_rows(w, sources, verts)
             assert np.array_equal(block, direct)  # bit for bit
+            # Every search stops at the via-base bound; none falls back.
+            assert calls and all(
+                limit == pytest.approx(_via_base_bound(w, r), rel=1e-12)
+                for _, limit, _ in calls)
+
+
+@pytest.mark.parametrize("name", sorted(ROW_BALLS))
+def test_forced_fallback_and_one_row_blocks_keep_the_rows(name, tmp_path,
+                                                          monkeypatch):
+    from scipy.sparse.csgraph import dijkstra
+
+    ball = ROW_BALLS[name]()
+    w = floyd_weighting(ball, _floyd("table:flat", tmp_path))
+    r = ball.radius - 1
+    verts = np.array(sphere(ball, r).vertices)
+    direct = dijkstra(w.matrix, directed=True, indices=verts)[:, verts]
+    reps = np.unique(ball.orbit_min[verts]).tolist()
+    calls = _recorded_dijkstra(monkeypatch)
+
+    # A bound of 0 reaches only the source itself, so every row reruns
+    # unbounded.
+    monkeypatch.setattr(floyd_metric, "_via_base_limit", lambda *args: 0.0)
+    assert np.array_equal(_sphere_rows(w, verts, verts), direct)
+    assert [limit for _, limit, _ in calls] == [0.0, math.inf]
+    assert calls[0][0] == calls[1][0] == reps
+    monkeypatch.undo()
+
+    # One row per scipy call.
+    calls = _recorded_dijkstra(monkeypatch)
+    monkeypatch.setattr(floyd_metric, "ROW_BLOCK_BYTES", 1)
+    assert np.array_equal(_sphere_rows(w, verts, verts), direct)
+    assert [indices for indices, _, _ in calls] == [[rep] for rep in reps]
+    assert all(limit < math.inf for _, limit, _ in calls)
+
+
+def test_scan_rows_are_blocked_by_bytes(monkeypatch):
+    # 3 rows of 8-byte floats per block: 3 * 8 * V bytes.
+    ball = cayley_ball(Free(2), 5)
+    w = floyd_weighting(ball, INVPOW2)
+    verts = np.array(sphere(ball, 5).vertices)
+    reps = np.unique(ball.orbit_min[verts]).tolist()
+    assert len(reps) > 6
+    calls = _recorded_dijkstra(monkeypatch)
+    monkeypatch.setattr(floyd_metric, "ROW_BLOCK_BYTES", 3 * 8 * ball.vertex_count + 7)
+    _sphere_rows(w, verts, verts)
+    assert [indices for indices, _, _ in calls] == [
+        reps[i:i + 3] for i in range(0, len(reps), 3)]
+
+
+def test_via_base_bound_prunes_the_f2_scan(monkeypatch):
+    # On a tree the bound cuts off every branch that the sphere's pairs do
+    # not use: at r < 6 each search leaves vertices of the ball unreached.
+    ball = cayley_ball(Free(2), 6)
+    w = floyd_weighting(ball, INVPOW2)
+    calls = _recorded_dijkstra(monkeypatch)
+    reached = {}
+    for r in range(1, 7):
+        calls.clear()
+        result = sphere_floyd_diameter(w, r, margin=1.0)
+        assert result.diameter <= _via_base_bound(w, r)
+        assert [limit for _, limit, _ in calls] == [
+            pytest.approx(_via_base_bound(w, r), rel=1e-12)]
+        rows = calls[0][2]
+        reached[r] = np.isfinite(rows).mean(axis=1).max()
+    assert all(reached[r] < 0.5 for r in range(1, 6))
+    assert reached[6] == 1.0
+
+
+def test_base_sums_are_geodesic_floyd_lengths(f2_small):
+    ball, _ = f2_small
+    f = FloydFunction.custom_table(FLAT_TABLE)
+    sums = floyd_metric.base_sums(f, 6)
+    assert sums.tolist() == [sum(f.value(k) for k in range(n)) for n in range(7)]
+    assert floyd_metric.base_sums(f, 0).tolist() == [0.0]
+    # A geodesic from the base to S_n has one edge of each level k < n.
+    w = floyd_weighting(ball, f)
+    for v in np.flatnonzero(ball.dist == 4)[:5]:
+        assert floyd_distance(w, ball.base, int(v)) == pytest.approx(sums[4], rel=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(ROW_BALLS))
+@pytest.mark.parametrize("floyd", ["invpow:2", "exp:0.5", "table:flat"])
+def test_bounded_floyd_distance_equals_unbounded(name, floyd, tmp_path,
+                                                 monkeypatch):
+    from scipy.sparse.csgraph import dijkstra
+
+    ball = ROW_BALLS[name]()
+    w = floyd_weighting(ball, _floyd(floyd, tmp_path))
+    rng = random.Random(name + floyd)
+    pairs = [(rng.randrange(ball.vertex_count), rng.randrange(ball.vertex_count))
+             for _ in range(30)]
+    direct = [float(dijkstra(w.matrix, directed=True, indices=[u])[0, v])
+              for u, v in pairs]
+    calls = _recorded_dijkstra(monkeypatch)
+    assert [floyd_distance(w, u, v) for u, v in pairs] == direct  # bit for bit
+    sums = floyd_metric.base_sums(w.floyd, ball.radius)
+    assert [limit for _, limit, _ in calls] == [
+        pytest.approx((sums[ball.dist[u]] + sums[ball.dist[v]]) * (1 + 1e-9),
+                      rel=1e-12) for u, v in pairs if u != v]
+
+    # A bound of 0 reaches nothing but u, and the exact fallback reruns.
+    calls.clear()
+    monkeypatch.setattr(floyd_metric, "_via_base_limit", lambda *args: 0.0)
+    assert [floyd_distance(w, u, v) for u, v in pairs] == direct
+    assert [limit for _, limit, _ in calls] == [0.0, math.inf] * sum(
+        u != v for u, v in pairs)
 
 
 def test_floyd_distance_is_not_symmetric_in_the_last_place():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from floydlab import thickness
@@ -158,11 +159,12 @@ def test_induced_metric_dominates_ambient(z2_small):
     ball, elements = z2_small
     ring = tuple(i for i, el in enumerate(elements)
                  if 2 <= abs(el[0]) + abs(el[1]) <= 4)
-    sub, labels = induced_ball(ball, ring)
+    sub, members = induced_ball(ball, ring)
+    assert members.tolist() == sorted(ring)
     for i in range(0, sub.vertex_count, 5):
         dists = bfs_distances(sub.adjacency, i)
         for j in range(sub.vertex_count):
-            assert dists[j] >= graph_distance(ball, labels[i], labels[j])
+            assert dists[j] >= graph_distance(ball, int(members[i]), int(members[j]))
 
 
 def test_induced_disconnected_subset_returns_none(z2_small):
@@ -173,9 +175,9 @@ def test_induced_disconnected_subset_returns_none(z2_small):
 
 def test_induced_one_vertex_subset_is_its_radius_0_ball(z2_small):
     ball, _ = z2_small
-    sub, labels = induced_ball(ball, (5,))
+    sub, members = induced_ball(ball, (5,))
     assert (sub.vertex_count, sub.edge_count, sub.radius) == (1, 0, 0)
-    assert labels == (5,)
+    assert members.dtype == np.int64 and members.tolist() == [5]
 
 
 def test_verify_thick_one_vertex_subset_is_connected_and_inconclusive(z2_small):

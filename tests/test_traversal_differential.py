@@ -1249,8 +1249,9 @@ def test_induced_ball_matches_neighbor_list_loop(name):
             if old is None:
                 assert new is None
                 continue
-            (sub, labels), (old_sub, old_labels) = new, old
-            assert labels == old_labels
+            (sub, members), (old_sub, old_labels) = new, old
+            assert members.dtype == np.int64
+            assert np.array_equal(members, old_labels)
             assert sub == old_sub
             assert sub.adjacency == old_sub.adjacency
             assert sub.dist.tolist() == old_sub.dist.tolist()
