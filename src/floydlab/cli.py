@@ -35,9 +35,8 @@ def _vertex_cap(args) -> int:
     env = os.environ.get(ENV_VERTEX_CAP)
     if env is None:
         return args.cap
-    if not (env.isascii() and env.isdigit()):
-        raise ValueError(f"{ENV_VERTEX_CAP}: expected a nonnegative integer, "
-                         f"got {env!r}")
+    if not (env.isascii() and env.isdigit() and int(env) >= 1):
+        raise ValueError(f"{ENV_VERTEX_CAP}: expected an integer >= 1, got {env!r}")
     return int(env)
 
 
@@ -243,16 +242,18 @@ def build_parser() -> _Parser:
     return parser
 
 
-_COUNT_FLAGS = ("cap", "pair_cap", "pairs_per_n", "c_per_pair", "threads")
+# flag -> least value
+_INT_FLAGS = {"cap": 1, "pair_cap": 1, "pairs_per_n": 1, "c_per_pair": 1,
+              "threads": 1, "radius": 0}
 
 
-def _check_counts(args) -> None:
-    """Every count flag the command has must be at least 1."""
-    for name in _COUNT_FLAGS:
+def _check_ints(args) -> None:
+    """Every integer flag the command has must be at least its least value."""
+    for name, least in _INT_FLAGS.items():
         value = getattr(args, name, None)
-        if value is not None and value < 1:
+        if value is not None and value < least:
             flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag}: expected an integer >= 1, got {value}")
+            raise ValueError(f"{flag}: expected an integer >= {least}, got {value}")
 
 
 # flag -> (range test, which is false for NaN; what the flag expects)
@@ -275,7 +276,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_counts(args)
+        _check_ints(args)
         _check_reals(args)
         return args.func(args)
     except (FloydlabError, ValueError, OSError) as exc:

@@ -121,10 +121,14 @@ def parse_floyd(spec: str) -> FloydFunction:
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(f"unknown floyd spec {spec!r}")
-    if kind == "invpow":
-        return FloydFunction.inverse_power(float(rest))
-    if kind == "exp":
-        return FloydFunction.exponential(float(rest))
+    if kind in ("invpow", "exp"):
+        try:
+            value = float(rest)
+        except ValueError:
+            raise ValueError(f"bad parameter in floyd spec {spec!r}") from None
+        if kind == "invpow":
+            return FloydFunction.inverse_power(value)
+        return FloydFunction.exponential(value)
     if kind == "table":
         values = []
         with open(rest, "r", encoding="utf-8") as fh:
@@ -480,7 +484,7 @@ def karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
         v = rng.randrange(ball.vertex_count)
         if u == v:
             continue
-        _, parent = bfs_parents(ball.adjacency, u)
+        _, parent = bfs_parents(*ball.csr_arrays, u)
         path = extract_path(parent, v)
         record(path)
         if C > 1:
@@ -504,5 +508,5 @@ def karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
 def _punctured_geodesic(ball: GraphBall, u: int, v: int,
                         allowed: Sequence[bool]) -> list[int] | None:
     """Shortest u-v path through the vertices whose `allowed` entry is true."""
-    _, dist, parent = bfs(ball.adjacency, [u], allowed=allowed)
-    return extract_path(parent, v) if dist[v] >= 0 else None
+    _, dist, parent = bfs(*ball.csr_arrays, [u], allowed=allowed)
+    return extract_path(parent, v) if v in dist else None

@@ -38,11 +38,11 @@ class GraphBall:
     The stored form is three int64 arrays: the symmetric adjacency in CSR
     form (`indptr`, `indices`, each row sorted ascending) and the distance of
     every vertex from the base; every constructor builds these arrays, and
-    no other edge layout is stored. The ball keeps the arrays it is given
-    and makes them read-only. `slot_rows`, `edge_arrays` and the neighbor
-    tuple view `adjacency` are derived on first use; `dist` is the only view
-    of base distances. Safe for concurrent reads; construction happens
-    once, up front.
+    no other edge layout is stored: every search reads its rows from them.
+    The ball keeps the arrays it is given and makes them read-only.
+    `slot_rows` and `edge_arrays` are derived on first use; `dist` is the
+    only view of base distances. Safe for concurrent reads; construction
+    happens once, up front.
     """
 
     base: int
@@ -82,16 +82,6 @@ class GraphBall:
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) of the symmetric unweighted adjacency."""
         return self.indptr, self.indices
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor tuple of every vertex."""
-        # One shared int object per vertex: `indices.tolist()` would make one
-        # per CSR entry, about 2.5 MB more on a ball of 80k entries.
-        labels = list(range(self.vertex_count))
-        flat = list(map(labels.__getitem__, memoryview(self.indices)))
-        bounds = self.indptr.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
     def slot_rows(self) -> np.ndarray:
@@ -177,16 +167,6 @@ def unit_matrix(indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
     searches."""
     n = len(indptr) - 1
     return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-
-
-def csr_distances(indptr: np.ndarray, indices: np.ndarray,
-                  source: int) -> np.ndarray:
-    """Breadth-first distances from `source` over CSR arrays; unreached
-    vertices get -1."""
-    dist = dijkstra(unit_matrix(indptr, indices), directed=True,
-                    unweighted=True, indices=source)
-    dist[np.isinf(dist)] = -1
-    return dist.astype(np.int64)
 
 
 GROUP_CAP = 64  # most automorphisms find_automorphisms keeps
@@ -407,29 +387,34 @@ class Sphere:
     vertices: tuple[int, ...]
 
 
-def bfs(adjacency: Sequence[Sequence[int]], sources: Iterable[int],
+def bfs(indptr: np.ndarray, indices: np.ndarray, sources: Iterable[int],
         cap: int | None = None, allowed: Sequence[bool] | None = None
-        ) -> tuple[list[int], list[int], list[int]]:
-    """Breadth-first search from `sources`; returns (order, dist, parent).
+        ) -> tuple[list[int], dict[int, int], dict[int, int]]:
+    """Breadth-first search over CSR arrays from `sources`; returns
+    (order, dist, parent).
 
     `order` lists the reached vertices in discovery order (every source
-    first); `dist` and `parent` are dense, with -1 for unreached vertices and
-    for the parents of sources. Sources are seeded in the order given,
+    first); `dist` and `parent` are dicts over the reached vertices, with
+    parent -1 for the sources. Sources are seeded in the order given,
     skipping duplicates and sources outside `allowed`. The queue is FIFO over
-    each vertex's adjacency in stored order, and the first discoverer of a
+    each vertex's CSR row in stored order, and the first discoverer of a
     vertex becomes its parent. `cap` stops the search beyond that depth
-    (distances > cap stay -1); `allowed` restricts the search to vertices
-    whose entry is true.
+    (vertices farther than cap are not reached); `allowed` restricts the
+    search to vertices whose entry is true.
 
-    The cost is the part of the graph the search reaches plus two lists of
-    length V, so capped searches stay local.
+    The cost is the part of the graph the search reaches, so capped
+    searches stay local; callers that want a whole distance row take
+    `bfs_distances`.
     """
-    dist = [-1] * len(adjacency)
-    parent = [-1] * len(adjacency)
+    ptr = memoryview(indptr)
+    row = memoryview(indices)
+    dist: dict[int, int] = {}
+    parent: dict[int, int] = {}
     order: list[int] = []
     for s in sources:
-        if dist[s] < 0 and (allowed is None or allowed[s]):
+        if s not in dist and (allowed is None or allowed[s]):
             dist[s] = 0
+            parent[s] = -1
             order.append(s)
     # `order` doubles as the FIFO queue; its distances never decrease, so
     # the first vertex at depth `cap` ends the search.
@@ -441,32 +426,41 @@ def bfs(adjacency: Sequence[Sequence[int]], sources: Iterable[int],
         if cap is not None and du >= cap:
             break
         du += 1
-        for v in adjacency[u]:
-            if dist[v] < 0 and (allowed is None or allowed[v]):
+        for v in row[ptr[u]:ptr[u + 1]]:
+            if v not in dist and (allowed is None or allowed[v]):
                 dist[v] = du
                 parent[v] = u
                 order.append(v)
     return order, dist, parent
 
 
-def bfs_distances(adjacency: Sequence[Sequence[int]], source: int,
-                  cap: int | None = None) -> list[int]:
-    """BFS distances from `source`; unreached vertices get -1.
+def bfs_distances(indptr: np.ndarray, indices: np.ndarray,
+                  sources: int | Sequence[int], cap: int | None = None) -> np.ndarray:
+    """Breadth-first distances over CSR arrays from `sources` (one vertex, or
+    several: the distance to the nearest), as one int64 array of length V;
+    unreached vertices get -1.
 
     `cap` stops the search beyond that depth (distances > cap stay -1).
     """
-    return bfs(adjacency, (source,), cap)[1]
+    dist = dijkstra(unit_matrix(indptr, indices), directed=True, unweighted=True,
+                    indices=sources, limit=np.inf if cap is None else cap,
+                    min_only=True)
+    dist[np.isinf(dist)] = -1
+    return dist.astype(np.int64)
 
 
-def bfs_parents(adjacency: Sequence[Sequence[int]], source: int,
-                cap: int | None = None) -> tuple[list[int], list[int]]:
-    """BFS distances and predecessor tree (the first discoverer is the parent)."""
-    _, dist, parent = bfs(adjacency, (source,), cap)
+def bfs_parents(indptr: np.ndarray, indices: np.ndarray, source: int,
+                cap: int | None = None) -> tuple[dict[int, int], dict[int, int]]:
+    """BFS distances and predecessor tree from `source`, as `bfs` gives them
+    (the first discoverer is the parent)."""
+    _, dist, parent = bfs(indptr, indices, (source,), cap)
     return dist, parent
 
 
-def extract_path(parent: Sequence[int], target: int) -> list[int]:
-    """Path from the BFS source to `target` following predecessors."""
+def extract_path(parent, target: int) -> list[int]:
+    """Path from the search source to `target` following predecessors:
+    `parent` maps a vertex to its predecessor, and a negative entry ends the
+    path (a `bfs` parent dict, or a scipy predecessor row)."""
     path = [target]
     while parent[path[-1]] >= 0:
         path.append(parent[path[-1]])
@@ -483,35 +477,31 @@ def build_ball(edges: Iterable[tuple[Hashable, Hashable]], base: Hashable,
     """
     if declared_radius < 0:
         raise ValueError("declared_radius must be nonnegative")
-    edge_set: set[tuple[int, int]] = set()
     order: dict[Hashable, int] = {}  # label -> number in order of appearance
-    adjacency: list[list[int]] = []
-
-    def note(label: Hashable) -> int:
-        if label not in order:
-            order[label] = len(order)
-            adjacency.append([])
-        return order[label]
+    distinct: dict[tuple[int, int], None] = {}  # edges in order of appearance
 
     n_edges = 0
     for u, v in edges:
         n_edges += 1
         if u == v:
             raise SelfLoop(f"self-loop at vertex {u!r}")
-        iu, iv = note(u), note(v)
-        pair = (min(iu, iv), max(iu, iv))
-        if pair in edge_set:
-            continue
-        edge_set.add(pair)
-        adjacency[iu].append(iv)
-        adjacency[iv].append(iu)
+        iu = order.setdefault(u, len(order))
+        iv = order.setdefault(v, len(order))
+        distinct[min(iu, iv), max(iu, iv)] = None
     if n_edges == 0:
         raise ValueError("edge list is empty")
     if base not in order:
         raise DisconnectedGraph(f"base {base!r} does not appear in any edge")
 
-    # BFS from the base; discovery order defines the dense relabeling.
-    found, dist, _ = bfs(adjacency, (order[base],))
+    # Edge k gives the entries u->v and v->u; the stable sort by row keeps
+    # every row in the order its edges appeared, which the BFS numbering
+    # walks.
+    pairs = np.array(list(distinct), dtype=np.int64)
+    rows = pairs.ravel()
+    by_row = np.argsort(rows, kind="stable")
+    indptr = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(order)), out=indptr[1:])
+    found, dist, _ = bfs(indptr, pairs[:, ::-1].ravel()[by_row], (order[base],))
     if len(found) != len(order):
         missing = len(order) - len(found)
         raise DisconnectedGraph(f"{missing} vertices unreachable from the base")
@@ -521,10 +511,11 @@ def build_ball(edges: Iterable[tuple[Hashable, Hashable]], base: Hashable,
             f"vertex at distance {max_dist} exceeds declared radius {declared_radius}")
     index = np.empty(len(found), dtype=np.int64)
     index[found] = np.arange(len(found))
-    pairs = index[np.array(list(edge_set), dtype=np.int64)]
+    pairs = index[pairs]
     indptr, indices = csr_from_edges(len(found), pairs[:, 0], pairs[:, 1])
+    # `dist` gained its keys in discovery order, the new numbering.
     return GraphBall(base=0, radius=declared_radius, indptr=indptr,
-                     indices=indices, dist=np.array(dist)[found])
+                     indices=indices, dist=list(dist.values()))
 
 
 def single_vertex_ball() -> GraphBall:
@@ -687,7 +678,7 @@ def read_graph_file(path) -> GraphBall:
         return ball
 
     indptr, indices = csr_from_edges(v_count, *edges)
-    dist = csr_distances(indptr, indices, base)
+    dist = bfs_distances(indptr, indices, base)
     if dist.min() < 0:
         raise ConsistencyError("graph in file is not connected")
     if dist.max() > radius:

@@ -63,22 +63,23 @@ def qg_certify(ball: GraphBall, path) -> float:
         raise ValueError("empty path")
     for v in verts:
         ball.check_index(v)
-    for i in range(len(verts) - 1):
-        if verts[i + 1] not in ball.adjacency[verts[i]]:
-            raise NonPath(f"vertices {verts[i]} and {verts[i + 1]} not adjacent")
+    indptr, indices = ball.csr_arrays
+    for u, v in zip(verts, verts[1:]):
+        if v not in indices[indptr[u]:indptr[u + 1]]:
+            raise NonPath(f"vertices {u} and {v} not adjacent")
     total = len(verts) - 1
     if total == 0:
         return 1.0
-    dist_from: dict[int, list[int]] = {}
-    for v in set(verts):
-        if v not in dist_from:
-            dist_from[v] = bfs_distances(ball.adjacency, v, cap=total)
+    # Row v holds the distances from v to every path position.
+    at = np.array(verts)
+    dist_from = {v: bfs_distances(indptr, indices, v, cap=total)[at].tolist()
+                 for v in set(verts)}
     c = 1.0
     for i in range(len(verts)):
         row = dist_from[verts[i]]
         for j in range(i + 1, len(verts)):
             sub = j - i
-            d = row[verts[j]]
+            d = row[j]
             c = max(c, sub / (d + 1))
             c = max(c, (math.sqrt(sub * sub + 4 * d) - sub) / 2)
     return c
@@ -131,7 +132,7 @@ def escape_ray_search(ball: GraphBall, x: int, C: float, inner_radius: float,
     if not targets:
         return None
 
-    near = bfs_distances(ball.adjacency, x, cap=int(C))
+    near = bfs_distances(*ball.csr_arrays, x, cap=int(C)).tolist()
     candidates = sorted(
         (d, v) for v, d in enumerate(near) if 0 <= d <= C and allowed[v])
     for _, start in candidates:
@@ -142,8 +143,9 @@ def escape_ray_search(ball: GraphBall, x: int, C: float, inner_radius: float,
 
 
 def _search_from(ball, start, C, allowed, targets):
-    _, dist, parent = bfs(ball.adjacency, [start], allowed=allowed)
-    reachable = [(dist[t], t) for t in targets if dist[t] >= 0]
+    indptr, indices = ball.csr_arrays
+    _, dist, parent = bfs(indptr, indices, [start], allowed=allowed)
+    reachable = [(dist[t], t) for t in targets if t in dist]
     if not reachable:
         return None
     shortest, best_target = min(reachable)
@@ -154,9 +156,11 @@ def _search_from(ball, start, C, allowed, targets):
 
     # Bounded backtracking: enumerate paths of length <= shortest + 2C whose
     # every prefix can still reach a target within budget.
-    dist_to_target = bfs(ball.adjacency, sorted(targets), allowed=allowed)[1]
+    # Only allowed vertices are reached, so the DFS steps on reached ones.
+    dist_to_target = bfs(indptr, indices, sorted(targets), allowed=allowed)[1]
     budget = shortest + int(2 * C)
     tried = 0
+    ptr, row = memoryview(indptr), memoryview(indices)
 
     def dfs(v, used, seen, trail):
         nonlocal tried
@@ -168,8 +172,8 @@ def _search_from(ball, start, C, allowed, targets):
             if c_here <= C + 1e-12:
                 return PathWitness(vertices=tuple(trail), certified_C=c_here)
             return None
-        for w in ball.adjacency[v]:
-            if w in seen or not allowed[w] or dist_to_target[w] < 0:
+        for w in row[ptr[v]:ptr[v + 1]]:
+            if w in seen or w not in dist_to_target:
                 continue
             if used + 1 + dist_to_target[w] > budget:
                 continue
@@ -260,21 +264,21 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
 
 
 def _middle_segment(ball, x, C, half, u_cap):
-    adjacency = ball.adjacency
-    order, near, _ = bfs(adjacency, [x], cap=int(C))
+    csr = ball.csr_arrays
+    order, near, _ = bfs(*csr, [x], cap=int(C))
     for x1 in sorted(order, key=lambda v: (near[v], v)):
-        order1, dist1, parent1 = bfs(adjacency, [x1], cap=half)
+        order1, dist1, parent1 = bfs(*csr, [x1], cap=half)
         ring = sorted(v for v in order1 if dist1[v] == half)
         if not ring:
             continue
         for u in ring[:u_cap]:
             # Every ring vertex is within 2*half of u through x1, so the ones
             # this search leaves unreached are exactly those at 2*half.
-            du = bfs(adjacency, [u], cap=2 * half - 1)[1]
+            du = bfs(*csr, [u], cap=2 * half - 1)[1]
             antipode = None
             relaxed = None
             for wv in ring:
-                if du[wv] < 0:
+                if wv not in du:
                     antipode = wv
                     break
                 if relaxed is None or du[wv] > du[relaxed]:

@@ -21,10 +21,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .divergence import DivergenceParams, div_function_estimate, growth_fit
 from .errors import InsufficientData, SegmentTooLong, StructureDepthMismatch
-from .graph_core import GraphBall, bfs, bfs_distances, csr_distances, csr_induced
+from .graph_core import (GraphBall, bfs_distances, csr_from_edges, csr_induced,
+                         unit_matrix)
 from .quasigeodesic import wideness_probe
 
 DIV_N_MIN = 2  # smallest n of a leaf's divergence fit
@@ -187,11 +189,10 @@ def verify_cover(ball: GraphBall, structure: ThickStructure) -> CoverReport:
     reported as data, not errors."""
     _check_vertex_range(ball, structure, "")
     cap = int(math.floor(structure.C))
-    covered = [False] * ball.vertex_count
+    covered = np.zeros(ball.vertex_count, dtype=bool)
     for s in structure.subsets:
-        for v in bfs(ball.adjacency, s.vertices, cap)[0]:
-            covered[v] = True
-    violators = tuple(v for v, ok in enumerate(covered) if not ok)
+        covered |= bfs_distances(*ball.csr_arrays, s.vertices, cap) >= 0
+    violators = tuple(np.flatnonzero(~covered).tolist())
     return CoverReport(ok=not violators, violators=violators, C=structure.C)
 
 
@@ -200,11 +201,10 @@ def _set_diameter_at_least(ball: GraphBall, vertices: Sequence[int],
     """Whether the set has ball-metric diameter >= bound (early exit)."""
     if len(vertices) < 2:
         return bound <= 0
-    member = set(vertices)
+    members = np.unique(vertices)
     best = 0
-    for s in sorted(member):
-        dist = bfs_distances(ball.adjacency, s)
-        ecc = max(dist[v] for v in member)
+    for s in members.tolist():
+        ecc = int(bfs_distances(*ball.csr_arrays, s)[members].max())
         best = max(best, ecc)
         if best >= bound:
             return True
@@ -217,24 +217,20 @@ def verify_chains(ball: GraphBall, structure: ThickStructure) -> ChainReport:
     is connected."""
     m = len(structure.subsets)
     cap = int(math.floor(structure.C))
-    near = [set(bfs(ball.adjacency, s.vertices, cap)[0]) for s in structure.subsets]
+    near = [bfs_distances(*ball.csr_arrays, s.vertices, cap) >= 0
+            for s in structure.subsets]
+    members = [np.array(s.vertices) for s in structure.subsets]
     edges = []
-    links: list[list[int]] = [[] for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            meet_ij = [v for v in structure.subsets[j].vertices if v in near[i]]
-            meet_ji = [v for v in structure.subsets[i].vertices if v in near[j]]
+            meet_ij = members[j][near[i][members[j]]]
+            meet_ji = members[i][near[j][members[i]]]
             if (_set_diameter_at_least(ball, meet_ij, structure.D_min)
                     or _set_diameter_at_least(ball, meet_ji, structure.D_min)):
                 edges.append((i, j))
-                links[i].append(j)
-                links[j].append(i)
-    seen: set[int] = set()
-    components = 0
-    for root in range(m):
-        if root not in seen:
-            seen.update(bfs(links, [root])[0])
-            components += 1
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    links = unit_matrix(*csr_from_edges(m, ends[:, 0], ends[:, 1]))
+    components = int(connected_components(links, directed=False)[0])
     return ChainReport(ok=components == 1, edges=tuple(edges),
                        component_count=components, D_min=structure.D_min)
 
@@ -352,7 +348,7 @@ def induced_ball(ball: GraphBall, vertices: Sequence[int]):
         return None
     indptr, indices = csr_induced(*ball.csr_arrays, verts)
     base = int(np.argmin(ball.dist[verts]))  # nearest the base, then smallest
-    dist = csr_distances(indptr, indices, base)
+    dist = bfs_distances(indptr, indices, base)
     if dist.min() < 0:
         return None
     sub = GraphBall(base=base, radius=int(dist.max()), indptr=indptr,

@@ -10,7 +10,14 @@ from collections import deque
 from itertools import count
 import random
 
-from floydlab.graph_core import build_ball
+import numpy as np
+
+from floydlab.graph_core import GraphBall, bfs_distances, build_ball, csr_from_edges
+
+
+def neighbors(ball, v):
+    """The neighbor tuple of vertex v, read from the ball's CSR arrays."""
+    return tuple(ball.indices[ball.indptr[v]:ball.indptr[v + 1]].tolist())
 
 
 def min_floyd_over_simple_paths(weighting, u, v):
@@ -33,7 +40,7 @@ def min_floyd_over_simple_paths(weighting, u, v):
         if x == v:
             best[0] = acc
             return
-        for y in ball.adjacency[x]:
+        for y in neighbors(ball, x):
             if not seen[y]:
                 seen[y] = True
                 dfs(y, acc + f.value(min(dist[x], dist[y])))
@@ -62,6 +69,22 @@ def random_small_ball(rng: random.Random, max_vertices: int = 8):
     n = rng.randrange(2, max_vertices + 1)
     edges = random_connected_edges(rng, n)
     return build_ball(edges, 0, n)
+
+
+def wind_and_rail_ball():
+    """Hub at 1; from x = 3 the shortest punctured route to the unique
+    sphere vertex 10 winds past hub-close vertices (certifies only at 4/3),
+    while an equally long rail-supported chain certifies at 1.2."""
+    edges = [(0, 1), (0, 2), (2, 3), (1, 4), (1, 5), (3, 4), (4, 6), (6, 7),
+             (7, 8), (8, 5), (5, 9), (9, 10), (3, 11), (11, 12), (12, 13),
+             (13, 14), (14, 15), (15, 16), (16, 10), (1, 17), (17, 7),
+             (1, 18), (18, 12), (1, 19), (19, 13), (1, 20), (20, 14),
+             (1, 21), (21, 15), (1, 22), (22, 16)]
+    u, v = np.array(edges).T
+    indptr, indices = csr_from_edges(23, u, v)
+    dist = bfs_distances(indptr, indices, 0)
+    return GraphBall(base=0, radius=int(dist.max()), indptr=indptr,
+                     indices=indices, dist=dist)
 
 
 def grid_punctured_distance(a, b, c, threshold, box):
@@ -147,7 +170,7 @@ def python_punctured_bfs(ball, source, target, forbidden):
     queue = deque([source])
     while queue:
         x = queue.popleft()
-        for y in ball.adjacency[x]:
+        for y in neighbors(ball, x):
             if y not in dist and y not in forbidden:
                 if y == target:
                     return dist[x] + 1
@@ -170,7 +193,7 @@ def is_quasi_geodesic(ball, path, C):
     """Whether `path` is an edge path of the ball whose vertex pairs all
     satisfy (1/C) d - C <= |subpath| <= C d + C, with every d a python BFS
     distance and a 1e-9 tolerance."""
-    if any(w not in set(ball.adjacency[v]) for v, w in zip(path, path[1:])):
+    if any(w not in neighbors(ball, v) for v, w in zip(path, path[1:])):
         return False
     for i in range(len(path)):
         for j in range(i + 1, len(path)):
@@ -191,9 +214,7 @@ def vertex_of(model, elements, element):
 
 def naive_div_triple(ball, a, b, c, delta, gamma):
     """Reference divergence value using only python BFS over the ball."""
-    from floydlab.graph_core import bfs_distances
-
-    d_c = bfs_distances(ball.adjacency, c)
+    d_c = bfs_distances(*ball.csr_arrays, c).tolist()
     r = min(d_c[a], d_c[b])
     assert r > 0
     threshold = delta * r - gamma
@@ -212,7 +233,7 @@ def check_automorphism_group(ball, perms):
     maps = [tuple(int(x) for x in row) for row in perms]
     assert maps and maps[0] == tuple(range(n)), "identity is not first"
     assert len(set(maps)) == len(maps), "repeated element"
-    edges = {frozenset((u, v)) for u in range(n) for v in ball.adjacency[u]}
+    edges = {frozenset((u, v)) for u in range(n) for v in neighbors(ball, u)}
     for g in maps:
         assert sorted(g) == list(range(n)), "not a bijection"
         assert g[ball.base] == ball.base, "base moved"

@@ -49,7 +49,7 @@ from floydlab.thickness import (
     verify_thick,
 )
 
-from helpers import min_floyd_over_simple_paths, random_small_ball
+from helpers import min_floyd_over_simple_paths, neighbors, random_small_ball
 
 INVPOW2 = FloydFunction.inverse_power(2)
 HALF = DivergenceParams(0.5, 0.0)
@@ -232,7 +232,7 @@ def test_criterion_09_quasi_geodesic_certification():
         for _ in range(20):
             u = rng.randrange(ball.vertex_count)
             v = rng.randrange(ball.vertex_count)
-            _, parent = bfs_parents(ball.adjacency, u)
+            _, parent = bfs_parents(*ball.csr_arrays, u)
             path = extract_path(parent, v)
             if qg_certify(ball, path) != 1.0:
                 geodesics_ok = False
@@ -244,7 +244,7 @@ def test_criterion_09_quasi_geodesic_certification():
         path = [0]
         prev = None
         for _ in range(d + 2):
-            nxt = [u for u in ball.adjacency[path[-1]] if u != prev]
+            nxt = [u for u in neighbors(ball, path[-1]) if u != prev]
             prev = path[-1]
             path.append(nxt[0])
         if qg_certify(ball, path) != (d + 2) / (d + 1):

@@ -45,7 +45,7 @@ from floydlab.group_models import (
     parse_model,
 )
 
-from helpers import random_connected_edges
+from helpers import neighbors, random_connected_edges
 
 COORDINATE_SPECS = ["zn:1", "zn:2", "zn:3", "heis", "prod:zn:1,zn:2", "prod:heis,zn:1",
                     "free:2", "free:3", "prod:zn:1,free:2", "prod:free:2,zn:2"]
@@ -207,7 +207,8 @@ def test_graph_ball_equality_and_round_trip(tmp_path):
 
 def test_derived_views_match_the_arrays():
     ball = build_ball([(5, 7), (7, 9), (5, 9), (9, 11), (11, 13)], 7, 3)
-    assert ball.adjacency == ((1, 2), (0, 2), (0, 1, 3), (2, 4), (3,))
+    rows = tuple(neighbors(ball, v) for v in range(5))
+    assert rows == ((1, 2), (0, 2), (0, 1, 3), (2, 4), (3,))
     assert ball.dist.tolist() == [0, 1, 1, 2, 3]
     assert [a.tolist() for a in ball.edge_arrays] == [[0, 0, 1, 2, 3], [1, 2, 2, 3, 4]]
     assert ball.slot_rows.tolist() == [0, 0, 1, 1, 2, 2, 2, 3, 3, 4]
@@ -302,7 +303,8 @@ def outcome(reader, path):
     except (ParseError, ConsistencyError, UnicodeDecodeError) as exc:
         return type(exc).__name__, str(exc), getattr(exc, "line", None)
     if isinstance(result, GraphBall):
-        return (result.base, result.radius, result.adjacency,
+        return (result.base, result.radius,
+                tuple(neighbors(result, v) for v in range(result.vertex_count)),
                 tuple(result.dist.tolist()))
     return result
 
@@ -367,7 +369,8 @@ def test_reader_matches_the_per_line_reader_on_random_graphs(tmp_path, seed):
     ball = random_ball(rng)
     path = tmp_path / "g"
     write_graph_file(path, ball)
-    assert assert_readers_agree(path)[2] == ball.adjacency
+    assert assert_readers_agree(path)[2] == tuple(
+        neighbors(ball, v) for v in range(ball.vertex_count))
     assert read_graph_file(path) == ball
 
 

@@ -210,6 +210,25 @@ def test_count_flags_need_a_positive_integer(argv, flag, value):
     assert proc.stderr == f"floydlab: {flag}: expected an integer >= 1, got {value}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--model", "zn:2", "--out", "unused.graph"),
+    ("floyd-diam", "--model", "zn:2", "--floyd", "invpow:2", "--radii", "0..1"),
+    ("divergence", "--model", "zn:2", "--n-range", "1..2"),
+    ("criterion", "--model", "zn:2", "--floyd", "invpow:2", "--n-range", "1..2"),
+    ("verify-thick", "--model", "zn:2", "--structure", "unused.json"),
+])
+def test_radius_must_be_nonnegative(argv, capsys):
+    assert main([*argv, "--radius", "-1"]) == 1
+    assert capsys.readouterr().err == "floydlab: --radius: expected an integer >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("spec", ["invpow:x", "exp:", "invpow:", "exp:1/2"])
+def test_floyd_spec_parameter_must_be_a_real(spec, capsys):
+    argv = ["floyd-diam", *_SOURCE, "--floyd", spec, "--radii", "1..2"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"floydlab: bad parameter in floyd spec {spec!r}\n"
+
+
 @pytest.mark.parametrize("argv,flag,want", [
     (("divergence", *_SOURCE, "--n-range", "1..2", "--protocol", "exhaustive",
       "--gamma", "inf"), "--gamma", "a finite real >= 0, got inf"),
@@ -245,7 +264,7 @@ def test_radii_may_start_at_zero(tmp_path):
         ["0", "0.0"]]
 
 
-@pytest.mark.parametrize("value", ["abc", "٣", "-5", ""])
+@pytest.mark.parametrize("value", ["abc", "٣", "-5", "", "0"])
 def test_env_vertex_cap_must_be_ascii_digits(tmp_path, value):
     import os
     env = dict(os.environ, FLOYDLAB_VERTEX_CAP=value)
@@ -254,8 +273,8 @@ def test_env_vertex_cap_must_be_ascii_digits(tmp_path, value):
          "--radius", "2", "--out", str(tmp_path / "z.graph")],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 1
-    assert proc.stderr == ("floydlab: FLOYDLAB_VERTEX_CAP: expected a nonnegative "
-                           f"integer, got {value!r}\n")
+    assert proc.stderr == ("floydlab: FLOYDLAB_VERTEX_CAP: expected an integer "
+                           f">= 1, got {value!r}\n")
     assert not (tmp_path / "z.graph").exists()
 
 

@@ -47,6 +47,7 @@ from helpers import (
     check_automorphism_group,
     graph_distance,
     min_floyd_over_simple_paths,
+    neighbors,
     random_connected_edges,
     random_small_ball,
     vertex_of,
@@ -180,7 +181,7 @@ def test_weights_nonincreasing_outward(z2_small):
         assert w.path_length([u, v]) == w.path_length([v, u]) == weight(u, v)
         if dist[v] != dist[u] + 1:
             continue
-        for t in ball.adjacency[v]:
+        for t in neighbors(ball, v):
             if dist[t] == dist[v] + 1:
                 assert weight(v, t) <= weight(u, v)
 
@@ -387,7 +388,7 @@ def test_karlsson_self_consistent_resample(z2_mid):
         v = rng.randrange(ball.vertex_count)
         if u == v:
             continue
-        _, parent = bfs_parents(ball.adjacency, u)
+        _, parent = bfs_parents(*ball.csr_arrays, u)
         path = extract_path(parent, v)
         if min(ball.dist[x] for x in path) > est.radius:
             checked += 1

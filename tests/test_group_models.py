@@ -14,7 +14,8 @@ from floydlab.group_models import (
     parse_model,
 )
 
-from helpers import brute_force_word_lengths, graph_distance, heisenberg_matrix_words
+from helpers import (brute_force_word_lengths, graph_distance, heisenberg_matrix_words,
+                     neighbors)
 
 ALL_MODELS = [
     FreeAbelian(2),
@@ -79,7 +80,7 @@ def test_base_degree_equals_distinct_generator_images(model):
     identity = model.identity()
     images = {model.canonical_key(model.multiply(identity, g))
               for g in model.generator_labels()}
-    assert len(ball.adjacency[0]) == len(images)
+    assert len(neighbors(ball, 0)) == len(images)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)

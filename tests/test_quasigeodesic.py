@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from floydlab.errors import BadRadii, NonPath, SegmentTooLong
@@ -23,7 +22,7 @@ from floydlab.quasigeodesic import (
     wideness_probe,
 )
 
-from helpers import graph_distance, vertex_of
+from helpers import graph_distance, neighbors, vertex_of, wind_and_rail_ball
 
 
 def cycle_ball(d):
@@ -36,7 +35,7 @@ def cycle_walk(ball, length):
     path = [0]
     prev = None
     for _ in range(length):
-        nxt = [u for u in ball.adjacency[path[-1]] if u != prev]
+        nxt = [u for u in neighbors(ball, path[-1]) if u != prev]
         prev = path[-1]
         path.append(nxt[0])
     return path
@@ -49,7 +48,7 @@ def test_geodesics_certify_at_one():
         for _ in range(10):
             u = rng.randrange(ball.vertex_count)
             v = rng.randrange(ball.vertex_count)
-            _, parent = bfs_parents(ball.adjacency, u)
+            _, parent = bfs_parents(*ball.csr_arrays, u)
             path = extract_path(parent, v)
             assert qg_certify(ball, path) == 1.0
 
@@ -148,30 +147,12 @@ def test_escape_ray_search_gadget_inconclusive():
     edges = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7)]
     ball = build_ball(edges, 0, 4)
     x = next(v for v in range(ball.vertex_count)
-             if ball.dist[v] == 3 and len(ball.adjacency[v]) == 1)
+             if ball.dist[v] == 3 and len(neighbors(ball, v)) == 1)
     assert escape_ray_search(ball, x, 1.0, 2, 4) is None
 
 
-def _wind_and_rail_ball():
-    """Hub at 1; from x = 3 the shortest punctured route to the unique
-    sphere vertex 10 winds past hub-close vertices (certifies only at 4/3),
-    while an equally long rail-supported chain certifies at 1.2."""
-    from floydlab.graph_core import GraphBall, csr_distances, csr_from_edges
-
-    edges = [(0, 1), (0, 2), (2, 3), (1, 4), (1, 5), (3, 4), (4, 6), (6, 7),
-             (7, 8), (8, 5), (5, 9), (9, 10), (3, 11), (11, 12), (12, 13),
-             (13, 14), (14, 15), (15, 16), (16, 10), (1, 17), (17, 7),
-             (1, 18), (18, 12), (1, 19), (19, 13), (1, 20), (20, 14),
-             (1, 21), (21, 15), (1, 22), (22, 16)]
-    u, v = np.array(edges).T
-    indptr, indices = csr_from_edges(23, u, v)
-    dist = csr_distances(indptr, indices, 0)
-    return GraphBall(base=0, radius=int(dist.max()), indptr=indptr,
-                     indices=indices, dist=dist)
-
-
 def test_escape_ray_search_backtracking_fallback():
-    ball = _wind_and_rail_ball()
+    ball = wind_and_rail_ball()
     # The BFS-shortest punctured route is the winding one; at C = 1.3 it
     # fails certification and the bounded backtracking finds the chain.
     w = escape_ray_search(ball, 3, 1.3, 1, 4)

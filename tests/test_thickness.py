@@ -162,7 +162,7 @@ def test_induced_metric_dominates_ambient(z2_small):
     sub, members = induced_ball(ball, ring)
     assert members.tolist() == sorted(ring)
     for i in range(0, sub.vertex_count, 5):
-        dists = bfs_distances(sub.adjacency, i)
+        dists = bfs_distances(*sub.csr_arrays, i)
         for j in range(sub.vertex_count):
             assert dists[j] >= graph_distance(ball, int(members[i]), int(members[j]))
 

@@ -2,10 +2,15 @@
 replaced.
 
 The `old_*` functions below are verbatim copies of the hand-written loops
-that `graph_core.bfs` replaced (only their names changed), including
-`build_ball` with its own breadth-first loop (its final assembly builds the
-ball's CSR arrays with `csr_from_edges`, as every ball is now built), and of the
-wideness probe's middle-segment search as it scanned whole distance rows.
+that `graph_core.bfs` replaced (only their names changed, and the searches
+that took a ball take its neighbor tuples), including `build_ball` with its
+own breadth-first loop (its final assembly builds the ball's CSR arrays with
+`csr_from_edges`, as every ball is now built), and of the wideness probe's
+middle-segment search as it scanned whole distance rows. `old_bfs` is a
+verbatim copy of the list-based loop that `bfs` was before it read the CSR
+arrays and kept its distances and parents in dicts over the reached
+vertices. Balls no longer keep neighbor tuples, so the copies walk the
+tuples that `csr_rows` and `tuple_rows` read from the CSR arrays.
 The sampled divergence estimate runs bounded searches, most of them on the
 window B_a(2n + 4) of each pair; its references are the same code with
 every search limit removed and `old_sampled_estimate`, whose searches all
@@ -17,13 +22,20 @@ object and one array witness rule replaced them.
 
 The next group compares the code that kept a second edge layout beside the
 ball's CSR arrays with the CSR-only code that replaced it: the COO-built
-Floyd matrix, the numpy level-by-level `csr_distances`, `induced_ball` with
-its neighbor-list loop, and the punctured search's inline edge mask.
+Floyd matrix, the numpy level-by-level search that `bfs_distances` runs in
+scipy, `induced_ball` with its neighbor-list loop, and the punctured
+search's inline edge mask.
 
 The next group compares the sphere scan that ran Dijkstra from every source
 with the scan that runs it once per symmetry orbit, and the escape-set
 estimate that built its punctured-search mask on every call with the one
 that builds it once per radius.
+
+The escape-ray search is compared with `old_escape_ray_search` and
+`old_search_from`, verbatim copies of the search that walked neighbor
+tuples, on balls where it finds geodesic rays, bent rays (through its
+bounded backtracking) and nothing, and on a gadget where two bent chains
+certify and the backtracking's row order decides which is returned.
 
 The next group compares the exhaustive divergence estimate that scanned
 every center (`old_all_centers_exhaustive_estimate`, a verbatim copy) with
@@ -50,7 +62,6 @@ import random
 import tempfile
 from pathlib import Path
 from collections import deque
-from types import SimpleNamespace
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -99,7 +110,6 @@ from floydlab.graph_core import (
     bfs_parents,
     GraphBall,
     build_ball,
-    csr_distances,
     csr_from_edges,
     csr_restrict,
     extract_path,
@@ -119,6 +129,7 @@ from floydlab.group_models import (
 from floydlab.quasigeodesic import (
     PathWitness,
     WidenessReport,
+    escape_ray_search,
     qg_certify,
     wideness_probe,
 )
@@ -128,8 +139,22 @@ from helpers import (
     check_automorphism_group,
     graph_distance,
     is_quasi_geodesic,
+    neighbors,
     random_connected_edges,
+    wind_and_rail_ball,
 )
+
+
+def csr_rows(indptr, indices):
+    """The neighbor tuple of every vertex of CSR arrays, in stored order."""
+    bounds = indptr.tolist()
+    return tuple(tuple(indices[a:b].tolist()) for a, b in zip(bounds, bounds[1:]))
+
+
+@functools.lru_cache(maxsize=8)
+def tuple_rows(ball):
+    """The neighbor tuples of a ball, the layout the list-based copies walk."""
+    return tuple(neighbors(ball, v) for v in range(ball.vertex_count))
 
 
 def old_bfs_distances(adjacency, source, cap=None):
@@ -166,9 +191,9 @@ def old_bfs_parents(adjacency, source, cap=None):
     return dist, parent
 
 
-def old_punctured_bfs(ball, sources, allowed):
-    dist = [-1] * ball.vertex_count
-    parent = [-1] * ball.vertex_count
+def old_punctured_bfs(adjacency, sources, allowed):
+    dist = [-1] * len(adjacency)
+    parent = [-1] * len(adjacency)
     queue = deque()
     for s in sources:
         if allowed[s]:
@@ -176,7 +201,7 @@ def old_punctured_bfs(ball, sources, allowed):
             queue.append(s)
     while queue:
         u = queue.popleft()
-        for v in ball.adjacency[u]:
+        for v in adjacency[u]:
             if dist[v] < 0 and allowed[v]:
                 dist[v] = dist[u] + 1
                 parent[v] = u
@@ -184,8 +209,8 @@ def old_punctured_bfs(ball, sources, allowed):
     return dist, parent
 
 
-def old_neighborhood_distances(ball, seeds, cap):
-    dist = [-1] * ball.vertex_count
+def old_neighborhood_distances(adjacency, seeds, cap):
+    dist = [-1] * len(adjacency)
     queue = deque()
     for s in seeds:
         if dist[s] < 0:
@@ -195,7 +220,7 @@ def old_neighborhood_distances(ball, seeds, cap):
         u = queue.popleft()
         if dist[u] >= cap:
             continue
-        for v in ball.adjacency[u]:
+        for v in adjacency[u]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -214,7 +239,7 @@ def old_punctured_geodesic(ball, u, v, rho):
                 path.append(parent[path[-1]])
             path.reverse()
             return path
-        for y in ball.adjacency[x]:
+        for y in tuple_rows(ball)[x]:
             if y not in parent and dist_b[y] > rho:
                 parent[y] = x
                 queue.append(y)
@@ -222,15 +247,15 @@ def old_punctured_geodesic(ball, u, v, rho):
 
 
 def old_middle_segment(ball, x, C, half, u_cap):
-    near = old_bfs_distances(ball.adjacency, x, cap=int(C))
+    near = old_bfs_distances(tuple_rows(ball), x, cap=int(C))
     anchors = sorted((d, v) for v, d in enumerate(near) if d >= 0)
     for _, x1 in anchors:
-        dist1, parent1 = old_bfs_parents(ball.adjacency, x1, cap=half)
+        dist1, parent1 = old_bfs_parents(tuple_rows(ball), x1, cap=half)
         ring = [v for v, d in enumerate(dist1) if d == half]
         if not ring:
             continue
         for u in ring[:u_cap]:
-            du = old_bfs_distances(ball.adjacency, u, cap=2 * half)
+            du = old_bfs_distances(tuple_rows(ball), u, cap=2 * half)
             antipode = None
             relaxed = None
             for wv in ring:
@@ -370,10 +395,18 @@ def _outcome(fn, *args, **kwargs):
 @pytest.mark.parametrize("seed", range(80))
 def test_build_ball_matches_replaced_loop(seed):
     case = random_edge_case(seed)
-    new = _outcome(build_ball, *case)
-    assert new == _outcome(old_build_ball, *case)
-    if isinstance(new, GraphBall):
-        assert new.adjacency == old_build_ball(*case).adjacency
+    assert _outcome(build_ball, *case) == _outcome(old_build_ball, *case)
+
+
+def test_build_ball_numbers_vertices_in_insertion_order():
+    # Labels appear as b, c, a, d. The base a met c before b, so c is
+    # discovered first although b was numbered first: rows are walked in
+    # the order their edges appeared, not sorted.
+    edges = [("b", "c"), ("a", "c"), ("a", "b"), ("b", "d")]
+    ball = build_ball(edges, "a", 2)
+    assert ball == old_build_ball(edges, "a", 2)
+    assert neighbors(ball, 2) == (0, 1, 3)  # b is vertex 2
+    assert ball.dist.tolist() == [0, 1, 1, 2]
 
 
 def test_build_ball_differential_covers_every_outcome():
@@ -385,57 +418,103 @@ def test_build_ball_differential_covers_every_outcome():
             ValueError} <= kinds
 
 
-def random_adjacency(rng, n):
-    """Sorted adjacency of a random simple graph, possibly disconnected."""
+def old_bfs(adjacency, sources, cap=None, allowed=None):
+    dist = [-1] * len(adjacency)
+    parent = [-1] * len(adjacency)
+    order: list[int] = []
+    for s in sources:
+        if dist[s] < 0 and (allowed is None or allowed[s]):
+            dist[s] = 0
+            order.append(s)
+    # `order` doubles as the FIFO queue; its distances never decrease, so
+    # the first vertex at depth `cap` ends the search.
+    head = 0
+    while head < len(order):
+        u = order[head]
+        head += 1
+        du = dist[u]
+        if cap is not None and du >= cap:
+            break
+        du += 1
+        for v in adjacency[u]:
+            if dist[v] < 0 and (allowed is None or allowed[v]):
+                dist[v] = du
+                parent[v] = u
+                order.append(v)
+    return order, dist, parent
+
+
+def random_csr(rng, n):
+    """CSR arrays of a random simple graph, possibly disconnected, with
+    every row in a random order."""
     edges = set(random_connected_edges(rng, n))
     for _ in range(rng.randrange(n)):  # drop some edges to cut components off
         edges.discard(rng.choice(sorted(edges)))
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return tuple(tuple(sorted(a)) for a in adj)
+    u, v = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2).T
+    indptr, indices = csr_from_edges(n, u, v)
+    for a, b in zip(indptr[:-1], indptr[1:]):
+        rng.shuffle(indices[a:b])
+    return indptr, indices
+
+
+def dense(dist, parent, n):
+    """The dict results of `bfs` as the lists of the list-based loops: -1
+    for unreached vertices and for the parents of sources."""
+    assert set(parent) == set(dist)
+    return [dist.get(v, -1) for v in range(n)], [parent.get(v, -1) for v in range(n)]
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_bfs_matches_replaced_loops(seed):
     rng = random.Random(seed)
     n = rng.randrange(1, 40)
-    adj = random_adjacency(rng, n)
-    graph = SimpleNamespace(vertex_count=n, adjacency=adj)
+    indptr, indices = random_csr(rng, n)
+    adj = csr_rows(indptr, indices)
     for _ in range(10):
         source = rng.randrange(n)
         cap = rng.choice([None, 0, 1, 2, 3, 5])
-        assert bfs(adj, [source], cap)[1] == old_bfs_distances(adj, source, cap)
-        assert bfs_distances(adj, source, cap) == old_bfs_distances(adj, source, cap)
-        assert bfs_parents(adj, source, cap) == old_bfs_parents(adj, source, cap)
+        order, dist, parent = bfs(indptr, indices, [source], cap)
+        assert (order, *dense(dist, parent, n)) == old_bfs(adj, [source], cap)
+        assert dense(dist, parent, n) == old_bfs_parents(adj, source, cap)
+        assert (dense(*bfs_parents(indptr, indices, source, cap), n)
+                == old_bfs_parents(adj, source, cap))
+        assert (bfs_distances(indptr, indices, source, cap).tolist()
+                == old_bfs_distances(adj, source, cap))
 
         # Duplicate and disallowed sources, in a shuffled order.
         sources = [rng.randrange(n) for _ in range(rng.randrange(1, 5))]
         sources += sources[: rng.randrange(len(sources) + 1)]
         rng.shuffle(sources)
         allowed = [rng.random() < 0.8 for _ in range(n)]
-        _, dist, parent = bfs(adj, sources, allowed=allowed)
-        assert (dist, parent) == old_punctured_bfs(graph, sources, allowed)
+        order, dist, parent = bfs(indptr, indices, sources, allowed=allowed)
+        assert (order, *dense(dist, parent, n)) == old_bfs(adj, sources, allowed=allowed)
+        assert dense(dist, parent, n) == old_punctured_bfs(adj, sources, allowed)
         seed_cap = rng.choice([0, 1, 2, 4])
-        assert (bfs(adj, sources, seed_cap)[1]
-                == old_neighborhood_distances(graph, sources, seed_cap))
+        order, dist, parent = bfs(indptr, indices, sources, seed_cap)
+        assert (order, *dense(dist, parent, n)) == old_bfs(adj, sources, seed_cap)
+        assert (dense(dist, parent, n)[0]
+                == old_neighborhood_distances(adj, sources, seed_cap)
+                == bfs_distances(indptr, indices, sources, seed_cap).tolist())
+        order, dist, parent = bfs(indptr, indices, sources, seed_cap, allowed)
+        assert (order, *dense(dist, parent, n)) == old_bfs(adj, sources, seed_cap,
+                                                           allowed)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_bfs_order_is_the_discovery_order(seed):
     rng = random.Random(seed)
     n = rng.randrange(1, 40)
-    adj = random_adjacency(rng, n)
+    indptr, indices = random_csr(rng, n)
     sources = [rng.randrange(n) for _ in range(3)]
     allowed = [rng.random() < 0.7 for _ in range(n)]
     cap = rng.choice([None, 1, 3])
-    order, dist, parent = bfs(adj, sources, cap, allowed)
-    assert sorted(order) == [v for v in range(n) if dist[v] >= 0]
+    order, dist, parent = bfs(indptr, indices, sources, cap, allowed)
+    assert sorted(order) == sorted(dist) == sorted(parent)
     assert len(order) == len(set(order))
     assert [dist[v] for v in order] == sorted(dist[v] for v in order)
     seeded = [s for s in dict.fromkeys(sources) if allowed[s]]
     assert order[: len(seeded)] == seeded
+    assert all(parent[s] == -1 for s in seeded)
     for v in order[len(seeded):]:
         assert allowed[v] and dist[parent[v]] == dist[v] - 1
         assert order.index(parent[v]) < order.index(v)
@@ -995,7 +1074,8 @@ def old_sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
             for _ in range(c_per_pair - 1):
                 v = path[rng.randrange(len(path))]
                 for _ in range(rng.randrange(3)):
-                    v = ball.adjacency[v][rng.randrange(len(ball.adjacency[v]))]
+                    row = tuple_rows(ball)[v]
+                    v = row[rng.randrange(len(row))]
                 cands.append(v)
             seen = set()
             for c in cands:
@@ -1159,9 +1239,9 @@ def old_induced_ball(ball: GraphBall, vertices):
     rank = {v: i for i, v in enumerate(verts)}
     adjacency = []
     for v in verts:
-        adjacency.append(tuple(rank[u] for u in ball.adjacency[v] if u in rank))
+        adjacency.append(tuple(rank[u] for u in tuple_rows(ball)[v] if u in rank))
     base = min(verts, key=lambda v: (ball.dist[v], v))
-    dist = bfs_distances(adjacency, rank[base])
+    dist = old_bfs_distances(adjacency, rank[base])
     if min(dist) < 0:
         return None
     pairs = np.array([(i, j) for i, row in enumerate(adjacency) for j in row
@@ -1213,16 +1293,19 @@ def test_floyd_matrix_equals_coo_build(name, floyd):
 
 
 @pytest.mark.parametrize("name", sorted(LAYOUT_BALLS))
-def test_csr_distances_match_level_bfs(name):
+def test_bfs_distances_match_level_bfs(name):
     ball = LAYOUT_BALLS[name]()
     rng = random.Random(name)
     for mask in _vertex_masks(ball, len(name)):
         indptr, indices = csr_restrict(*ball.csr_arrays, mask)
         for source in {0, ball.vertex_count - 1,
                        rng.randrange(ball.vertex_count)}:
-            new = csr_distances(indptr, indices, source)
-            assert new.dtype == np.int64
-            assert np.array_equal(new, old_csr_distances(indptr, indices, source))
+            old = old_csr_distances(indptr, indices, source)
+            for cap in (None, 0, 1, 3):
+                new = bfs_distances(indptr, indices, source, cap)
+                assert new.dtype == np.int64
+                want = old if cap is None else np.where(old <= cap, old, -1)
+                assert np.array_equal(new, want)
 
 
 @pytest.mark.parametrize("name", sorted(LAYOUT_BALLS))
@@ -1253,7 +1336,6 @@ def test_induced_ball_matches_neighbor_list_loop(name):
             assert members.dtype == np.int64
             assert np.array_equal(members, old_labels)
             assert sub == old_sub
-            assert sub.adjacency == old_sub.adjacency
             assert sub.dist.tolist() == old_sub.dist.tolist()
     assert outcomes == {True, False}
 
@@ -1407,7 +1489,7 @@ def old_karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
         v = rng.randrange(ball.vertex_count)
         if u == v:
             continue
-        _, parent = bfs_parents(ball.adjacency, u)
+        _, parent = old_bfs_parents(tuple_rows(ball), u)
         path = extract_path(parent, v)
         record(path)
         if C > 1:
@@ -1429,8 +1511,8 @@ def old_karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
 def old_rho_punctured_geodesic(ball: GraphBall, u: int, v: int,
                                rho: int) -> list[int] | None:
     """Shortest u-v path avoiding the closed base ball of radius rho."""
-    _, dist, parent = bfs(ball.adjacency, [u],
-                          allowed=(ball.dist > rho).tolist())
+    dist, parent = old_punctured_bfs(tuple_rows(ball), [u],
+                                     (ball.dist > rho).tolist())
     return extract_path(parent, v) if dist[v] >= 0 else None
 
 
@@ -1448,6 +1530,115 @@ def test_karlsson_estimate_matches_mask_per_call(name, C):
         new = karlsson_set_estimate(w, C=C, epsilon=0.3, samples=40, seed=seed)
         old = old_karlsson_set_estimate(w, C=C, epsilon=0.3, samples=40, seed=seed)
         assert new == old
+
+
+# ---------------------------------------------------------------- escape rays
+
+def old_escape_ray_search(ball, x, C, inner_radius, outer_radius):
+    allowed = (ball.dist > inner_radius).tolist()
+    targets = set(np.flatnonzero(ball.dist == outer_radius).tolist())
+    if not targets:
+        return None
+
+    near = old_bfs_distances(tuple_rows(ball), x, cap=int(C))
+    candidates = sorted(
+        (d, v) for v, d in enumerate(near) if 0 <= d <= C and allowed[v])
+    for _, start in candidates:
+        witness = old_search_from(ball, start, C, allowed, targets)
+        if witness is not None:
+            return witness
+    return None
+
+
+def old_search_from(ball, start, C, allowed, targets):
+    _, dist, parent = old_bfs(tuple_rows(ball), [start], allowed=allowed)
+    reachable = [(dist[t], t) for t in targets if dist[t] >= 0]
+    if not reachable:
+        return None
+    shortest, best_target = min(reachable)
+    path = extract_path(parent, best_target)
+    c = qg_certify(ball, path)
+    if c <= C + 1e-12:
+        return PathWitness(vertices=tuple(path), certified_C=c)
+
+    # Bounded backtracking: enumerate paths of length <= shortest + 2C whose
+    # every prefix can still reach a target within budget.
+    dist_to_target = old_bfs(tuple_rows(ball), sorted(targets), allowed=allowed)[1]
+    budget = shortest + int(2 * C)
+    tried = 0
+
+    def dfs(v, used, seen, trail):
+        nonlocal tried
+        if tried >= quasigeodesic.SLACK_PATHS:
+            return None
+        if v in targets:
+            tried += 1
+            c_here = qg_certify(ball, trail)
+            if c_here <= C + 1e-12:
+                return PathWitness(vertices=tuple(trail), certified_C=c_here)
+            return None
+        for w in tuple_rows(ball)[v]:
+            if w in seen or not allowed[w] or dist_to_target[w] < 0:
+                continue
+            if used + 1 + dist_to_target[w] > budget:
+                continue
+            seen.add(w)
+            trail.append(w)
+            found = dfs(w, used + 1, seen, trail)
+            trail.pop()
+            seen.discard(w)
+            if found is not None or tried >= quasigeodesic.SLACK_PATHS:
+                return found
+        return None
+
+    return dfs(start, 0, {start}, [start])
+
+
+ESCAPE_BALLS = {
+    "z2": lambda: cayley_ball(FreeAbelian(2), 6),
+    "f2": lambda: cayley_ball(Free(2), 4),
+    "heis": lambda: cayley_ball(Heisenberg(), 5),
+    **{f"random-{seed}": (lambda seed=seed: build_ball(random_connected_edges(
+        random.Random(seed), 40), 0, 40)) for seed in range(6)},
+}
+
+
+def two_rail_ball():
+    """`wind_and_rail_ball` with a mirror image 23..28 of the rail 11..16 and
+    of its hub spokes 29..33, so that two chains certify at 1.2 and the
+    backtracking search returns the one its row order reaches first."""
+    ball = wind_and_rail_ball()
+    edges = [(3, 23), (23, 24), (24, 25), (25, 26), (26, 27), (27, 28), (28, 10)]
+    edges += [e for k in range(5) for e in ((1, 29 + k), (29 + k, 24 + k))]
+    u, v = np.concatenate([np.array(ball.edge_arrays), np.array(edges).T], axis=1)
+    indptr, indices = csr_from_edges(34, u, v)
+    dist = bfs_distances(indptr, indices, 0)
+    return GraphBall(base=0, radius=int(dist.max()), indptr=indptr,
+                     indices=indices, dist=dist)
+
+
+def test_escape_ray_search_matches_list_based_search():
+    # The gadgets' shortest route from 3 certifies only at 4/3, so at C = 1.3
+    # the backtracking search finds the witness.
+    cases = [(ball, 3, C, 1, 4) for ball in (wind_and_rail_ball(), two_rail_ball())
+             for C in (1.0, 1.3, 1.4)]
+    for name, make in ESCAPE_BALLS.items():
+        ball = make()
+        rng = random.Random(name)
+        radius = int(ball.dist.max())
+        for _ in range(12):
+            inner = rng.choice([0, 0.5, 1, 1.5, 2])
+            outside = np.flatnonzero(ball.dist > inner).tolist()
+            if radius > inner:
+                cases.append((ball, rng.choice(outside), rng.choice([1.0, 1.2, 1.5, 2.0]),
+                              inner, radius))
+    outcomes = set()
+    for case in cases:
+        new = escape_ray_search(*case)
+        assert new == old_escape_ray_search(*case)
+        outcomes.add("none" if new is None else
+                     "geodesic" if new.certified_C == 1.0 else "bent")
+    assert outcomes == {"none", "geodesic", "bent"}
 
 
 # ------------------------------------------- one divergence center per orbit
