@@ -17,11 +17,13 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import (
     InsufficientData,
@@ -30,8 +32,7 @@ from .errors import (
     RangeMismatch,
 )
 from .floyd_metric import FloydFunction
-from .graph_core import (GraphBall, csr_induced, csr_restrict, extract_path,
-                         unit_matrix)
+from .graph_core import GraphBall, extract_path, unit_matrix
 
 EXHAUSTIVE_CAP = 400  # "auto" runs the exhaustive protocol up to this many vertices
 SLOPE_BAND = (0.8, 1.2)  # growth_fit's linear-compatible log-log slopes
@@ -71,32 +72,66 @@ class DivergenceSample:
 
 
 class _Searches:
-    """Unit-weight searches over one graph given as CSR arrays: the matrix
-    is built once, then serves plain searches, punctured ones and the
-    searches of induced windows."""
+    """Unit-weight searches over one graph given as CSR arrays, built once
+    per graph. Plain searches run on `matrix`. Punctured searches run on
+    `cut`, a second matrix with the same rows plus an empty sink row V:
+    each one points every slot that enters its forbidden ball at the sink,
+    searches, and puts the slots back. A sink has no way out, so this is
+    the graph minus the ball for every search that starts outside it."""
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         self.matrix = unit_matrix(indptr, indices)
+        n, m = self.matrix.shape[0], self.matrix.nnz
+        self.cut = sp.csr_matrix((self.matrix.data, self.matrix.indices.copy(),
+                                  np.append(self.matrix.indptr, m)),
+                                 shape=(n + 1, n + 1))
+        # The slots whose column is v: by_column[col_start[v]:col_start[v + 1]].
+        self.by_column = np.argsort(self.cut.indices, kind="stable")
+        self.col_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.cut.indices, minlength=n),
+                  out=self.col_start[1:])
 
     def plain(self, sources, **kw) -> np.ndarray:
         return dijkstra(self.matrix, directed=True, unweighted=True,
                         indices=sources, **kw)
 
+    @contextmanager
+    def _puncture(self, d_c: np.ndarray, threshold: float, sources):
+        """`cut` minus the closed ball B_c(threshold), the vertices with
+        d_c <= threshold, while the with block runs."""
+        if (d_c[sources] <= threshold).any():
+            raise PreconditionViolated(
+                "a punctured search starts inside its forbidden ball")
+        inside = np.flatnonzero(d_c <= threshold)
+        starts = self.col_start[inside]
+        sizes = self.col_start[inside + 1] - starts
+        ends = np.cumsum(sizes)
+        slots = self.by_column[np.arange(sizes.sum())
+                               + np.repeat(starts - ends + sizes, sizes)]
+        indices = self.cut.indices
+        indices[slots] = self.matrix.shape[0]
+        try:
+            yield self.cut
+        finally:
+            indices[slots] = np.repeat(inside, sizes)
+
     def punctured(self, d_c: np.ndarray, threshold: float,
                   sources) -> np.ndarray:
-        """Distances from `sources` over the vertices with d_c > threshold,
-        i.e. in the graph minus the closed ball B_c(threshold)."""
-        sub = unit_matrix(*csr_restrict(self.matrix.indptr, self.matrix.indices,
-                                        d_c > threshold))
-        return dijkstra(sub, directed=True, unweighted=True, indices=sources)
+        """Distances from `sources` in the graph minus the closed ball
+        B_c(threshold), one row per source."""
+        with self._puncture(d_c, threshold, sources) as cut:
+            dist = dijkstra(cut, directed=True, unweighted=True, indices=sources)
+        return dist[:, :-1]
 
-    def window(self, members: np.ndarray) -> "_Searches":
-        """Searches on the subgraph induced by `members` (sorted, distinct),
-        with members[i] numbered i; self when `members` is every vertex."""
-        if len(members) == self.matrix.shape[0]:
-            return self
-        return _Searches(*csr_induced(self.matrix.indptr, self.matrix.indices,
-                                      members))
+    def detour(self, d_c: np.ndarray, threshold: float, a: int, b: int) -> float:
+        """Length of a shortest a-b path in the graph minus the closed ball
+        B_c(threshold), inf when there is none: the hop count of b in one
+        breadth-first search from a, which is exact at unit weight."""
+        with self._puncture(d_c, threshold, [a]) as cut:
+            _, pred = breadth_first_order(cut, a, directed=True,
+                                          return_predecessors=True)
+        path = extract_path(pred, b)
+        return float(len(path) - 1) if path[0] == a else math.inf
 
 
 def div_triple(ball: GraphBall, a: int, b: int, c: int,
@@ -116,7 +151,7 @@ def div_triple(ball: GraphBall, a: int, b: int, c: int,
         raise PreconditionViolated("d(c, {a, b}) must be positive")
     threshold = params.delta * r - params.gamma
     if threshold > 0:
-        val = search.punctured(d_c, threshold, [a])[0][b]
+        val = search.detour(d_c, threshold, a, b)
     else:
         val = search.plain([a])[0][b]
     return None if math.isinf(val) else int(val)
@@ -270,24 +305,6 @@ def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
     return buckets.finalize(n_min, "exhaustive", seed)
 
 
-def _window_detour(window: _Searches, d_c: np.ndarray, threshold: float,
-                   wa: int, wb: int, rim: np.ndarray, bound: float):
-    """The a-b value of a triple from its punctured search on the window
-    W = B_a(L), numbered as the window, or None when W cannot decide it.
-
-    A path that leaves W reaches d_a = L + 1 and comes back to b, so it
-    is at least `bound` = 2L + 2 - d(a, b) long and a value up to it is
-    exact; an unreached b is exact (inf) when a's component reaches no
-    vertex of the `rim` d_a = L. `bound` is inf when W is the whole ball.
-    """
-    row = window.punctured(d_c, threshold, [wa])[0]
-    if row[wb] <= bound:
-        return float(row[wb])
-    if math.isinf(row[wb]) and np.isinf(row[rim]).all():
-        return math.inf
-    return None
-
-
 def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
                       c_per_pair):
     rng = random.Random(seed)
@@ -296,13 +313,14 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
     inner_set = set(inner.tolist())
     triples: list[tuple[int, int, int, int, float, float]] = []
     for n in range(1, n_max + 1):
-        reach = 2 * n + 4  # window radius L
         for _ in range(pairs_per_n):
             a = int(inner[rng.randrange(len(inner))])
-            # A vertex within n of a gets its predecessor while the heap
-            # holds only vertices within n, which the limit L > n keeps:
-            # partners and the geodesic are those of an unbounded search.
-            d_a, pred = search.plain([a], limit=reach, return_predecessors=True)
+            # A vertex within n of a gets its predecessor from a vertex
+            # within n - 1, popped before any vertex at distance n is; until
+            # then the heap holds only vertices within n, limit or not. So
+            # the limit n keeps the partners and the geodesic of an
+            # unbounded search.
+            d_a, pred = search.plain([a], limit=n, return_predecessors=True)
             d_a, pred = d_a[0], pred[0]
             partners = inner[d_a[inner] == n]
             if partners.size == 0:
@@ -322,30 +340,17 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
                     centers.append(c)
             if not centers:
                 continue
-            # Every search of the pair but the first runs on W = B_a(L).
-            # c lies within 2 steps of the a-b geodesic, so d(a, c) <= n + 2
-            # and ra = d(c, {a, b}) <= n/2 + 2 < n + 3: the path from c to
-            # the nearer endpoint and the forbidden ball B_c(threshold), with
-            # the geodesics into it, lie in B_a(1.5n + 4) inside W. So ra,
-            # the threshold and the forbidden set are those of the whole
-            # ball, and a vertex beyond the limit (read as inf) is beyond
-            # the threshold too.
-            members = np.flatnonzero(d_a <= reach)
-            window = search.window(members)
-            wa, wb, *wc = np.searchsorted(members, [a, b, *centers]).tolist()
-            bound = math.inf if window is search else 2 * reach + 2 - n
-            rim = np.flatnonzero(d_a[members] == reach)
-            for c, d_c in zip(centers, window.plain(wc, limit=n + 3)):
-                ra = int(min(d_c[wa], d_c[wb]))
+            # c lies within 2 steps of the a-b geodesic, so
+            # ra = d(c, {a, b}) <= n // 2 + 2, the limit. The threshold is
+            # below ra, so ra and the forbidden ball B_c(threshold) are
+            # those of an unbounded search, and a vertex beyond the limit
+            # (read as inf) is beyond the threshold too.
+            for c, d_c in zip(centers, search.plain(centers, limit=n // 2 + 2)):
+                ra = int(min(d_c[a], d_c[b]))
                 threshold = params.delta * ra - params.gamma
                 value = float(n)
                 if threshold > 0:
-                    value = _window_detour(window, d_c, threshold, wa, wb, rim,
-                                           bound)
-                if value is None:  # the forbidden set lies in W
-                    d_ball = np.full(ball.vertex_count, math.inf)
-                    d_ball[members] = d_c
-                    value = search.punctured(d_ball, threshold, [a])[0][b]
+                    value = search.detour(d_c, threshold, a, b)
                 triples.append((a, b, c, n, value, threshold))
     buckets = _Buckets(n_max)
     if triples:
@@ -378,11 +383,11 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
     Both protocols, and div_triple, run on one engine: a `_Searches` object
     per graph does every plain and punctured search, and `_Buckets.offer`
     picks values and witnesses from arrays of triples by one rule. The
-    sampled protocol runs one search per a-b pair on the ball, from a up to
-    L = 2n + 4; the pair's other searches run on the induced window
-    B_a(L), falling back to the whole ball for a triple the window cannot
-    decide (see `_window_detour`), so its samples are those of whole-ball
-    searches.
+    sampled protocol runs, per a-b pair, one Dijkstra search from a up to
+    n and one from the pair's centers up to n // 2 + 2; each punctured
+    triple then takes one breadth-first search from a over the whole ball
+    (`_Searches.detour`). The exhaustive protocol runs its punctured rows
+    through Dijkstra on the same punctured matrix.
     """
     if protocol not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown protocol {protocol!r}")

@@ -132,18 +132,6 @@ def csr_from_edges(vertex_count: int, u: np.ndarray,
     return indptr, cols[order]
 
 
-def csr_restrict(indptr: np.ndarray, indices: np.ndarray,
-                 allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays (indptr, indices) of the edges between vertices whose
-    `allowed` entry is true, in the same numbering; the rows of the other
-    vertices are empty. The kept entries keep their CSR order, so the rows
-    stay sorted."""
-    keep = np.repeat(allowed, np.diff(indptr)) & allowed[indices]
-    kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept_before[1:])
-    return kept_before[indptr], indices[keep]
-
-
 def csr_induced(indptr: np.ndarray, indices: np.ndarray,
                 members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR arrays (indptr, indices) of the subgraph induced by `members`

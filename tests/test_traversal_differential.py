@@ -11,14 +11,22 @@ verbatim copy of the list-based loop that `bfs` was before it read the CSR
 arrays and kept its distances and parents in dicts over the reached
 vertices. Balls no longer keep neighbor tuples, so the copies walk the
 tuples that `csr_rows` and `tuple_rows` read from the CSR arrays.
-The sampled divergence estimate runs bounded searches, most of them on the
-window B_a(2n + 4) of each pair; its references are the same code with
-every search limit removed and `old_sampled_estimate`, whose searches all
-run on the whole ball, and `window_exits` checks that the compared cases
-take every exit of the window rule. The `old_*` divergence functions
-and `OldBuckets` are verbatim copies of both estimates, the exhaustive
-one's per-tie witness loops and `div_triple` as they were before one search
-object and one array witness rule replaced them.
+The sampled divergence estimate runs two bounded Dijkstra searches per
+pair and one punctured breadth-first search on the whole ball per triple.
+Its references are the same code with every search limit removed,
+`old_sampled_estimate`, whose searches all run on the whole ball, and
+`old_windowed_sampled_estimate` with `OldSearches` and `old_window_detour`,
+verbatim copies of the estimate that ran its punctured searches on the
+window B_a(2n + 4) of each pair; `window_exits` checks that the compared
+cases take every exit of the window rule. The punctured searches, which
+point the index slots entering the forbidden ball at a sink row in place,
+are compared row by row with searches on `csr_restrict`, a verbatim copy
+of the edge-deleting restriction they replaced, and with `naive_div_triple`
+in `helpers`; they must leave the index buffer as they found it, also when
+the search raises. The `old_*` divergence functions and `OldBuckets` are
+verbatim copies of both estimates, the exhaustive one's per-tie witness
+loops and `div_triple` as they were before one search object and one array
+witness rule replaced them.
 
 The next group compares the code that kept a second edge layout beside the
 ball's CSR arrays with the CSR-only code that replaced it: the COO-built
@@ -111,12 +119,13 @@ from floydlab.graph_core import (
     GraphBall,
     build_ball,
     csr_from_edges,
-    csr_restrict,
+    csr_induced,
     extract_path,
     is_automorphism,
     read_graph_file,
     single_vertex_ball,
     sphere,
+    unit_matrix,
 )
 from floydlab.group_models import (
     DirectProduct,
@@ -138,6 +147,7 @@ from floydlab.thickness import induced_ball
 from helpers import (
     check_automorphism_group,
     graph_distance,
+    naive_div_triple,
     is_quasi_geodesic,
     neighbors,
     random_connected_edges,
@@ -760,15 +770,159 @@ def test_sampled_differential_covers_long_detours():
     assert samples[-1].value is not None and samples[-1].value > samples[-1].n + 3
 
 
+def csr_restrict(indptr: np.ndarray, indices: np.ndarray,
+                 allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices) of the edges between vertices whose
+    `allowed` entry is true, in the same numbering; the rows of the other
+    vertices are empty. The kept entries keep their CSR order, so the rows
+    stay sorted."""
+    keep = np.repeat(allowed, np.diff(indptr)) & allowed[indices]
+    kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    return kept_before[indptr], indices[keep]
+
+
+class OldSearches:
+    """Unit-weight searches over one graph given as CSR arrays: the matrix
+    is built once, then serves plain searches, punctured ones and the
+    searches of induced windows."""
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        self.matrix = unit_matrix(indptr, indices)
+
+    def plain(self, sources, **kw) -> np.ndarray:
+        return dijkstra(self.matrix, directed=True, unweighted=True,
+                        indices=sources, **kw)
+
+    def punctured(self, d_c: np.ndarray, threshold: float,
+                  sources) -> np.ndarray:
+        """Distances from `sources` over the vertices with d_c > threshold,
+        i.e. in the graph minus the closed ball B_c(threshold)."""
+        sub = unit_matrix(*csr_restrict(self.matrix.indptr, self.matrix.indices,
+                                        d_c > threshold))
+        return dijkstra(sub, directed=True, unweighted=True, indices=sources)
+
+    def window(self, members: np.ndarray) -> "OldSearches":
+        """Searches on the subgraph induced by `members` (sorted, distinct),
+        with members[i] numbered i; self when `members` is every vertex."""
+        if len(members) == self.matrix.shape[0]:
+            return self
+        return OldSearches(*csr_induced(self.matrix.indptr, self.matrix.indices,
+                                        members))
+
+
+def old_window_detour(window: OldSearches, d_c: np.ndarray, threshold: float,
+                      wa: int, wb: int, rim: np.ndarray, bound: float):
+    """The a-b value of a triple from its punctured search on the window
+    W = B_a(L), numbered as the window, or None when W cannot decide it.
+
+    A path that leaves W reaches d_a = L + 1 and comes back to b, so it
+    is at least `bound` = 2L + 2 - d(a, b) long and a value up to it is
+    exact; an unreached b is exact (inf) when a's component reaches no
+    vertex of the `rim` d_a = L. `bound` is inf when W is the whole ball.
+    """
+    row = window.punctured(d_c, threshold, [wa])[0]
+    if row[wb] <= bound:
+        return float(row[wb])
+    if math.isinf(row[wb]) and np.isinf(row[rim]).all():
+        return math.inf
+    return None
+
+
+def old_windowed_sampled_estimate(ball, n_max, params, inner, n_min, seed,
+                                  pairs_per_n, c_per_pair):
+    rng = random.Random(seed)
+    search = OldSearches(*ball.csr_arrays)
+    indptr, indices = ball.csr_arrays
+    inner_set = set(inner.tolist())
+    triples: list[tuple[int, int, int, int, float, float]] = []
+    for n in range(1, n_max + 1):
+        reach = 2 * n + 4  # window radius L
+        for _ in range(pairs_per_n):
+            a = int(inner[rng.randrange(len(inner))])
+            # A vertex within n of a gets its predecessor while the heap
+            # holds only vertices within n, which the limit L > n keeps:
+            # partners and the geodesic are those of an unbounded search.
+            d_a, pred = search.plain([a], limit=reach, return_predecessors=True)
+            d_a, pred = d_a[0], pred[0]
+            partners = inner[d_a[inner] == n]
+            if partners.size == 0:
+                continue
+            b = int(partners[rng.randrange(partners.size)])
+            path = [int(v) for v in extract_path(pred, b)]
+            cands = [path[len(path) // 2]]
+            for _ in range(c_per_pair - 1):
+                v = path[rng.randrange(len(path))]
+                for _ in range(rng.randrange(3)):
+                    row = indptr[v]
+                    v = int(indices[row + rng.randrange(indptr[v + 1] - row)])
+                cands.append(v)
+            centers = []
+            for c in cands:
+                if c not in centers and c in inner_set and c not in (a, b):
+                    centers.append(c)
+            if not centers:
+                continue
+            # Every search of the pair but the first runs on W = B_a(L).
+            # c lies within 2 steps of the a-b geodesic, so d(a, c) <= n + 2
+            # and ra = d(c, {a, b}) <= n/2 + 2 < n + 3: the path from c to
+            # the nearer endpoint and the forbidden ball B_c(threshold), with
+            # the geodesics into it, lie in B_a(1.5n + 4) inside W. So ra,
+            # the threshold and the forbidden set are those of the whole
+            # ball, and a vertex beyond the limit (read as inf) is beyond
+            # the threshold too.
+            members = np.flatnonzero(d_a <= reach)
+            window = search.window(members)
+            wa, wb, *wc = np.searchsorted(members, [a, b, *centers]).tolist()
+            bound = math.inf if window is search else 2 * reach + 2 - n
+            rim = np.flatnonzero(d_a[members] == reach)
+            for c, d_c in zip(centers, window.plain(wc, limit=n + 3)):
+                ra = int(min(d_c[wa], d_c[wb]))
+                threshold = params.delta * ra - params.gamma
+                value = float(n)
+                if threshold > 0:
+                    value = old_window_detour(window, d_c, threshold, wa, wb, rim,
+                                              bound)
+                if value is None:  # the forbidden set lies in W
+                    d_ball = np.full(ball.vertex_count, math.inf)
+                    d_ball[members] = d_c
+                    value = search.punctured(d_ball, threshold, [a])[0][b]
+                triples.append((a, b, c, n, value, threshold))
+    buckets = _Buckets(n_max)
+    if triples:
+        a, b, c, dab, value, radius = (np.array(col) for col in zip(*triples))
+        buckets.offer(a, b, c, dab, value, radius)
+    return buckets.finalize(n_min, "sampled", seed)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_CASES))
+@pytest.mark.parametrize("gamma", [0.0, 100.0])
+def test_sampled_estimate_matches_windowed_code(name, gamma):
+    make, n_max, margin = SAMPLED_CASES[name]
+    ball = make()
+    params = DivergenceParams(0.5, gamma)
+    inner = np.flatnonzero(ball.dist <= int(ball.radius / margin + 1e-9))
+    for seed in range(10):
+        new = _outcome(div_function_estimate, ball, n_max, params, "sampled", seed,
+                       margin=margin)
+        old = _outcome(old_windowed_sampled_estimate, ball, n_max, params, inner,
+                       1, seed, 8, 4)
+        if isinstance(old, tuple):
+            assert new == old
+        else:
+            assert_same_samples(new, old)
+
+
 def window_exits(ball, n_max, params, margin, seeds, monkeypatch):
-    """How each triple of sampled estimates got its value: with no
+    """How each triple of the windowed estimates got its value: with no
     forbidden set, in a window that is the whole ball, inside a smaller
     window, as a cut closed inside it, or by a whole-ball fallback for a
     long detour or for a cut whose side of a reaches the window's rim."""
+    inner = np.flatnonzero(ball.dist <= int(ball.radius / margin + 1e-9))
     exits = collections.Counter()
     for seed in seeds:
         detours, offered = [], []
-        detour, offer = divergence._window_detour, _Buckets.offer
+        detour, offer = old_window_detour, _Buckets.offer
 
         def detour_spy(*args):
             detours.append((args[-1], detour(*args)))
@@ -779,10 +933,9 @@ def window_exits(ball, n_max, params, margin, seeds, monkeypatch):
             return offer(self, *arrays)
 
         with monkeypatch.context() as patch:
-            patch.setattr(divergence, "_window_detour", detour_spy)
+            patch.setitem(globals(), "old_window_detour", detour_spy)
             patch.setattr(_Buckets, "offer", offer_spy)
-            div_function_estimate(ball, n_max, params, protocol="sampled",
-                                  seed=seed, margin=margin)
+            old_windowed_sampled_estimate(ball, n_max, params, inner, 1, seed, 8, 4)
         (*_, value, radius), = offered
         exits["no-puncture"] += int((radius <= 0).sum())
         for (bound, found), final in zip(detours, value[radius > 0], strict=True):
@@ -798,7 +951,7 @@ def window_exits(ball, n_max, params, margin, seeds, monkeypatch):
     return +exits  # drop the exits that never occurred
 
 
-def test_sampled_differential_covers_every_window_exit(monkeypatch):
+def test_windowed_differential_covers_every_window_exit(monkeypatch):
     half, seeds = DivergenceParams(0.5, 0.0), range(10)
 
     def exits(name, params=half):
@@ -811,41 +964,94 @@ def test_sampled_differential_covers_every_window_exit(monkeypatch):
     assert exits("z2", DivergenceParams(0.5, 100.0)).keys() == {"no-puncture"}
 
 
-def test_sampled_searches_leave_the_ball_only_from_a(monkeypatch):
-    ball = cayley_ball(FreeAbelian(2), 24)
-    shapes = []
-
-    def recorded(matrix, **kw):
-        shapes.append((matrix.shape[0], kw.get("return_predecessors", False)))
-        return dijkstra(matrix, **kw)
-
-    monkeypatch.setattr(divergence, "dijkstra", recorded)
-    div_function_estimate(ball, 8, DivergenceParams(0.5, 0.0), protocol="sampled",
-                          seed=0, margin=3.0)
-    on_ball = [from_a for size, from_a in shapes if size == ball.vertex_count]
-    assert on_ball == [True] * (8 * 8)  # one search per (a, n) pair, no fallback
-    assert len(shapes) > len(on_ball)
+def forbidden_ball(search: _Searches, c: int, threshold: float):
+    """d_c of a search from c, and the sources outside B_c(threshold)."""
+    d_c = search.plain([c])[0]
+    return d_c, np.flatnonzero(d_c > threshold)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_punctured_matrix_equals_coo_build(seed, monkeypatch):
-    rng = np.random.default_rng(seed)
-    ball = cayley_ball(FreeAbelian(2), 6) if seed % 2 else cayley_ball(Free(2), 3)
-    rows, cols = old_directed_edges(ball)
-    allowed = rng.random(ball.vertex_count) < 0.7
-    keep = allowed[rows] & allowed[cols]
-    coo = sp.csr_matrix((np.ones(int(keep.sum())), (rows[keep], cols[keep])),
-                        shape=(ball.vertex_count, ball.vertex_count))
-    searched = []
-    monkeypatch.setattr(divergence, "dijkstra",
-                        lambda mat, **kw: searched.append(mat))
-    # d_c = 1 on allowed vertices and 0 elsewhere keeps exactly `allowed`.
-    divergence._Searches(*ball.csr_arrays).punctured(allowed.astype(float), 0.5, [0])
-    csr, = searched
-    assert csr.shape == coo.shape and csr.nnz == coo.nnz
-    assert np.array_equal(csr.indptr, coo.indptr)
-    assert np.array_equal(csr.indices, coo.indices)
-    assert np.array_equal(csr.data, coo.data)
+def test_punctured_searches_refuse_a_source_inside_the_ball():
+    ball = cayley_ball(FreeAbelian(2), 4)
+    search = _Searches(*ball.csr_arrays)
+    d_c, outside = forbidden_ball(search, 0, 1.0)
+    near, far = int(np.flatnonzero(d_c == 1)[0]), int(outside[0])
+    # The restricted graph keeps no edge at `near`; a redirect into the
+    # sink would still let the search leave it, so both searches refuse.
+    with pytest.raises(PreconditionViolated):
+        search.punctured(d_c, 1.0, [far, near])
+    with pytest.raises(PreconditionViolated):
+        search.detour(d_c, 1.0, near, far)
+    assert search.cut.indices.tobytes() == search.matrix.indices.tobytes()
+
+
+def test_puncture_restores_the_index_buffer(monkeypatch):
+    ball = cayley_ball(Free(2), 4)
+    punctured, detour = _Searches.punctured, _Searches.detour
+    calls = []
+
+    def restored_after(method):
+        def spy(self, *args):
+            try:
+                return method(self, *args)
+            finally:
+                calls.append(
+                    self.cut.indices.tobytes() == self.matrix.indices.tobytes())
+        return spy
+
+    monkeypatch.setattr(_Searches, "punctured", restored_after(punctured))
+    monkeypatch.setattr(_Searches, "detour", restored_after(detour))
+    params = DivergenceParams(0.5, 0.0)
+    div_function_estimate(ball, 4, params, protocol="exhaustive", margin=1.0)
+    div_function_estimate(ball, 2, params, protocol="sampled", margin=2.0)
+    div_triple(ball, 1, 2, 0, params)
+    assert len(calls) > 10 and all(calls)
+
+    search = _Searches(*ball.csr_arrays)
+    d_c, outside = forbidden_ball(search, 0, 2.0)
+    seen = []
+
+    def failing(matrix, *args, **kwargs):
+        seen.append(matrix.indices.tobytes() == search.matrix.indices.tobytes())
+        raise RuntimeError("search failed")
+
+    monkeypatch.setattr(divergence, "dijkstra", failing)
+    monkeypatch.setattr(divergence, "breadth_first_order", failing)
+    with pytest.raises(RuntimeError):
+        search.punctured(d_c, 2.0, outside[:3])
+    with pytest.raises(RuntimeError):
+        search.detour(d_c, 2.0, int(outside[0]), int(outside[-1]))
+    assert seen == [False, False]  # each search ran on a punctured buffer
+    assert search.cut.indices.tobytes() == search.matrix.indices.tobytes()
+
+
+DETOUR_BALLS = {
+    "z2": lambda: cayley_ball(FreeAbelian(2), 6),
+    "f2": lambda: cayley_ball(Free(2), 4),
+    "cycle": lambda: cycle_ball(40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DETOUR_BALLS))
+def test_detour_equals_naive_div_triple(name):
+    ball = DETOUR_BALLS[name]()
+    search = _Searches(*ball.csr_arrays)
+    rng = random.Random(name)
+    values = []
+    for _ in range(80):
+        a, b, c = rng.sample(range(ball.vertex_count), 3)
+        d_c = search.plain([c])[0]
+        for delta, gamma in [(0.5, 0.0), (0.8, 1.0)]:
+            threshold = delta * min(d_c[a], d_c[b]) - gamma
+            if threshold <= 0:
+                continue
+            want = naive_div_triple(ball, a, b, c, delta, gamma)
+            got = search.detour(d_c, threshold, a, b)
+            assert got == (math.inf if want is None else want)
+            values.append((got, graph_distance(ball, a, b)))
+    if name == "f2":  # a tree: a blocked geodesic cuts the pair apart
+        assert any(math.isinf(v) for v, _ in values)
+    else:
+        assert any(math.isfinite(v) and v > d for v, d in values)
 
 
 def old_base_matrix(ball: GraphBall) -> sp.csr_matrix:
@@ -1317,6 +1523,26 @@ def test_csr_restrict_equals_inline_punctured_mask(name):
         indptr, indices = csr_restrict(*ball.csr_arrays, mask)
         assert np.array_equal(indptr, old.indptr)
         assert np.array_equal(indices, old.indices)
+
+
+@pytest.mark.parametrize("name", ["z2", "f2"])
+@pytest.mark.parametrize("seed", range(5))
+def test_punctured_rows_equal_restricted_rows(name, seed):
+    ball = LAYOUT_BALLS[name]()
+    search = _Searches(*ball.csr_arrays)
+    rng = random.Random(seed)
+    for mask in _vertex_masks(ball, seed):
+        allowed = np.flatnonzero(mask).tolist()
+        if not allowed:
+            continue
+        sources = rng.sample(allowed, min(4, len(allowed)))
+        want = dijkstra(unit_matrix(*csr_restrict(*ball.csr_arrays, mask)),
+                        directed=True, unweighted=True, indices=sources)
+        # d_c = 1 on allowed vertices and 0 elsewhere forbids exactly the rest.
+        d_c = mask.astype(float)
+        assert np.array_equal(search.punctured(d_c, 0.5, sources), want)
+        assert [search.detour(d_c, 0.5, sources[0], b)
+                for b in range(ball.vertex_count)] == want[0].tolist()
 
 
 @pytest.mark.parametrize("name", sorted(LAYOUT_BALLS))
