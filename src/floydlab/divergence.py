@@ -17,13 +17,11 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     InsufficientData,
@@ -32,7 +30,7 @@ from .errors import (
     RangeMismatch,
 )
 from .floyd_metric import FloydFunction
-from .graph_core import GraphBall, extract_path, unit_matrix
+from .graph_core import GraphBall, Puncture, extract_path
 
 EXHAUSTIVE_CAP = 400  # "auto" runs the exhaustive protocol up to this many vertices
 SLOPE_BAND = (0.8, 1.2)  # growth_fit's linear-compatible log-log slopes
@@ -71,69 +69,6 @@ class DivergenceSample:
         return self.value is None
 
 
-class _Searches:
-    """Unit-weight searches over one graph given as CSR arrays, built once
-    per graph. Plain searches run on `matrix`. Punctured searches run on
-    `cut`, a second matrix with the same rows plus an empty sink row V:
-    each one points every slot that enters its forbidden ball at the sink,
-    searches, and puts the slots back. A sink has no way out, so this is
-    the graph minus the ball for every search that starts outside it."""
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
-        self.matrix = unit_matrix(indptr, indices)
-        n, m = self.matrix.shape[0], self.matrix.nnz
-        self.cut = sp.csr_matrix((self.matrix.data, self.matrix.indices.copy(),
-                                  np.append(self.matrix.indptr, m)),
-                                 shape=(n + 1, n + 1))
-        # The slots whose column is v: by_column[col_start[v]:col_start[v + 1]].
-        self.by_column = np.argsort(self.cut.indices, kind="stable")
-        self.col_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.cut.indices, minlength=n),
-                  out=self.col_start[1:])
-
-    def plain(self, sources, **kw) -> np.ndarray:
-        return dijkstra(self.matrix, directed=True, unweighted=True,
-                        indices=sources, **kw)
-
-    @contextmanager
-    def _puncture(self, d_c: np.ndarray, threshold: float, sources):
-        """`cut` minus the closed ball B_c(threshold), the vertices with
-        d_c <= threshold, while the with block runs."""
-        if (d_c[sources] <= threshold).any():
-            raise PreconditionViolated(
-                "a punctured search starts inside its forbidden ball")
-        inside = np.flatnonzero(d_c <= threshold)
-        starts = self.col_start[inside]
-        sizes = self.col_start[inside + 1] - starts
-        ends = np.cumsum(sizes)
-        slots = self.by_column[np.arange(sizes.sum())
-                               + np.repeat(starts - ends + sizes, sizes)]
-        indices = self.cut.indices
-        indices[slots] = self.matrix.shape[0]
-        try:
-            yield self.cut
-        finally:
-            indices[slots] = np.repeat(inside, sizes)
-
-    def punctured(self, d_c: np.ndarray, threshold: float,
-                  sources) -> np.ndarray:
-        """Distances from `sources` in the graph minus the closed ball
-        B_c(threshold), one row per source."""
-        with self._puncture(d_c, threshold, sources) as cut:
-            dist = dijkstra(cut, directed=True, unweighted=True, indices=sources)
-        return dist[:, :-1]
-
-    def detour(self, d_c: np.ndarray, threshold: float, a: int, b: int) -> float:
-        """Length of a shortest a-b path in the graph minus the closed ball
-        B_c(threshold), inf when there is none: the hop count of b in one
-        breadth-first search from a, which is exact at unit weight."""
-        with self._puncture(d_c, threshold, [a]) as cut:
-            _, pred = breadth_first_order(cut, a, directed=True,
-                                          return_predecessors=True)
-        path = extract_path(pred, b)
-        return float(len(path) - 1) if path[0] == a else math.inf
-
-
 def div_triple(ball: GraphBall, a: int, b: int, c: int,
                params: DivergenceParams) -> int | None:
     """Shortest a-b path length avoiding the closed ball B_c(delta*r - gamma),
@@ -144,16 +79,15 @@ def div_triple(ball: GraphBall, a: int, b: int, c: int,
     """
     for v in (a, b, c):
         ball.check_index(v)
-    search = _Searches(*ball.csr_arrays)
-    d_c = search.plain([c])[0]
+    d_c = dijkstra(ball.matrix, directed=True, indices=[c])[0]
     r = min(d_c[a], d_c[b])
     if r == 0:
         raise PreconditionViolated("d(c, {a, b}) must be positive")
     threshold = params.delta * r - params.gamma
     if threshold > 0:
-        val = search.detour(d_c, threshold, a, b)
-    else:
-        val = search.plain([a])[0][b]
+        path = Puncture(ball.matrix).path(d_c, threshold, a, b)
+        return None if path is None else len(path) - 1
+    val = dijkstra(ball.matrix, directed=True, indices=[a])[0][b]
     return None if math.isinf(val) else int(val)
 
 
@@ -250,8 +184,8 @@ def _orbit_witnesses(group: np.ndarray, low: np.ndarray, key: np.ndarray,
 
 
 def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
-    search = _Searches(*ball.csr_arrays)
-    d_inner = search.plain(inner)
+    puncture = Puncture(ball.matrix)
+    d_inner = dijkstra(ball.matrix, directed=True, indices=inner)
     ambient = d_inner[:, inner]
     # A base-fixing automorphism h keeps every distance, so it maps the
     # inner region onto itself and the triples at c, with their values and
@@ -282,7 +216,9 @@ def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
         floors = np.floor(t[needy])
         for key in np.unique(floors):
             rows = needy[floors == key]
-            values[rows] = search.punctured(d_c, key, inner[rows])[:, inner]
+            with puncture.without(d_c, key, inner[rows]) as cut:
+                values[rows] = dijkstra(cut, directed=True,
+                                        indices=inner[rows])[:, inner]
         ii, jj = np.nonzero(admissible)
         dab, value = ambient[ii, jj].astype(np.int64), values[ii, jj]
         cut = np.isinf(value)
@@ -308,7 +244,7 @@ def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
 def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
                       c_per_pair):
     rng = random.Random(seed)
-    search = _Searches(*ball.csr_arrays)
+    puncture = Puncture(ball.matrix)
     indptr, indices = ball.csr_arrays
     inner_set = set(inner.tolist())
     triples: list[tuple[int, int, int, int, float, float]] = []
@@ -320,7 +256,8 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
             # then the heap holds only vertices within n, limit or not. So
             # the limit n keeps the partners and the geodesic of an
             # unbounded search.
-            d_a, pred = search.plain([a], limit=n, return_predecessors=True)
+            d_a, pred = dijkstra(ball.matrix, directed=True, indices=[a],
+                                 limit=n, return_predecessors=True)
             d_a, pred = d_a[0], pred[0]
             partners = inner[d_a[inner] == n]
             if partners.size == 0:
@@ -345,12 +282,15 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
             # below ra, so ra and the forbidden ball B_c(threshold) are
             # those of an unbounded search, and a vertex beyond the limit
             # (read as inf) is beyond the threshold too.
-            for c, d_c in zip(centers, search.plain(centers, limit=n // 2 + 2)):
+            d_centers = dijkstra(ball.matrix, directed=True, indices=centers,
+                                 limit=n // 2 + 2)
+            for c, d_c in zip(centers, d_centers):
                 ra = int(min(d_c[a], d_c[b]))
                 threshold = params.delta * ra - params.gamma
                 value = float(n)
-                if threshold > 0:
-                    value = search.detour(d_c, threshold, a, b)
+                if threshold > 0:  # a BFS path is a shortest one
+                    path = puncture.path(d_c, threshold, a, b)
+                    value = math.inf if path is None else float(len(path) - 1)
                 triples.append((a, b, c, n, value, threshold))
     buckets = _Buckets(n_max)
     if triples:
@@ -380,14 +320,15 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
     scale; the supremum is approximated, never certified. margin must be a
     finite real >= 1.
 
-    Both protocols, and div_triple, run on one engine: a `_Searches` object
-    per graph does every plain and punctured search, and `_Buckets.offer`
-    picks values and witnesses from arrays of triples by one rule. The
+    Both protocols, and div_triple, run on one engine: plain searches run
+    Dijkstra on the ball's unit matrix (`GraphBall.matrix`), punctured ones
+    run on one `graph_core.Puncture` per call, and `_Buckets.offer` picks
+    values and witnesses from arrays of triples by one rule. The
     sampled protocol runs, per a-b pair, one Dijkstra search from a up to
     n and one from the pair's centers up to n // 2 + 2; each punctured
     triple then takes one breadth-first search from a over the whole ball
-    (`_Searches.detour`). The exhaustive protocol runs its punctured rows
-    through Dijkstra on the same punctured matrix.
+    (`Puncture.path`). The exhaustive protocol runs its punctured rows
+    through multi-row Dijkstra on the punctured matrix (`Puncture.without`).
     """
     if protocol not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown protocol {protocol!r}")

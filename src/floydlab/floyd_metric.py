@@ -32,7 +32,7 @@ from .errors import (
     SampleExhausted,
     TableExhausted,
 )
-from .graph_core import GraphBall, bfs, bfs_parents, extract_path, sphere
+from .graph_core import GraphBall, Puncture, bfs_parents, extract_path, sphere
 
 _BUILTIN_KINDS = ("inverse_power", "exponential", "inverse_square_plus_one")
 VANISH_RATIO = 0.35  # sphere_diameter_trend's "vanishing" end-to-start ratio
@@ -473,7 +473,7 @@ def karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
     rng = random.Random(seed)
     dist = ball.dist.tolist()
     segments: list[tuple[int, float]] = []  # (min base distance, floyd length)
-    outside: dict[int, list[bool]] = {}  # rho -> which vertices lie beyond it
+    puncture = Puncture(ball.matrix) if C > 1 else None
 
     def record(path: list[int]) -> None:
         md = min(dist[x] for x in path)
@@ -490,9 +490,7 @@ def karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
         if C > 1:
             rho = rng.randrange(0, max(1, ball.radius))
             if dist[u] > rho and dist[v] > rho:
-                if rho not in outside:
-                    outside[rho] = (ball.dist > rho).tolist()
-                detour = _punctured_geodesic(ball, u, v, outside[rho])
+                detour = puncture.path(ball.dist, rho, u, v)
                 if detour is not None and qg_certify(
                         ball, PathWitness(vertices=tuple(detour))) <= C:
                     record(detour)
@@ -503,10 +501,3 @@ def karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
     return KarlssonEstimate(radius=max(bad, default=0), epsilon=epsilon, C=C,
                             segments_used=len(segments), bad_segments=len(bad),
                             seed=seed)
-
-
-def _punctured_geodesic(ball: GraphBall, u: int, v: int,
-                        allowed: Sequence[bool]) -> list[int] | None:
-    """Shortest u-v path through the vertices whose `allowed` entry is true."""
-    _, dist, parent = bfs(*ball.csr_arrays, [u], allowed=allowed)
-    return extract_path(parent, v) if v in dist else None

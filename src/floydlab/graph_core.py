@@ -11,18 +11,20 @@ bound on the ambient distance.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import (
     ConsistencyError,
     DisconnectedGraph,
     ParseError,
+    PreconditionViolated,
     RadiusMismatch,
     RadiusOutOfRange,
     SelfLoop,
@@ -39,10 +41,11 @@ class GraphBall:
     form (`indptr`, `indices`, each row sorted ascending) and the distance of
     every vertex from the base; every constructor builds these arrays, and
     no other edge layout is stored: every search reads its rows from them.
-    The ball keeps the arrays it is given and makes them read-only.
-    `slot_rows` and `edge_arrays` are derived on first use; `dist` is the
-    only view of base distances. Safe for concurrent reads; construction
-    happens once, up front.
+    The ball keeps the arrays it is given and makes them read-only. The
+    unit `matrix`, `slot_rows`, `edge_arrays`, `automorphisms` and
+    `orbit_min` are derived read-only on first use; `dist` is the only view
+    of base distances. Safe for concurrent reads: two threads may both
+    derive a value, equal both times, and punctures change a copy.
     """
 
     base: int
@@ -82,6 +85,15 @@ class GraphBall:
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) of the symmetric unweighted adjacency."""
         return self.indptr, self.indices
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The read-only unit matrix of the adjacency: every unit-weight
+        scipy search of the ball runs on it or on a `Puncture` of it."""
+        matrix = unit_matrix(self.indptr, self.indices)
+        for arr in (matrix.data, matrix.indices, matrix.indptr):
+            arr.flags.writeable = False
+        return matrix
 
     @cached_property
     def slot_rows(self) -> np.ndarray:
@@ -376,23 +388,21 @@ class Sphere:
 
 
 def bfs(indptr: np.ndarray, indices: np.ndarray, sources: Iterable[int],
-        cap: int | None = None, allowed: Sequence[bool] | None = None
-        ) -> tuple[list[int], dict[int, int], dict[int, int]]:
+        cap: int | None = None) -> tuple[list[int], dict[int, int], dict[int, int]]:
     """Breadth-first search over CSR arrays from `sources`; returns
     (order, dist, parent).
 
     `order` lists the reached vertices in discovery order (every source
     first); `dist` and `parent` are dicts over the reached vertices, with
     parent -1 for the sources. Sources are seeded in the order given,
-    skipping duplicates and sources outside `allowed`. The queue is FIFO over
-    each vertex's CSR row in stored order, and the first discoverer of a
-    vertex becomes its parent. `cap` stops the search beyond that depth
-    (vertices farther than cap are not reached); `allowed` restricts the
-    search to vertices whose entry is true.
+    skipping duplicates. The queue is FIFO over each vertex's CSR row in
+    stored order, and the first discoverer of a vertex becomes its parent.
+    `cap` stops the search beyond that depth (vertices farther than cap are
+    not reached).
 
     The cost is the part of the graph the search reaches, so capped
-    searches stay local; callers that want a whole distance row take
-    `bfs_distances`.
+    searches stay local; whole-ball searches run in scipy on a unit matrix
+    (`bfs_distances`, and `Puncture` for the graph minus a ball).
     """
     ptr = memoryview(indptr)
     row = memoryview(indices)
@@ -400,7 +410,7 @@ def bfs(indptr: np.ndarray, indices: np.ndarray, sources: Iterable[int],
     parent: dict[int, int] = {}
     order: list[int] = []
     for s in sources:
-        if s not in dist and (allowed is None or allowed[s]):
+        if s not in dist:
             dist[s] = 0
             parent[s] = -1
             order.append(s)
@@ -415,24 +425,24 @@ def bfs(indptr: np.ndarray, indices: np.ndarray, sources: Iterable[int],
             break
         du += 1
         for v in row[ptr[u]:ptr[u + 1]]:
-            if v not in dist and (allowed is None or allowed[v]):
+            if v not in dist:
                 dist[v] = du
                 parent[v] = u
                 order.append(v)
     return order, dist, parent
 
 
-def bfs_distances(indptr: np.ndarray, indices: np.ndarray,
-                  sources: int | Sequence[int], cap: int | None = None) -> np.ndarray:
-    """Breadth-first distances over CSR arrays from `sources` (one vertex, or
-    several: the distance to the nearest), as one int64 array of length V;
-    unreached vertices get -1.
+def bfs_distances(matrix: sp.csr_matrix, sources: int | Sequence[int],
+                  cap: int | None = None) -> np.ndarray:
+    """Breadth-first distances over a unit matrix (a ball's `matrix`, or
+    `unit_matrix` of CSR arrays) from `sources` (one vertex, or several: the
+    distance to the nearest), as one int64 array of length V; unreached
+    vertices get -1.
 
     `cap` stops the search beyond that depth (distances > cap stay -1).
     """
-    dist = dijkstra(unit_matrix(indptr, indices), directed=True, unweighted=True,
-                    indices=sources, limit=np.inf if cap is None else cap,
-                    min_only=True)
+    dist = dijkstra(matrix, directed=True, indices=sources,
+                    limit=np.inf if cap is None else cap, min_only=True)
     dist[np.isinf(dist)] = -1
     return dist.astype(np.int64)
 
@@ -454,6 +464,60 @@ def extract_path(parent, target: int) -> list[int]:
         path.append(parent[path[-1]])
     path.reverse()
     return path
+
+
+class Puncture:
+    """Searches in a graph minus a closed ball B_c(t) = {v : d_c[v] <= t},
+    on `cut`, a private copy of a unit matrix plus an empty sink row V.
+
+    `without` points every slot that enters the ball at the sink, yields
+    `cut`, and puts the slots back in a `finally`. A sink has no way out,
+    so a search from outside the ball sees the graph minus the ball; a
+    source inside it raises `PreconditionViolated`. One object per caller.
+    """
+
+    def __init__(self, matrix: sp.csr_matrix):
+        n, m = matrix.shape[0], matrix.nnz
+        self.cut = sp.csr_matrix((matrix.data, matrix.indices.copy(),
+                                  np.append(matrix.indptr, m)),
+                                 shape=(n + 1, n + 1))
+        # The slots whose column is v: by_column[col_start[v]:col_start[v + 1]].
+        self.by_column = np.argsort(self.cut.indices, kind="stable")
+        self.col_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.cut.indices, minlength=n),
+                  out=self.col_start[1:])
+
+    @contextmanager
+    def without(self, d_c: np.ndarray, threshold: float, sources):
+        """`cut` minus the closed ball B_c(threshold) while the with block
+        runs; every search in it must start at one of `sources`."""
+        if (d_c[sources] <= threshold).any():
+            raise PreconditionViolated(
+                "a punctured search starts inside its forbidden ball")
+        inside = np.flatnonzero(d_c <= threshold)
+        starts = self.col_start[inside]
+        sizes = self.col_start[inside + 1] - starts
+        ends = np.cumsum(sizes)
+        slots = self.by_column[np.arange(sizes.sum())
+                               + np.repeat(starts - ends + sizes, sizes)]
+        indices = self.cut.indices
+        indices[slots] = self.cut.shape[0] - 1  # the sink
+        try:
+            yield self.cut
+        finally:
+            indices[slots] = np.repeat(inside, sizes)
+
+    def path(self, d_c: np.ndarray, threshold: float, a: int,
+             b: int) -> list[int] | None:
+        """The a-b path of one breadth-first search from a in the graph
+        minus the closed ball B_c(threshold), None when b is unreached: a
+        shortest path, each vertex's parent its first discoverer as in
+        `bfs`."""
+        with self.without(d_c, threshold, [a]) as cut:
+            _, pred = breadth_first_order(cut, a, directed=True,
+                                          return_predecessors=True)
+        path = [int(v) for v in extract_path(pred, b)]
+        return path if path[0] == a else None
 
 
 def build_ball(edges: Iterable[tuple[Hashable, Hashable]], base: Hashable,
@@ -666,7 +730,7 @@ def read_graph_file(path) -> GraphBall:
         return ball
 
     indptr, indices = csr_from_edges(v_count, *edges)
-    dist = bfs_distances(indptr, indices, base)
+    dist = bfs_distances(unit_matrix(indptr, indices), base)
     if dist.min() < 0:
         raise ConsistencyError("graph in file is not connected")
     if dist.max() > radius:

@@ -15,10 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import BadRadii, NonPath, SegmentTooLong
 from .graph_core import (
     GraphBall,
+    Puncture,
     bfs,
     bfs_distances,
     extract_path,
@@ -70,19 +72,16 @@ def qg_certify(ball: GraphBall, path) -> float:
     total = len(verts) - 1
     if total == 0:
         return 1.0
-    # Row v holds the distances from v to every path position.
+    # Path vertices lie within `total` of each other, so the limit cuts no
+    # distance that is read. Every operation below is exact or correctly
+    # rounded, so the maximum is the same as one taken pair by pair.
     at = np.array(verts)
-    dist_from = {v: bfs_distances(indptr, indices, v, cap=total)[at].tolist()
-                 for v in set(verts)}
-    c = 1.0
-    for i in range(len(verts)):
-        row = dist_from[verts[i]]
-        for j in range(i + 1, len(verts)):
-            sub = j - i
-            d = row[j]
-            c = max(c, sub / (d + 1))
-            c = max(c, (math.sqrt(sub * sub + 4 * d) - sub) / 2)
-    return c
+    distinct, row_of = np.unique(at, return_inverse=True)
+    dist = dijkstra(ball.matrix, directed=True, indices=distinct, limit=total)
+    i, j = np.triu_indices(len(verts), 1)
+    sub, d = (j - i).astype(float), dist[row_of[i], at[j]]
+    return max(1.0, float((sub / (d + 1)).max()),
+               float(((np.sqrt(sub * sub + 4 * d) - sub) / 2).max()))
 
 
 @dataclass(frozen=True)
@@ -127,55 +126,56 @@ def escape_ray_search(ball: GraphBall, x: int, C: float, inner_radius: float,
     if ball.dist[x] <= inner_radius:
         raise ValueError(f"x must lie outside the closed inner ball")
 
-    allowed = (ball.dist > inner_radius).tolist()
-    targets = set(np.flatnonzero(ball.dist == outer_radius).tolist())
-    if not targets:
+    targets = np.flatnonzero(ball.dist == outer_radius)
+    if not targets.size:
         return None
 
-    near = bfs_distances(*ball.csr_arrays, x, cap=int(C)).tolist()
-    candidates = sorted(
-        (d, v) for v, d in enumerate(near) if 0 <= d <= C and allowed[v])
-    for _, start in candidates:
-        witness = _search_from(ball, start, C, allowed, targets)
+    near = bfs_distances(ball.matrix, x, cap=int(C))
+    starts = np.flatnonzero((near >= 0) & (ball.dist > inner_radius))
+    puncture = Puncture(ball.matrix)
+    for start in starts[np.argsort(near[starts], kind="stable")].tolist():
+        witness = _search_from(ball, puncture, start, C, inner_radius, targets)
         if witness is not None:
             return witness
     return None
 
 
-def _search_from(ball, start, C, allowed, targets):
-    indptr, indices = ball.csr_arrays
-    _, dist, parent = bfs(indptr, indices, [start], allowed=allowed)
-    reachable = [(dist[t], t) for t in targets if t in dist]
-    if not reachable:
+def _search_from(ball, puncture, start, C, inner_radius, targets):
+    with puncture.without(ball.dist, inner_radius, [start]) as cut:
+        dist = dijkstra(cut, directed=True, indices=start)[targets]
+    best = int(np.argmin(dist))  # the first of the nearest targets
+    shortest = dist[best]
+    if math.isinf(shortest):
         return None
-    shortest, best_target = min(reachable)
-    path = extract_path(parent, best_target)
+    path = puncture.path(ball.dist, inner_radius, start, int(targets[best]))
     c = qg_certify(ball, path)
     if c <= C + 1e-12:
         return PathWitness(vertices=tuple(path), certified_C=c)
 
     # Bounded backtracking: enumerate paths of length <= shortest + 2C whose
-    # every prefix can still reach a target within budget.
-    # Only allowed vertices are reached, so the DFS steps on reached ones.
-    dist_to_target = bfs(indptr, indices, sorted(targets), allowed=allowed)[1]
+    # every prefix can still reach a target within budget. The budget keeps
+    # the DFS off the inner ball and off vertices cut off from the targets.
+    with puncture.without(ball.dist, inner_radius, targets) as cut:
+        dist_to_target = dijkstra(cut, directed=True, indices=targets,
+                                  min_only=True).tolist()
     budget = shortest + int(2 * C)
+    at_target = set(targets.tolist())
     tried = 0
+    indptr, indices = ball.csr_arrays
     ptr, row = memoryview(indptr), memoryview(indices)
 
     def dfs(v, used, seen, trail):
         nonlocal tried
         if tried >= SLACK_PATHS:
             return None
-        if v in targets:
+        if v in at_target:
             tried += 1
             c_here = qg_certify(ball, trail)
             if c_here <= C + 1e-12:
                 return PathWitness(vertices=tuple(trail), certified_C=c_here)
             return None
         for w in row[ptr[v]:ptr[v + 1]]:
-            if w in seen or w not in dist_to_target:
-                continue
-            if used + 1 + dist_to_target[w] > budget:
+            if w in seen or used + 1 + dist_to_target[w] > budget:
                 continue
             seen.add(w)
             trail.append(w)

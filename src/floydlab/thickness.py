@@ -191,7 +191,7 @@ def verify_cover(ball: GraphBall, structure: ThickStructure) -> CoverReport:
     cap = int(math.floor(structure.C))
     covered = np.zeros(ball.vertex_count, dtype=bool)
     for s in structure.subsets:
-        covered |= bfs_distances(*ball.csr_arrays, s.vertices, cap) >= 0
+        covered |= bfs_distances(ball.matrix, s.vertices, cap) >= 0
     violators = tuple(np.flatnonzero(~covered).tolist())
     return CoverReport(ok=not violators, violators=violators, C=structure.C)
 
@@ -204,7 +204,7 @@ def _set_diameter_at_least(ball: GraphBall, vertices: Sequence[int],
     members = np.unique(vertices)
     best = 0
     for s in members.tolist():
-        ecc = int(bfs_distances(*ball.csr_arrays, s)[members].max())
+        ecc = int(bfs_distances(ball.matrix, s)[members].max())
         best = max(best, ecc)
         if best >= bound:
             return True
@@ -214,10 +214,12 @@ def _set_diameter_at_least(ball: GraphBall, vertices: Sequence[int],
 def verify_chains(ball: GraphBall, structure: ThickStructure) -> ChainReport:
     """Chain connectivity: subsets i, j are linked when N_C(Y_i) meets Y_j in
     a set of diameter >= D_min (either orientation); ok iff the link graph
-    is connected."""
+    is connected. A vertex outside the ball raises ValueError naming its
+    JSON path, as in verify_cover."""
+    _check_vertex_range(ball, structure, "")
     m = len(structure.subsets)
     cap = int(math.floor(structure.C))
-    near = [bfs_distances(*ball.csr_arrays, s.vertices, cap) >= 0
+    near = [bfs_distances(ball.matrix, s.vertices, cap) >= 0
             for s in structure.subsets]
     members = [np.array(s.vertices) for s in structure.subsets]
     edges = []
@@ -348,7 +350,7 @@ def induced_ball(ball: GraphBall, vertices: Sequence[int]):
         return None
     indptr, indices = csr_induced(*ball.csr_arrays, verts)
     base = int(np.argmin(ball.dist[verts]))  # nearest the base, then smallest
-    dist = bfs_distances(indptr, indices, base)
+    dist = bfs_distances(unit_matrix(indptr, indices), base)
     if dist.min() < 0:
         return None
     sub = GraphBall(base=base, radius=int(dist.max()), indptr=indptr,

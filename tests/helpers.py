@@ -12,7 +12,8 @@ import random
 
 import numpy as np
 
-from floydlab.graph_core import GraphBall, bfs_distances, build_ball, csr_from_edges
+from floydlab.graph_core import (GraphBall, bfs_distances, build_ball, csr_from_edges,
+                                 unit_matrix)
 
 
 def neighbors(ball, v):
@@ -82,7 +83,7 @@ def wind_and_rail_ball():
              (1, 21), (21, 15), (1, 22), (22, 16)]
     u, v = np.array(edges).T
     indptr, indices = csr_from_edges(23, u, v)
-    dist = bfs_distances(indptr, indices, 0)
+    dist = bfs_distances(unit_matrix(indptr, indices), 0)
     return GraphBall(base=0, radius=int(dist.max()), indptr=indptr,
                      indices=indices, dist=dist)
 
@@ -214,7 +215,7 @@ def vertex_of(model, elements, element):
 
 def naive_div_triple(ball, a, b, c, delta, gamma):
     """Reference divergence value using only python BFS over the ball."""
-    d_c = bfs_distances(*ball.csr_arrays, c).tolist()
+    d_c = bfs_distances(ball.matrix, c).tolist()
     r = min(d_c[a], d_c[b])
     assert r > 0
     threshold = delta * r - gamma

@@ -6,7 +6,7 @@ import pytest
 from floydlab import thickness
 from floydlab.errors import StructureDepthMismatch
 from floydlab.graph_core import bfs_distances
-from floydlab.group_models import Free, cayley_ball
+from floydlab.group_models import Free, FreeAbelian, cayley_ball
 from floydlab.thickness import (
     ChainReport,
     CoverReport,
@@ -155,6 +155,38 @@ def test_chains_count_link_components(z2_small):
     assert not report.ok
 
 
+BAD_VERTEX_CASES = {
+    # name: (subsets, message), on zn:2 at radius 4 (vertices 0..40)
+    "negative": (
+        (ThickSubset(name="a", vertices=(0, 1, 2, 3, 4, 5, 6, 7)),
+         ThickSubset(name="b", vertices=(-1, -2, -3, 5, 6, 7))),
+        "structure subsets[1].vertices[0]: vertex -1 out of range 0..40"),
+    "past-the-end": (
+        (ThickSubset(name="a", vertices=(0, 1, 2)),
+         ThickSubset(name="b", vertices=(3, 4, 41))),
+        "structure subsets[1].vertices[2]: vertex 41 out of range 0..40"),
+    "nested-stray": (
+        (ThickSubset(name="a", vertices=(0, 1, 2, 3), substructure=ThickStructure(
+            C=1.0, order=0, D_min=1, subsets=(
+                ThickSubset(name="core", vertices=(1, 9)),))),
+         ThickSubset(name="b", vertices=(2, 3, 4))),
+        "structure subsets[0].substructure.subsets[0].vertices[1]: vertex 9 "
+        "not in parent subset 'a'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_VERTEX_CASES))
+@pytest.mark.parametrize("check", [verify_chains, verify_cover])
+def test_chains_and_cover_reject_bad_vertices_by_json_path(name, check):
+    # Unchecked, numpy would read a negative id as one counted from the end.
+    ball = cayley_ball(FreeAbelian(2), 4)
+    subsets, message = BAD_VERTEX_CASES[name]
+    st = ThickStructure(C=1.0, order=1, D_min=2, subsets=subsets)
+    with pytest.raises(ValueError) as err:
+        check(ball, st)
+    assert str(err.value) == message
+
+
 def test_induced_metric_dominates_ambient(z2_small):
     ball, elements = z2_small
     ring = tuple(i for i, el in enumerate(elements)
@@ -162,7 +194,7 @@ def test_induced_metric_dominates_ambient(z2_small):
     sub, members = induced_ball(ball, ring)
     assert members.tolist() == sorted(ring)
     for i in range(0, sub.vertex_count, 5):
-        dists = bfs_distances(*sub.csr_arrays, i)
+        dists = bfs_distances(sub.matrix, i)
         for j in range(sub.vertex_count):
             assert dists[j] >= graph_distance(ball, int(members[i]), int(members[j]))
 

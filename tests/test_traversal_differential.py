@@ -11,6 +11,12 @@ verbatim copy of the list-based loop that `bfs` was before it read the CSR
 arrays and kept its distances and parents in dicts over the reached
 vertices. Balls no longer keep neighbor tuples, so the copies walk the
 tuples that `csr_rows` and `tuple_rows` read from the CSR arrays.
+`bfs` no longer takes a vertex mask: the masked searches of
+`old_punctured_bfs` and `old_bfs`, from allowed sources, are compared
+with `Puncture` searches on the graph minus the excluded vertices
+(`breadth_first_order` parents and `Puncture.path` for one source,
+multi-source Dijkstra distances, also stopped at a cap), and
+`old_punctured_geodesic` with `Puncture.path`.
 The sampled divergence estimate runs two bounded Dijkstra searches per
 pair and one punctured breadth-first search on the whole ball per triple.
 Its references are the same code with every search limit removed,
@@ -18,15 +24,19 @@ Its references are the same code with every search limit removed,
 `old_windowed_sampled_estimate` with `OldSearches` and `old_window_detour`,
 verbatim copies of the estimate that ran its punctured searches on the
 window B_a(2n + 4) of each pair; `window_exits` checks that the compared
-cases take every exit of the window rule. The punctured searches, which
-point the index slots entering the forbidden ball at a sink row in place,
-are compared row by row with searches on `csr_restrict`, a verbatim copy
-of the edge-deleting restriction they replaced, and with `naive_div_triple`
-in `helpers`; they must leave the index buffer as they found it, also when
-the search raises. The `old_*` divergence functions and `OldBuckets` are
-verbatim copies of both estimates, the exhaustive one's per-tie witness
-loops and `div_triple` as they were before one search object and one array
-witness rule replaced them.
+cases take every exit of the window rule. The punctured searches
+(`graph_core.Puncture`), which point the index slots entering the
+forbidden ball at a sink row in place, are compared row by row with
+searches on `csr_restrict`, a verbatim copy of the edge-deleting
+restriction they replaced, and with `naive_div_triple` in `helpers`; in
+every caller (both divergence protocols, `div_triple`, `escape_ray_search`
+and `karlsson_set_estimate`) they must leave the index buffer as they
+found it, also when the search raises. Dijkstra on a ball's unit matrix,
+plain and punctured, must return what it returned with `unweighted=True`.
+The `old_*` divergence functions and `OldBuckets` are verbatim copies of
+both estimates, the exhaustive one's per-tie witness loops and
+`div_triple` as they were before one search object and one array witness
+rule replaced them.
 
 The next group compares the code that kept a second edge layout beside the
 ball's CSR arrays with the CSR-only code that replaced it: the COO-built
@@ -37,18 +47,27 @@ search's inline edge mask.
 The next group compares the sphere scan that ran Dijkstra from every source
 with the scan that runs it once per symmetry orbit, and the escape-set
 estimate that built its punctured-search mask on every call with the one
-that builds it once per radius.
+that punctures the ball's matrix.
 
-The escape-ray search is compared with `old_escape_ray_search` and
-`old_search_from`, verbatim copies of the search that walked neighbor
-tuples, on balls where it finds geodesic rays, bent rays (through its
-bounded backtracking) and nothing, and on a gadget where two bent chains
-certify and the backtracking's row order decides which is returned.
+`qg_certify`, which runs one multi-row Dijkstra per path and takes the
+maximum over all position pairs with array arithmetic, is compared bit for
+bit with `old_qg_certify`, a copy of the loop that ran one search per
+distinct path vertex and walked the pairs (only its `bfs_distances` call
+takes the new matrix argument).
+
+The escape-ray search, whose searches now run on a `Puncture`, is compared
+with `old_escape_ray_search` and `old_search_from`, verbatim copies of the
+masked search that walked neighbor tuples, on balls where it finds
+geodesic rays, bent rays (through its bounded backtracking) and nothing,
+and on a gadget where two bent chains certify and the backtracking's row
+order decides which is returned.
 
 The next group compares the exhaustive divergence estimate that scanned
-every center (`old_all_centers_exhaustive_estimate`, a verbatim copy) with
-the one that scans one center per symmetry orbit and picks each witness
-over the images of the tied triples.
+every center (`old_all_centers_exhaustive_estimate`, a verbatim copy, on
+`OldSinkSearches`, a verbatim copy of the search object that divergence
+kept before `Puncture` and `GraphBall.matrix` replaced it) with the one
+that scans one center per symmetry orbit and picks each witness over the
+images of the tied triples.
 
 The wideness probe is compared with `old_wideness_probe`, a verbatim copy
 of the loop that searched every eligible vertex: equal outright on balls
@@ -70,24 +89,25 @@ import random
 import tempfile
 from pathlib import Path
 from collections import deque
+from contextlib import contextmanager
 from typing import Hashable, Iterable
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from floydlab import divergence, graph_core, quasigeodesic
 from floydlab.divergence import (
     DivergenceParams,
     DivergenceSample,
     _Buckets,
-    _Searches,
     div_function_estimate,
     div_triple,
 )
 from floydlab.errors import (
     DisconnectedGraph,
+    NonPath,
     PreconditionViolated,
     RadiusMismatch,
     RadiusOutOfMargin,
@@ -102,7 +122,6 @@ from floydlab.floyd_metric import (
     KarlssonEstimate,
     SphereDiameter,
     _dijkstra_rows,
-    _punctured_geodesic,
     floyd_weighting,
     karlsson_set_estimate,
     parse_floyd,
@@ -117,6 +136,7 @@ from floydlab.graph_core import (
     bfs_distances,
     bfs_parents,
     GraphBall,
+    Puncture,
     build_ball,
     csr_from_edges,
     csr_induced,
@@ -488,26 +508,51 @@ def test_bfs_matches_replaced_loops(seed):
         assert dense(dist, parent, n) == old_bfs_parents(adj, source, cap)
         assert (dense(*bfs_parents(indptr, indices, source, cap), n)
                 == old_bfs_parents(adj, source, cap))
-        assert (bfs_distances(indptr, indices, source, cap).tolist()
+        assert (bfs_distances(unit_matrix(indptr, indices), source, cap).tolist()
                 == old_bfs_distances(adj, source, cap))
 
-        # Duplicate and disallowed sources, in a shuffled order.
+        # Duplicate sources, in a shuffled order.
         sources = [rng.randrange(n) for _ in range(rng.randrange(1, 5))]
         sources += sources[: rng.randrange(len(sources) + 1)]
         rng.shuffle(sources)
-        allowed = [rng.random() < 0.8 for _ in range(n)]
-        order, dist, parent = bfs(indptr, indices, sources, allowed=allowed)
-        assert (order, *dense(dist, parent, n)) == old_bfs(adj, sources, allowed=allowed)
-        assert dense(dist, parent, n) == old_punctured_bfs(adj, sources, allowed)
         seed_cap = rng.choice([0, 1, 2, 4])
         order, dist, parent = bfs(indptr, indices, sources, seed_cap)
         assert (order, *dense(dist, parent, n)) == old_bfs(adj, sources, seed_cap)
         assert (dense(dist, parent, n)[0]
                 == old_neighborhood_distances(adj, sources, seed_cap)
-                == bfs_distances(indptr, indices, sources, seed_cap).tolist())
-        order, dist, parent = bfs(indptr, indices, sources, seed_cap, allowed)
-        assert (order, *dense(dist, parent, n)) == old_bfs(adj, sources, seed_cap,
-                                                           allowed)
+                == bfs_distances(unit_matrix(indptr, indices), sources, seed_cap).tolist())
+
+        # The masked searches, as punctured searches from allowed sources.
+        allowed = [rng.random() < 0.8 for _ in range(n)]
+        sources = [s for s in sources if allowed[s]]
+        if sources:
+            assert_punctured_searches_match_mask(indptr, indices, sources,
+                                                 allowed, seed_cap)
+
+
+def assert_punctured_searches_match_mask(indptr, indices, sources, allowed, cap):
+    """Punctured searches on the graph minus the vertices that `allowed`
+    excludes equal the masked loops: `breadth_first_order` and the BFS path
+    of each vertex give the single-source parents, and multi-source
+    Dijkstra gives the distances, also stopped at `cap`."""
+    n = len(allowed)
+    adj = csr_rows(indptr, indices)
+    puncture = Puncture(unit_matrix(indptr, indices))
+    # d_c = 1 on allowed vertices and 0 elsewhere forbids exactly the rest.
+    d_c = np.array(allowed, dtype=float)
+    with puncture.without(d_c, 0.5, sources) as cut:
+        _, pred = breadth_first_order(cut, sources[0], directed=True,
+                                      return_predecessors=True)
+        near = dijkstra(cut, directed=True, indices=sources, min_only=True)
+        capped = dijkstra(cut, directed=True, indices=sources, min_only=True,
+                          limit=cap)
+    dist, parent = old_punctured_bfs(adj, sources[:1], allowed)
+    assert np.maximum(pred[:n], -1).tolist() == parent
+    assert [puncture.path(d_c, 0.5, sources[0], v) for v in range(n)] == [
+        extract_path(parent, v) if dist[v] >= 0 else None for v in range(n)]
+    for want, got in ((old_punctured_bfs(adj, sources, allowed)[0], near),
+                      (old_bfs(adj, sources, cap, allowed)[1], capped)):
+        assert got[:n].tolist() == [math.inf if d < 0 else d for d in want]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -516,17 +561,16 @@ def test_bfs_order_is_the_discovery_order(seed):
     n = rng.randrange(1, 40)
     indptr, indices = random_csr(rng, n)
     sources = [rng.randrange(n) for _ in range(3)]
-    allowed = [rng.random() < 0.7 for _ in range(n)]
     cap = rng.choice([None, 1, 3])
-    order, dist, parent = bfs(indptr, indices, sources, cap, allowed)
+    order, dist, parent = bfs(indptr, indices, sources, cap)
     assert sorted(order) == sorted(dist) == sorted(parent)
     assert len(order) == len(set(order))
     assert [dist[v] for v in order] == sorted(dist[v] for v in order)
-    seeded = [s for s in dict.fromkeys(sources) if allowed[s]]
+    seeded = list(dict.fromkeys(sources))
     assert order[: len(seeded)] == seeded
     assert all(parent[s] == -1 for s in seeded)
     for v in order[len(seeded):]:
-        assert allowed[v] and dist[parent[v]] == dist[v] - 1
+        assert dist[parent[v]] == dist[v] - 1
         assert order.index(parent[v]) < order.index(v)
 
 
@@ -534,12 +578,12 @@ def test_bfs_order_is_the_discovery_order(seed):
 def test_punctured_geodesic_matches_replaced_loop(seed):
     rng = random.Random(seed)
     ball = build_ball(random_connected_edges(rng, rng.randrange(2, 40)), 0, 40)
+    puncture = Puncture(ball.matrix)
     for _ in range(15):
         u, v = rng.randrange(ball.vertex_count), rng.randrange(ball.vertex_count)
         rho = rng.randrange(-1, max(1, max(ball.dist.tolist())))
         if ball.dist[u] > rho and ball.dist[v] > rho:
-            allowed = (ball.dist > rho).tolist()
-            assert _punctured_geodesic(ball, u, v, allowed) == old_punctured_geodesic(
+            assert puncture.path(ball.dist, rho, u, v) == old_punctured_geodesic(
                 ball, u, v, rho)
 
 
@@ -964,64 +1008,151 @@ def test_windowed_differential_covers_every_window_exit(monkeypatch):
     assert exits("z2", DivergenceParams(0.5, 100.0)).keys() == {"no-puncture"}
 
 
-def forbidden_ball(search: _Searches, c: int, threshold: float):
+def forbidden_ball(ball: GraphBall, c: int, threshold: float):
     """d_c of a search from c, and the sources outside B_c(threshold)."""
-    d_c = search.plain([c])[0]
+    d_c = dijkstra(ball.matrix, directed=True, indices=c)
     return d_c, np.flatnonzero(d_c > threshold)
 
 
 def test_punctured_searches_refuse_a_source_inside_the_ball():
     ball = cayley_ball(FreeAbelian(2), 4)
-    search = _Searches(*ball.csr_arrays)
-    d_c, outside = forbidden_ball(search, 0, 1.0)
+    puncture = Puncture(ball.matrix)
+    d_c, outside = forbidden_ball(ball, 0, 1.0)
     near, far = int(np.flatnonzero(d_c == 1)[0]), int(outside[0])
     # The restricted graph keeps no edge at `near`; a redirect into the
     # sink would still let the search leave it, so both searches refuse.
     with pytest.raises(PreconditionViolated):
-        search.punctured(d_c, 1.0, [far, near])
+        with puncture.without(d_c, 1.0, [far, near]):
+            pass
     with pytest.raises(PreconditionViolated):
-        search.detour(d_c, 1.0, near, far)
-    assert search.cut.indices.tobytes() == search.matrix.indices.tobytes()
+        puncture.path(d_c, 1.0, near, far)
+    assert puncture.cut.indices.tobytes() == ball.matrix.indices.tobytes()
+
+
+class PunctureLog:
+    """Spies on `Puncture.without`: per punctured search, whether its buffer
+    was changed inside the with block and restored after it, and the cut
+    that is open, so that a search can be made to fail on it."""
+
+    def __init__(self, monkeypatch):
+        self.calls: list[tuple[bool | None, bool]] = []
+        self.open: list[sp.csr_matrix] = []
+        without = Puncture.without
+
+        @contextmanager
+        def spy(puncture, *args):
+            before = puncture.cut.indices.tobytes()
+            changed = None
+            try:
+                with without(puncture, *args) as cut:
+                    changed = cut.indices.tobytes() != before
+                    self.open.append(cut)
+                    try:
+                        yield cut
+                    finally:
+                        self.open.pop()
+            finally:
+                self.calls.append(
+                    (changed, puncture.cut.indices.tobytes() == before))
+
+        monkeypatch.setattr(Puncture, "without", spy)
+
+    def failing(self, search):
+        """`search`, raising when it runs on an open cut."""
+        def run(matrix, *args, **kwargs):
+            if self.open and matrix is self.open[-1]:
+                raise RuntimeError("search failed")
+            return search(matrix, *args, **kwargs)
+        return run
+
+
+def puncturing_callers():
+    """Every caller of `Puncture`, each on a case that punctures; the
+    escape-ray case also backtracks, so it runs both of its searches."""
+    f2 = cayley_ball(Free(2), 4)
+    params = DivergenceParams(0.5, 0.0)
+    w = floyd_weighting(cayley_ball(FreeAbelian(2), 6),
+                        FloydFunction.inverse_power(2))
+    return {
+        "exhaustive": lambda: div_function_estimate(
+            f2, 4, params, protocol="exhaustive", margin=1.0),
+        "sampled": lambda: div_function_estimate(
+            f2, 2, params, protocol="sampled", margin=2.0),
+        "div_triple": lambda: div_triple(f2, 1, 2, 0, params),
+        "escape_ray_search": lambda: escape_ray_search(
+            wind_and_rail_ball(), 3, 1.3, 1, 4),
+        "karlsson_set_estimate": lambda: karlsson_set_estimate(
+            w, C=1.5, epsilon=0.3, samples=20, seed=0),
+    }
 
 
 def test_puncture_restores_the_index_buffer(monkeypatch):
-    ball = cayley_ball(Free(2), 4)
-    punctured, detour = _Searches.punctured, _Searches.detour
-    calls = []
+    log = PunctureLog(monkeypatch)
+    searches = {}
+    for name, call in puncturing_callers().items():
+        log.calls.clear()
+        call()
+        assert log.calls and set(log.calls) == {(True, True)}, name
+        searches[name] = len(log.calls)
+    assert searches["escape_ray_search"] >= 3  # two Dijkstra runs and a path
 
-    def restored_after(method):
-        def spy(self, *args):
-            try:
-                return method(self, *args)
-            finally:
-                calls.append(
-                    self.cut.indices.tobytes() == self.matrix.indices.tobytes())
-        return spy
+    # A search that raises on the punctured buffer leaves it restored.
+    for owner, attr in ((divergence, "dijkstra"), (quasigeodesic, "dijkstra"),
+                        (graph_core, "breadth_first_order")):
+        monkeypatch.setattr(owner, attr, log.failing(getattr(owner, attr)))
+    for name, call in puncturing_callers().items():
+        log.calls.clear()
+        with pytest.raises(RuntimeError):
+            call()
+        assert log.calls == [(True, True)], name
 
-    monkeypatch.setattr(_Searches, "punctured", restored_after(punctured))
-    monkeypatch.setattr(_Searches, "detour", restored_after(detour))
-    params = DivergenceParams(0.5, 0.0)
-    div_function_estimate(ball, 4, params, protocol="exhaustive", margin=1.0)
-    div_function_estimate(ball, 2, params, protocol="sampled", margin=2.0)
-    div_triple(ball, 1, 2, 0, params)
-    assert len(calls) > 10 and all(calls)
 
-    search = _Searches(*ball.csr_arrays)
-    d_c, outside = forbidden_ball(search, 0, 2.0)
-    seen = []
+UNIT_BALLS = {
+    "z2": lambda: cayley_ball(FreeAbelian(2), 6),
+    "f2": lambda: cayley_ball(Free(2), 4),
+    "heis": lambda: cayley_ball(Heisenberg(), 5),
+    "random": lambda: build_ball(random_connected_edges(random.Random(7), 40),
+                                 0, 40),
+}
 
-    def failing(matrix, *args, **kwargs):
-        seen.append(matrix.indices.tobytes() == search.matrix.indices.tobytes())
-        raise RuntimeError("search failed")
 
-    monkeypatch.setattr(divergence, "dijkstra", failing)
-    monkeypatch.setattr(divergence, "breadth_first_order", failing)
-    with pytest.raises(RuntimeError):
-        search.punctured(d_c, 2.0, outside[:3])
-    with pytest.raises(RuntimeError):
-        search.detour(d_c, 2.0, int(outside[0]), int(outside[-1]))
-    assert seen == [False, False]  # each search ran on a punctured buffer
-    assert search.cut.indices.tobytes() == search.matrix.indices.tobytes()
+@pytest.mark.parametrize("name", sorted(UNIT_BALLS))
+def test_unit_matrix_searches_match_the_unweighted_flag(name):
+    """Dijkstra on the ball's unit matrix, plain and punctured, returns what
+    it returned with `unweighted=True`: distances, predecessors and (with
+    min_only) the nearest sources."""
+    ball = UNIT_BALLS[name]()
+    puncture = Puncture(ball.matrix)
+    rng = random.Random(name)
+    options = ({}, {"limit": 2}, {"min_only": True},
+               {"min_only": True, "limit": 3})
+    for _ in range(8):
+        threshold = rng.choice([0.5, 1.0, 2.0])
+        d_c, outside = forbidden_ball(ball, rng.randrange(ball.vertex_count),
+                                      threshold)
+        if not outside.size:
+            continue
+        sources = rng.sample(outside.tolist(), min(3, outside.size))
+        for kw in options:
+            for indices in (sources[0], sources):
+                def with_and_without_flag(matrix):
+                    return [dijkstra(matrix, directed=True, unweighted=flag,
+                                     indices=indices, return_predecessors=True,
+                                     **kw) for flag in (True, False)]
+
+                runs = [with_and_without_flag(ball.matrix)]
+                with puncture.without(d_c, threshold, sources) as cut:
+                    runs.append(with_and_without_flag(cut))
+                for want, got in runs:
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w)
+
+
+def detour_length(puncture, d_c, threshold, a, b):
+    """The length of `Puncture.path`, inf when there is no path."""
+    path = puncture.path(d_c, threshold, a, b)
+    return math.inf if path is None else float(len(path) - 1)
 
 
 DETOUR_BALLS = {
@@ -1034,18 +1165,18 @@ DETOUR_BALLS = {
 @pytest.mark.parametrize("name", sorted(DETOUR_BALLS))
 def test_detour_equals_naive_div_triple(name):
     ball = DETOUR_BALLS[name]()
-    search = _Searches(*ball.csr_arrays)
+    puncture = Puncture(ball.matrix)
     rng = random.Random(name)
     values = []
     for _ in range(80):
         a, b, c = rng.sample(range(ball.vertex_count), 3)
-        d_c = search.plain([c])[0]
+        d_c = dijkstra(ball.matrix, directed=True, indices=c)
         for delta, gamma in [(0.5, 0.0), (0.8, 1.0)]:
             threshold = delta * min(d_c[a], d_c[b]) - gamma
             if threshold <= 0:
                 continue
             want = naive_div_triple(ball, a, b, c, delta, gamma)
-            got = search.detour(d_c, threshold, a, b)
+            got = detour_length(puncture, d_c, threshold, a, b)
             assert got == (math.inf if want is None else want)
             values.append((got, graph_distance(ball, a, b)))
     if name == "f2":  # a tree: a blocked geodesic cuts the pair apart
@@ -1508,7 +1639,7 @@ def test_bfs_distances_match_level_bfs(name):
                        rng.randrange(ball.vertex_count)}:
             old = old_csr_distances(indptr, indices, source)
             for cap in (None, 0, 1, 3):
-                new = bfs_distances(indptr, indices, source, cap)
+                new = bfs_distances(unit_matrix(indptr, indices), source, cap)
                 assert new.dtype == np.int64
                 want = old if cap is None else np.where(old <= cap, old, -1)
                 assert np.array_equal(new, want)
@@ -1529,7 +1660,7 @@ def test_csr_restrict_equals_inline_punctured_mask(name):
 @pytest.mark.parametrize("seed", range(5))
 def test_punctured_rows_equal_restricted_rows(name, seed):
     ball = LAYOUT_BALLS[name]()
-    search = _Searches(*ball.csr_arrays)
+    puncture = Puncture(ball.matrix)
     rng = random.Random(seed)
     for mask in _vertex_masks(ball, seed):
         allowed = np.flatnonzero(mask).tolist()
@@ -1540,8 +1671,10 @@ def test_punctured_rows_equal_restricted_rows(name, seed):
                         directed=True, unweighted=True, indices=sources)
         # d_c = 1 on allowed vertices and 0 elsewhere forbids exactly the rest.
         d_c = mask.astype(float)
-        assert np.array_equal(search.punctured(d_c, 0.5, sources), want)
-        assert [search.detour(d_c, 0.5, sources[0], b)
+        with puncture.without(d_c, 0.5, sources) as cut:
+            got = dijkstra(cut, directed=True, indices=sources)
+        assert np.array_equal(got[:, :-1], want)
+        assert [detour_length(puncture, d_c, 0.5, sources[0], b)
                 for b in range(ball.vertex_count)] == want[0].tolist()
 
 
@@ -1679,6 +1812,66 @@ def test_scan_differential_covers_symmetric_sampled_and_asymmetric_balls():
     w = floyd_weighting(make(), FloydFunction.inverse_power(2))
     assert not sphere_floyd_diameter(w, 6, margin=margin).exhaustive
     assert relabeled_file_ball().base != 0
+
+
+# ----------------------------------------------------- quasi-geodesic check
+
+def old_qg_certify(ball: GraphBall, path) -> float:
+    """Least C >= 1 satisfying both quasi-geodesic inequalities for every
+    pair of path positions.
+
+    Each pair contributes two closed-form constraints, so the minimum is
+    exact: the upper inequality gives C >= L/(d+1) and the lower one
+    C >= (sqrt(L^2 + 4d) - L)/2 for subpath length L and distance d.
+    """
+    verts = quasigeodesic._vertices_of(path)
+    if not verts:
+        raise ValueError("empty path")
+    for v in verts:
+        ball.check_index(v)
+    indptr, indices = ball.csr_arrays
+    for u, v in zip(verts, verts[1:]):
+        if v not in indices[indptr[u]:indptr[u + 1]]:
+            raise NonPath(f"vertices {u} and {v} not adjacent")
+    total = len(verts) - 1
+    if total == 0:
+        return 1.0
+    # Row v holds the distances from v to every path position.
+    at = np.array(verts)
+    dist_from = {v: bfs_distances(unit_matrix(indptr, indices), v,
+                                  cap=total)[at].tolist()
+                 for v in set(verts)}
+    c = 1.0
+    for i in range(len(verts)):
+        row = dist_from[verts[i]]
+        for j in range(i + 1, len(verts)):
+            sub = j - i
+            d = row[j]
+            c = max(c, sub / (d + 1))
+            c = max(c, (math.sqrt(sub * sub + 4 * d) - sub) / 2)
+    return c
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_BALLS))
+def test_qg_certify_matches_pair_loop(name):
+    """One multi-row Dijkstra and array arithmetic give the constant of the
+    pair-by-pair loop bit for bit, on random walks (which revisit vertices
+    and backtrack) and on geodesics."""
+    ball = UNIT_BALLS[name]()
+    rng = random.Random(name)
+    indptr, indices = ball.csr_arrays
+    bent = 0
+    for _ in range(60):
+        walk = [rng.randrange(ball.vertex_count)]
+        for _ in range(rng.randrange(0, 25)):
+            row = indices[indptr[walk[-1]]:indptr[walk[-1] + 1]]
+            walk.append(int(row[rng.randrange(len(row))]))
+        _, parent = bfs_parents(indptr, indices, walk[0])
+        for path in (walk, extract_path(parent, walk[-1])):
+            new = qg_certify(ball, path)
+            assert new == old_qg_certify(ball, path)
+            bent += new > 1.0
+    assert bent > 10
 
 
 # ---------------------------------------------------------------- escape set
@@ -1838,7 +2031,7 @@ def two_rail_ball():
     edges += [e for k in range(5) for e in ((1, 29 + k), (29 + k, 24 + k))]
     u, v = np.concatenate([np.array(ball.edge_arrays), np.array(edges).T], axis=1)
     indptr, indices = csr_from_edges(34, u, v)
-    dist = bfs_distances(indptr, indices, 0)
+    dist = bfs_distances(unit_matrix(indptr, indices), 0)
     return GraphBall(base=0, radius=int(dist.max()), indptr=indptr,
                      indices=indices, dist=dist)
 
@@ -1869,8 +2062,71 @@ def test_escape_ray_search_matches_list_based_search():
 
 # ------------------------------------------- one divergence center per orbit
 
+class OldSinkSearches:
+    """Unit-weight searches over one graph given as CSR arrays, built once
+    per graph. Plain searches run on `matrix`. Punctured searches run on
+    `cut`, a second matrix with the same rows plus an empty sink row V:
+    each one points every slot that enters its forbidden ball at the sink,
+    searches, and puts the slots back. A sink has no way out, so this is
+    the graph minus the ball for every search that starts outside it."""
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        self.matrix = unit_matrix(indptr, indices)
+        n, m = self.matrix.shape[0], self.matrix.nnz
+        self.cut = sp.csr_matrix((self.matrix.data, self.matrix.indices.copy(),
+                                  np.append(self.matrix.indptr, m)),
+                                 shape=(n + 1, n + 1))
+        # The slots whose column is v: by_column[col_start[v]:col_start[v + 1]].
+        self.by_column = np.argsort(self.cut.indices, kind="stable")
+        self.col_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.cut.indices, minlength=n),
+                  out=self.col_start[1:])
+
+    def plain(self, sources, **kw) -> np.ndarray:
+        return dijkstra(self.matrix, directed=True, unweighted=True,
+                        indices=sources, **kw)
+
+    @contextmanager
+    def _puncture(self, d_c: np.ndarray, threshold: float, sources):
+        """`cut` minus the closed ball B_c(threshold), the vertices with
+        d_c <= threshold, while the with block runs."""
+        if (d_c[sources] <= threshold).any():
+            raise PreconditionViolated(
+                "a punctured search starts inside its forbidden ball")
+        inside = np.flatnonzero(d_c <= threshold)
+        starts = self.col_start[inside]
+        sizes = self.col_start[inside + 1] - starts
+        ends = np.cumsum(sizes)
+        slots = self.by_column[np.arange(sizes.sum())
+                               + np.repeat(starts - ends + sizes, sizes)]
+        indices = self.cut.indices
+        indices[slots] = self.matrix.shape[0]
+        try:
+            yield self.cut
+        finally:
+            indices[slots] = np.repeat(inside, sizes)
+
+    def punctured(self, d_c: np.ndarray, threshold: float,
+                  sources) -> np.ndarray:
+        """Distances from `sources` in the graph minus the closed ball
+        B_c(threshold), one row per source."""
+        with self._puncture(d_c, threshold, sources) as cut:
+            dist = dijkstra(cut, directed=True, unweighted=True, indices=sources)
+        return dist[:, :-1]
+
+    def detour(self, d_c: np.ndarray, threshold: float, a: int, b: int) -> float:
+        """Length of a shortest a-b path in the graph minus the closed ball
+        B_c(threshold), inf when there is none: the hop count of b in one
+        breadth-first search from a, which is exact at unit weight."""
+        with self._puncture(d_c, threshold, [a]) as cut:
+            _, pred = breadth_first_order(cut, a, directed=True,
+                                          return_predecessors=True)
+        path = extract_path(pred, b)
+        return float(len(path) - 1) if path[0] == a else math.inf
+
+
 def old_all_centers_exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
-    search = _Searches(*ball.csr_arrays)
+    search = OldSinkSearches(*ball.csr_arrays)
     d_inner = search.plain(inner)
     ambient = d_inner[:, inner]
     buckets = _Buckets(n_max)
@@ -1948,13 +2204,13 @@ def test_orbit_differential_covers_symmetric_asymmetric_and_cut_balls():
 def test_exhaustive_runs_one_center_per_orbit(monkeypatch):
     ball, margin = orbit_ball("z2")
     centers = set()
-    punctured = _Searches.punctured
+    without = Puncture.without
 
     def spy(self, d_c, threshold, sources):
         centers.add(int(np.flatnonzero(d_c == 0)[0]))
-        return punctured(self, d_c, threshold, sources)
+        return without(self, d_c, threshold, sources)
 
-    monkeypatch.setattr(_Searches, "punctured", spy)
+    monkeypatch.setattr(Puncture, "without", spy)
     div_function_estimate(ball, 10, DivergenceParams(0.5, 0.0),
                           protocol="exhaustive", margin=margin)
     group = ball.automorphisms
