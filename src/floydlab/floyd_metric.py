@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import (
     ConditionAViolated,
@@ -32,7 +32,7 @@ from .errors import (
     SampleExhausted,
     TableExhausted,
 )
-from .graph_core import GraphBall, Puncture, bfs_parents, extract_path, sphere
+from .graph_core import GraphBall, Puncture, extract_path, sphere
 
 _BUILTIN_KINDS = ("inverse_power", "exponential", "inverse_square_plus_one")
 VANISH_RATIO = 0.35  # sphere_diameter_trend's "vanishing" end-to-start ratio
@@ -290,18 +290,14 @@ def floyd_distance(w: FloydWeighting, u: int, v: int) -> float:
     This is an upper bound on the ambient Floyd distance: paths through the
     truncated exterior are unavailable. The margin policy in
     sphere_floyd_diameter controls the resulting error. The search stops
-    at the via-base bound (see `_via_base_limit`), and reruns unbounded if
-    that ever leaves v unreached.
+    at the via-base bound and reruns unbounded if that ever leaves v
+    unreached (see `_target_rows`).
     """
     w.ball.check_index(u)
     w.ball.check_index(v)
     if u == v:
         return 0.0
-    limit = _via_base_limit(w, int(w.ball.dist[u]), int(w.ball.dist[v]))
-    value = _dijkstra_rows(w, [u], limit)[0, v]
-    if math.isinf(value):
-        value = _dijkstra_rows(w, [u])[0, v]
-    return float(value)
+    return float(_target_rows(w, np.array([u]), np.array([v]))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -484,8 +480,9 @@ def karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
         v = rng.randrange(ball.vertex_count)
         if u == v:
             continue
-        _, parent = bfs_parents(*ball.csr_arrays, u)
-        path = extract_path(parent, v)
+        _, pred = breadth_first_order(ball.matrix, u, directed=True,
+                                      return_predecessors=True)
+        path = [int(x) for x in extract_path(pred, v)]
         record(path)
         if C > 1:
             rho = rng.randrange(0, max(1, ball.radius))

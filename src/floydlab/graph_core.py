@@ -41,7 +41,8 @@ class GraphBall:
     form (`indptr`, `indices`, each row sorted ascending) and the distance of
     every vertex from the base; every constructor builds these arrays, and
     no other edge layout is stored: every search reads its rows from them.
-    The ball keeps the arrays it is given and makes them read-only. The
+    The ball keeps the arrays it is given and makes them read-only; it
+    rejects a base or a CSR entry outside 0..V-1 with a ValueError. The
     unit `matrix`, `slot_rows`, `edge_arrays`, `automorphisms` and
     `orbit_min` are derived read-only on first use; `dist` is the only view
     of base distances. Safe for concurrent reads: two threads may both
@@ -59,8 +60,16 @@ class GraphBall:
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if len(self.indptr) != len(self.dist) + 1 or self.indptr[-1] != len(self.indices):
+        n = len(self.dist)
+        if len(self.indptr) != n + 1 or self.indptr[-1] != len(self.indices):
             raise ValueError("CSR arrays do not match the vertex count")
+        if not 0 <= self.base < n:
+            raise ValueError(f"base {self.base} out of range 0..{n - 1}")
+        bad = np.flatnonzero((self.indices < 0) | (self.indices >= n))
+        if len(bad):
+            k = int(bad[0])
+            raise ValueError(
+                f"indices[{k}] = {self.indices[k]} out of range 0..{n - 1}")
 
     def __eq__(self, other):
         if not isinstance(other, GraphBall):
@@ -387,51 +396,6 @@ class Sphere:
     vertices: tuple[int, ...]
 
 
-def bfs(indptr: np.ndarray, indices: np.ndarray, sources: Iterable[int],
-        cap: int | None = None) -> tuple[list[int], dict[int, int], dict[int, int]]:
-    """Breadth-first search over CSR arrays from `sources`; returns
-    (order, dist, parent).
-
-    `order` lists the reached vertices in discovery order (every source
-    first); `dist` and `parent` are dicts over the reached vertices, with
-    parent -1 for the sources. Sources are seeded in the order given,
-    skipping duplicates. The queue is FIFO over each vertex's CSR row in
-    stored order, and the first discoverer of a vertex becomes its parent.
-    `cap` stops the search beyond that depth (vertices farther than cap are
-    not reached).
-
-    The cost is the part of the graph the search reaches, so capped
-    searches stay local; whole-ball searches run in scipy on a unit matrix
-    (`bfs_distances`, and `Puncture` for the graph minus a ball).
-    """
-    ptr = memoryview(indptr)
-    row = memoryview(indices)
-    dist: dict[int, int] = {}
-    parent: dict[int, int] = {}
-    order: list[int] = []
-    for s in sources:
-        if s not in dist:
-            dist[s] = 0
-            parent[s] = -1
-            order.append(s)
-    # `order` doubles as the FIFO queue; its distances never decrease, so
-    # the first vertex at depth `cap` ends the search.
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        du = dist[u]
-        if cap is not None and du >= cap:
-            break
-        du += 1
-        for v in row[ptr[u]:ptr[u + 1]]:
-            if v not in dist:
-                dist[v] = du
-                parent[v] = u
-                order.append(v)
-    return order, dist, parent
-
-
 def bfs_distances(matrix: sp.csr_matrix, sources: int | Sequence[int],
                   cap: int | None = None) -> np.ndarray:
     """Breadth-first distances over a unit matrix (a ball's `matrix`, or
@@ -449,16 +413,44 @@ def bfs_distances(matrix: sp.csr_matrix, sources: int | Sequence[int],
 
 def bfs_parents(indptr: np.ndarray, indices: np.ndarray, source: int,
                 cap: int | None = None) -> tuple[dict[int, int], dict[int, int]]:
-    """BFS distances and predecessor tree from `source`, as `bfs` gives them
-    (the first discoverer is the parent)."""
-    _, dist, parent = bfs(indptr, indices, (source,), cap)
+    """Breadth-first search over CSR arrays from `source`, the one such
+    loop in Python; returns (dist, parent), dicts over the reached vertices.
+
+    `dist` gains its keys in discovery order (the source first, parent -1).
+    The queue is FIFO over each CSR row in stored order, and the first
+    discoverer of a vertex is its parent, as in scipy's
+    `breadth_first_order`. `cap` stops the search beyond that depth. The
+    cost is what the search reaches, so the wideness probe's capped
+    searches stay local; whole-ball searches run in scipy on a unit matrix.
+    """
+    ptr = memoryview(indptr)
+    row = memoryview(indices)
+    dist = {source: 0}
+    parent = {source: -1}
+    # `queue` is the discovery order; its distances never decrease, so the
+    # first vertex at depth `cap` ends the search.
+    queue = [source]
+    head = 0
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        du = dist[u]
+        if cap is not None and du >= cap:
+            break
+        du += 1
+        for v in row[ptr[u]:ptr[u + 1]]:
+            if v not in dist:
+                dist[v] = du
+                parent[v] = u
+                queue.append(v)
     return dist, parent
 
 
 def extract_path(parent, target: int) -> list[int]:
     """Path from the search source to `target` following predecessors:
     `parent` maps a vertex to its predecessor, and a negative entry ends the
-    path (a `bfs` parent dict, or a scipy predecessor row)."""
+    path (a `bfs_parents` parent dict, or a scipy predecessor row, where
+    unreached vertices and the source hold -9999)."""
     path = [target]
     while parent[path[-1]] >= 0:
         path.append(parent[path[-1]])
@@ -511,8 +503,8 @@ class Puncture:
              b: int) -> list[int] | None:
         """The a-b path of one breadth-first search from a in the graph
         minus the closed ball B_c(threshold), None when b is unreached: a
-        shortest path, each vertex's parent its first discoverer as in
-        `bfs`."""
+        shortest path, each vertex's parent its first discoverer in the
+        stored row order, as in `bfs_parents`."""
         with self.without(d_c, threshold, [a]) as cut:
             _, pred = breadth_first_order(cut, a, directed=True,
                                           return_predecessors=True)
@@ -546,28 +538,29 @@ def build_ball(edges: Iterable[tuple[Hashable, Hashable]], base: Hashable,
         raise DisconnectedGraph(f"base {base!r} does not appear in any edge")
 
     # Edge k gives the entries u->v and v->u; the stable sort by row keeps
-    # every row in the order its edges appeared, which the BFS numbering
-    # walks.
+    # every row in the order its edges appeared, which the breadth-first
+    # numbering walks.
     pairs = np.array(list(distinct), dtype=np.int64)
     rows = pairs.ravel()
     by_row = np.argsort(rows, kind="stable")
     indptr = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=len(order)), out=indptr[1:])
-    found, dist, _ = bfs(indptr, pairs[:, ::-1].ravel()[by_row], (order[base],))
+    appeared = unit_matrix(indptr, pairs[:, ::-1].ravel()[by_row])
+    found = breadth_first_order(appeared, order[base], directed=True,
+                                return_predecessors=False)
     if len(found) != len(order):
         missing = len(order) - len(found)
         raise DisconnectedGraph(f"{missing} vertices unreachable from the base")
-    max_dist = dist[found[-1]]
-    if max_dist > declared_radius:
-        raise RadiusMismatch(
-            f"vertex at distance {max_dist} exceeds declared radius {declared_radius}")
+    dist = bfs_distances(appeared, order[base])[found]  # found[i] is the new i
+    if dist.max() > declared_radius:
+        raise RadiusMismatch(f"vertex at distance {dist.max()} exceeds "
+                             f"declared radius {declared_radius}")
     index = np.empty(len(found), dtype=np.int64)
     index[found] = np.arange(len(found))
     pairs = index[pairs]
     indptr, indices = csr_from_edges(len(found), pairs[:, 0], pairs[:, 1])
-    # `dist` gained its keys in discovery order, the new numbering.
     return GraphBall(base=0, radius=declared_radius, indptr=indptr,
-                     indices=indices, dist=list(dist.values()))
+                     indices=indices, dist=dist)
 
 
 def single_vertex_ball() -> GraphBall:

@@ -21,8 +21,8 @@ from .errors import BadRadii, NonPath, SegmentTooLong
 from .graph_core import (
     GraphBall,
     Puncture,
-    bfs,
     bfs_distances,
+    bfs_parents,
     extract_path,
     find_automorphisms,
 )
@@ -265,16 +265,16 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
 
 def _middle_segment(ball, x, C, half, u_cap):
     csr = ball.csr_arrays
-    order, near, _ = bfs(*csr, [x], cap=int(C))
-    for x1 in sorted(order, key=lambda v: (near[v], v)):
-        order1, dist1, parent1 = bfs(*csr, [x1], cap=half)
-        ring = sorted(v for v in order1 if dist1[v] == half)
+    near, _ = bfs_parents(*csr, x, cap=int(C))
+    for x1 in sorted(near, key=lambda v: (near[v], v)):
+        dist1, parent1 = bfs_parents(*csr, x1, cap=half)
+        ring = sorted(v for v in dist1 if dist1[v] == half)
         if not ring:
             continue
         for u in ring[:u_cap]:
             # Every ring vertex is within 2*half of u through x1, so the ones
             # this search leaves unreached are exactly those at 2*half.
-            du = bfs(*csr, [u], cap=2 * half - 1)[1]
+            du = bfs_parents(*csr, u, cap=2 * half - 1)[0]
             antipode = None
             relaxed = None
             for wv in ring:

@@ -13,6 +13,7 @@ from floydlab.errors import (
     SelfLoop,
 )
 from floydlab.graph_core import (
+    GraphBall,
     build_ball,
     read_graph_file,
     sphere,
@@ -60,6 +61,20 @@ def test_build_ball_four_cycle():
 def test_build_ball_deduplicates_edges():
     ball = build_ball([(0, 1), (1, 0), (0, 1)], 0, 1)
     assert ball.edge_count == 1
+
+
+@pytest.mark.parametrize("base, indptr, indices, dist, message", [
+    # A negative neighbor: a search from vertex 2 would reach vertex -1.
+    (0, [0, 1, 2, 3], [1, 0, -1], [0, 1, 1], r"indices\[2\] = -1 out of range 0\.\.2"),
+    (5, [0, 1, 2], [1, 0], [0, 1], r"base 5 out of range 0\.\.1"),
+    # A neighbor past the last vertex: scipy would drop the entry, and the
+    # graph file would gain an edge line "1 7" that its counts do not declare.
+    (0, [0, 1, 3], [1, 0, 7], [0, 1], r"indices\[2\] = 7 out of range 0\.\.1"),
+])
+def test_graph_ball_rejects_vertices_outside_the_ball(base, indptr, indices,
+                                                      dist, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GraphBall(base=base, radius=1, indptr=indptr, indices=indices, dist=dist)
 
 
 def test_sphere_base_and_range():

@@ -2,16 +2,22 @@
 replaced.
 
 The `old_*` functions below are verbatim copies of the hand-written loops
-that `graph_core.bfs` replaced (only their names changed, and the searches
-that took a ball take its neighbor tuples), including `build_ball` with its
-own breadth-first loop (its final assembly builds the ball's CSR arrays with
-`csr_from_edges`, as every ball is now built), and of the wideness probe's
-middle-segment search as it scanned whole distance rows. `old_bfs` is a
-verbatim copy of the list-based loop that `bfs` was before it read the CSR
-arrays and kept its distances and parents in dicts over the reached
-vertices. Balls no longer keep neighbor tuples, so the copies walk the
-tuples that `csr_rows` and `tuple_rows` read from the CSR arrays.
-`bfs` no longer takes a vertex mask: the masked searches of
+that one breadth-first loop replaced (only their names changed, and the
+searches that took a ball take its neighbor tuples), including
+`build_ball` with its own breadth-first loop (its final assembly builds the
+ball's CSR arrays with `csr_from_edges`, as every ball is now built), and
+of the wideness probe's middle-segment search as it scanned whole distance
+rows. `old_bfs` is a verbatim copy of the list-based loop that the Python
+search was before it read the CSR arrays and kept its distances and
+parents in dicts over the reached vertices. That search is now
+`bfs_parents`, from one source; `list(dist)` is its discovery order. Its
+multi-source mode is gone (multi-source distances are `bfs_distances`),
+and whole-graph searches, `build_ball`'s numbering and
+`karlsson_set_estimate`'s geodesics, run in scipy's `breadth_first_order`,
+which must give `old_bfs`'s order and parents on rows in any stored order.
+Balls no longer keep neighbor tuples, so the copies walk the tuples that
+`csr_rows` and `tuple_rows` read from the CSR arrays.
+No search takes a vertex mask: the masked searches of
 `old_punctured_bfs` and `old_bfs`, from allowed sources, are compared
 with `Puncture` searches on the graph minus the excluded vertices
 (`breadth_first_order` parents and `Puncture.path` for one source,
@@ -132,7 +138,6 @@ from floydlab.graph_core import (
     _Layering,
     _S1_CAP,
     _first_sphere_maps,
-    bfs,
     bfs_distances,
     bfs_parents,
     GraphBall,
@@ -488,8 +493,8 @@ def random_csr(rng, n):
 
 
 def dense(dist, parent, n):
-    """The dict results of `bfs` as the lists of the list-based loops: -1
-    for unreached vertices and for the parents of sources."""
+    """The dict results of `bfs_parents` as the lists of the list-based
+    loops: -1 for unreached vertices and for the parents of sources."""
     assert set(parent) == set(dist)
     return [dist.get(v, -1) for v in range(n)], [parent.get(v, -1) for v in range(n)]
 
@@ -503,23 +508,25 @@ def test_bfs_matches_replaced_loops(seed):
     for _ in range(10):
         source = rng.randrange(n)
         cap = rng.choice([None, 0, 1, 2, 3, 5])
-        order, dist, parent = bfs(indptr, indices, [source], cap)
-        assert (order, *dense(dist, parent, n)) == old_bfs(adj, [source], cap)
+        dist, parent = bfs_parents(indptr, indices, source, cap)
+        assert (list(dist), *dense(dist, parent, n)) == old_bfs(adj, [source], cap)
         assert dense(dist, parent, n) == old_bfs_parents(adj, source, cap)
-        assert (dense(*bfs_parents(indptr, indices, source, cap), n)
-                == old_bfs_parents(adj, source, cap))
         assert (bfs_distances(unit_matrix(indptr, indices), source, cap).tolist()
                 == old_bfs_distances(adj, source, cap))
+        # Whole-graph searches run in scipy, which walks the rows in the
+        # same stored order.
+        order, pred = breadth_first_order(unit_matrix(indptr, indices), source,
+                                          directed=True, return_predecessors=True)
+        old_order, _, old_parent = old_bfs(adj, [source])
+        assert order.tolist() == old_order
+        assert np.maximum(pred, -1).tolist() == old_parent
 
         # Duplicate sources, in a shuffled order.
         sources = [rng.randrange(n) for _ in range(rng.randrange(1, 5))]
         sources += sources[: rng.randrange(len(sources) + 1)]
         rng.shuffle(sources)
         seed_cap = rng.choice([0, 1, 2, 4])
-        order, dist, parent = bfs(indptr, indices, sources, seed_cap)
-        assert (order, *dense(dist, parent, n)) == old_bfs(adj, sources, seed_cap)
-        assert (dense(dist, parent, n)[0]
-                == old_neighborhood_distances(adj, sources, seed_cap)
+        assert (old_neighborhood_distances(adj, sources, seed_cap)
                 == bfs_distances(unit_matrix(indptr, indices), sources, seed_cap).tolist())
 
         # The masked searches, as punctured searches from allowed sources.
@@ -560,16 +567,14 @@ def test_bfs_order_is_the_discovery_order(seed):
     rng = random.Random(seed)
     n = rng.randrange(1, 40)
     indptr, indices = random_csr(rng, n)
-    sources = [rng.randrange(n) for _ in range(3)]
+    source = rng.randrange(n)
     cap = rng.choice([None, 1, 3])
-    order, dist, parent = bfs(indptr, indices, sources, cap)
-    assert sorted(order) == sorted(dist) == sorted(parent)
-    assert len(order) == len(set(order))
+    dist, parent = bfs_parents(indptr, indices, source, cap)
+    order = list(dist)
+    assert sorted(order) == sorted(parent)
     assert [dist[v] for v in order] == sorted(dist[v] for v in order)
-    seeded = list(dict.fromkeys(sources))
-    assert order[: len(seeded)] == seeded
-    assert all(parent[s] == -1 for s in seeded)
-    for v in order[len(seeded):]:
+    assert order[0] == source and parent[source] == -1
+    for v in order[1:]:
         assert dist[parent[v]] == dist[v] - 1
         assert order.index(parent[v]) < order.index(v)
 
