@@ -244,7 +244,7 @@ def build_parser() -> _Parser:
 
 # flag -> least value
 _INT_FLAGS = {"cap": 1, "pair_cap": 1, "pairs_per_n": 1, "c_per_pair": 1,
-              "threads": 1, "radius": 0}
+              "threads": 1, "radius": 0, "segment_length": 2}
 
 
 def _check_ints(args) -> None:

@@ -160,15 +160,22 @@ def csr_induced(indptr: np.ndarray, indices: np.ndarray,
     members' rows are read, and the rows stay sorted."""
     rank = np.full(len(indptr) - 1, -1, dtype=np.int64)
     rank[members] = np.arange(len(members))
-    stops = indptr[members + 1]
-    sizes = stops - indptr[members]
-    ends = np.cumsum(sizes)
-    # Slot k of the gathered rows is entry k + stop - end of its row.
-    cols = rank[indices[np.arange(sizes.sum()) + np.repeat(stops - ends, sizes)]]
+    slots, sizes = _row_slots(indptr, members)
+    cols = rank[indices[slots]]
     keep = cols >= 0
     kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
     np.cumsum(keep, out=kept_before[1:])
-    return kept_before[np.append(0, ends)], cols[keep]
+    return kept_before[np.append(0, np.cumsum(sizes))], cols[keep]
+
+
+def _row_slots(indptr: np.ndarray,
+               rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR slots of `rows` (repeats allowed), concatenated in order,
+    and the size of each row."""
+    stops = indptr[rows + 1]
+    sizes = stops - indptr[rows]
+    # Slot j of the gathered rows is entry j + stop - end of its row.
+    return np.arange(sizes.sum()) + np.repeat(stops - np.cumsum(sizes), sizes), sizes
 
 
 def unit_matrix(indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
@@ -411,46 +418,62 @@ def bfs_distances(matrix: sp.csr_matrix, sources: int | Sequence[int],
     return dist.astype(np.int64)
 
 
-def bfs_parents(indptr: np.ndarray, indices: np.ndarray, source: int,
-                cap: int | None = None) -> tuple[dict[int, int], dict[int, int]]:
-    """Breadth-first search over CSR arrays from `source`, the one such
-    loop in Python; returns (dist, parent), dicts over the reached vertices.
+def bfs_parents(indptr: np.ndarray, indices: np.ndarray,
+                sources: int | Sequence[int], cap: int | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breadth-first searches over CSR arrays, one from each entry of
+    `sources` (one vertex, or a sequence: one search per entry, repeats
+    included), run together one level at a time; the one such loop in
+    Python. Returns (dist, parent, order).
 
-    `dist` gains its keys in discovery order (the source first, parent -1).
-    The queue is FIFO over each CSR row in stored order, and the first
+    `dist` and `parent` are int32 arrays, of shape (k, V) for k sources or
+    (V,) for one vertex; -1 marks an unreached vertex and the parent of a
+    source. `order` holds the key i * V + v of every vertex v that search i
+    reaches, level by level, each level grouped by search; the keys of one
+    search, in the order they appear, are its discovery order. Each search
+    is a FIFO queue over each CSR row in stored order, and the first
     discoverer of a vertex is its parent, as in scipy's
-    `breadth_first_order`. `cap` stops the search beyond that depth. The
-    cost is what the search reaches, so the wideness probe's capped
-    searches stay local; whole-ball searches run in scipy on a unit matrix.
+    `breadth_first_order`. `cap` stops the searches beyond that depth.
+    Besides the O(kV) result arrays the cost is what the searches reach,
+    so capped searches stay local; whole-ball searches run in scipy on a
+    unit matrix.
     """
-    ptr = memoryview(indptr)
-    row = memoryview(indices)
-    dist = {source: 0}
-    parent = {source: -1}
-    # `queue` is the discovery order; its distances never decrease, so the
-    # first vertex at depth `cap` ends the search.
-    queue = [source]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        du = dist[u]
-        if cap is not None and du >= cap:
-            break
-        du += 1
-        for v in row[ptr[u]:ptr[u + 1]]:
-            if v not in dist:
-                dist[v] = du
-                parent[v] = u
-                queue.append(v)
-    return dist, parent
+    src = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    k, n = len(src), len(indptr) - 1
+    dist = np.full((k, n), -1, dtype=np.int32)
+    parent = np.full((k, n), -1, dtype=np.int32)
+    flat_dist, flat_parent = dist.reshape(-1), parent.reshape(-1)
+    # The frontier keys stay grouped by search, each group in its search's
+    # discovery order, so gathering their rows in order walks every queue.
+    frontier = np.arange(k) * n + src
+    flat_dist[frontier] = 0
+    levels = [frontier]
+    depth = 0
+    while len(frontier) and (cap is None or depth < cap):
+        depth += 1
+        search, u = np.divmod(frontier, n)
+        slots, sizes = _row_slots(indptr, u)
+        keys = np.repeat(search * n, sizes) + indices[slots]
+        fresh = flat_dist[keys] < 0
+        keys = keys[fresh]
+        # np.unique sorts stably, so `first` is each key's first discoverer.
+        _, first = np.unique(keys, return_index=True)
+        first.sort()
+        frontier = keys[first]
+        flat_dist[frontier] = depth
+        flat_parent[frontier] = np.repeat(u, sizes)[fresh][first]
+        levels.append(frontier)
+    order = np.concatenate(levels)
+    if np.ndim(sources) == 0:
+        return dist[0], parent[0], order
+    return dist, parent, order
 
 
 def extract_path(parent, target: int) -> list[int]:
     """Path from the search source to `target` following predecessors:
     `parent` maps a vertex to its predecessor, and a negative entry ends the
-    path (a `bfs_parents` parent dict, or a scipy predecessor row, where
-    unreached vertices and the source hold -9999)."""
+    path (a `bfs_parents` parent row, where the source and unreached
+    vertices hold -1, or a scipy predecessor row, where they hold -9999)."""
     path = [target]
     while parent[path[-1]] >= 0:
         path.append(parent[path[-1]])

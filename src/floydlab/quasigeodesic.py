@@ -23,12 +23,18 @@ from .graph_core import (
     Puncture,
     bfs_distances,
     bfs_parents,
-    extract_path,
     find_automorphisms,
 )
 
 SLACK_PATHS = 200  # escape_ray_search's budget of backtracked paths per start
 U_CAP = 6  # wideness_probe's ring vertices tried as segment ends per anchor
+# A block of the probe's searches has at most PROBE_BLOCK_SOURCES vertices,
+# fewer where its (search, vertex) int32 result arrays would pass
+# PROBE_BLOCK_CELLS cells. Each level gathers the rows of all the block's
+# searches, and a cap-7 search of the Heisenberg r=8 ball reaches about a
+# thousand vertices.
+PROBE_BLOCK_CELLS = 2**17
+PROBE_BLOCK_SOURCES = 48
 
 
 @dataclass(frozen=True)
@@ -213,16 +219,19 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
     concatenation is a geodesic and certifies at 1. For C > 1 a relaxed
     endpoint distance is accepted if the concatenation certifies at C.
 
-    The search runs on each symmetry orbit until a member passes: eligible
-    vertices are walked in ascending order, and a vertex whose orbit under
-    the ball's base-fixing automorphisms (`find_automorphisms`) has passed
-    is skipped. An automorphism h keeps every ball distance, so it keeps
-    eligibility and maps a segment certified at C around x onto one
-    certified at C around h(x). When x is the first of its orbit to pass,
-    every h(x) gets h(path) as its witness (the first such h in group
-    order), including the members before x, which failed; x keeps its own.
-    The pass set is thus the union of the orbits that hold a vertex the
-    search passes on its own, with one witness per passing vertex.
+    The search runs on each symmetry orbit, under the ball's base-fixing
+    automorphisms (`find_automorphisms`), until a member passes: round r
+    searches the r-th eligible member, in ascending order, of every orbit
+    that has not passed. A round's vertices are searched together, in
+    blocks of breadth-first searches (`bfs_parents`), each vertex trying
+    its candidates in the order above. An automorphism h keeps every ball
+    distance, so it keeps eligibility and maps a segment certified at C
+    around x onto one certified at C around h(x). When x is the first of
+    its orbit to pass, every h(x) gets h(path) as its witness (the first
+    such h in group order), including the members before x, which failed;
+    x keeps its own. The pass set is thus the union of the orbits that
+    hold a vertex the search passes on its own, with one witness per
+    passing vertex.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
@@ -243,18 +252,23 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
     orbit = group.min(axis=0)
     passed = np.zeros(ball.vertex_count, dtype=bool)  # by smallest vertex
     found_at: dict[int, PathWitness] = {}
-    for x in eligible:
-        if passed[orbit[x]]:
-            continue
-        found = _middle_segment(ball, x, C, half, U_CAP)
-        if found is None:
-            continue
-        passed[orbit[x]] = True
-        images = group[:, list(found.vertices)].tolist()
-        for y, path in zip(group[:, x].tolist(), images):
-            if y not in found_at:
-                found_at[y] = PathWitness(vertices=tuple(path),
-                                          certified_C=found.certified_C)
+    pending = np.array(eligible, dtype=np.int64)
+    while len(pending):
+        # One round: the smallest pending member of every orbit not passed.
+        _, first = np.unique(orbit[pending], return_index=True)
+        first.sort()
+        xs = pending[first]
+        for x, found in zip(xs.tolist(), _middle_segments(ball, xs, C, half)):
+            if found is None:
+                continue
+            passed[orbit[x]] = True
+            images = group[:, list(found.vertices)].tolist()
+            for y, path in zip(group[:, x].tolist(), images):
+                if y not in found_at:
+                    found_at[y] = PathWitness(vertices=tuple(path),
+                                              certified_C=found.certified_C)
+        pending = np.delete(pending, first)
+        pending = pending[~passed[orbit[pending]]]
     witnesses = {x: found_at[x] for x in eligible if x in found_at}
     failures = tuple(x for x in eligible if x not in found_at)
     frac = len(witnesses) / len(eligible) if eligible else 1.0
@@ -263,33 +277,119 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
                           pass_fraction=frac)
 
 
-def _middle_segment(ball, x, C, half, u_cap):
+def _middle_segments(ball, xs, C, half):
+    """The segment found around each vertex of `xs` (None where there is
+    none), searched in blocks of PROBE_BLOCK_SOURCES vertices, fewer on
+    balls where that many rows pass PROBE_BLOCK_CELLS."""
+    block = max(1, min(PROBE_BLOCK_SOURCES, PROBE_BLOCK_CELLS // ball.vertex_count))
+    found = []
+    for i in range(0, len(xs), block):
+        found += _segment_block(ball, xs[i:i + block], C, half)
+    return found
+
+
+def _segment_block(ball, xs, C, half):
+    """Each x of `xs` tries anchors x1 within C of it, nearest first (ties
+    by id), and as segment ends u the first U_CAP vertices, by id, of the
+    ring at distance `half` from x1, until one (x1, u) gives a segment:
+    the tree path from u back to x1 and on to the ring's antipode of u, or
+    for C > 1 to its farthest ring vertex if the path certifies at C. All
+    unresolved vertices take their next candidate together, each kind of
+    search running as one `bfs_parents` call."""
     csr = ball.csr_arrays
-    near, _ = bfs_parents(*csr, x, cap=int(C))
-    for x1 in sorted(near, key=lambda v: (near[v], v)):
-        dist1, parent1 = bfs_parents(*csr, x1, cap=half)
-        ring = sorted(v for v in dist1 if dist1[v] == half)
-        if not ring:
-            continue
-        for u in ring[:u_cap]:
-            # Every ring vertex is within 2*half of u through x1, so the ones
-            # this search leaves unreached are exactly those at 2*half.
-            du = bfs_parents(*csr, u, cap=2 * half - 1)[0]
-            antipode = None
-            relaxed = None
-            for wv in ring:
-                if wv not in du:
-                    antipode = wv
-                    break
-                if relaxed is None or du[wv] > du[relaxed]:
-                    relaxed = wv
-            if antipode is not None:
-                path = extract_path(parent1, u)[::-1] + extract_path(parent1, antipode)[1:]
+    k = len(xs)
+    anchors, bounds = _anchor_lists(csr, xs, C)
+    anchor, last = bounds[:-1].copy(), bounds[1:]
+    rings: list[np.ndarray] = [anchors[:0]] * k
+    tried = np.zeros(k, dtype=np.int64)  # ring vertices tried as u at the anchor
+    found: list[PathWitness | None] = [None] * k
+    trees = None  # row x: the parents of x's current anchor search
+    todo = np.arange(k)  # vertices whose current anchor is not searched yet
+    live = np.zeros(k, dtype=bool)  # vertices with an anchor tree and a u to try
+    while True:
+        while len(todo):
+            parent1, ring_row, ring_v = _anchor_trees(csr, anchors[anchor[todo]], half)
+            cut = np.searchsorted(ring_row, np.arange(len(todo) + 1))
+            has = cut[1:] > cut[:-1]
+            for i, x in enumerate(todo.tolist()):
+                rings[x] = ring_v[cut[i]:cut[i + 1]]
+            if trees is None:
+                trees = parent1  # the first search covers every vertex
+            else:
+                trees[todo[has]] = parent1[has]
+            live[todo[has]] = True
+            tried[todo[has]] = 0
+            # An empty ring moves on to the next anchor.
+            anchor[todo[~has]] += 1
+            todo = todo[~has]
+            todo = todo[anchor[todo] < last[todo]]
+        at = np.flatnonzero(live)
+        if not len(at):
+            return found
+        ring_all = [rings[x] for x in at.tolist()]
+        sizes = np.array([len(r) for r in ring_all])
+        us = np.array([r[t] for r, t in zip(ring_all, tried[at].tolist())])
+        sources, search_of = np.unique(us, return_inverse=True)
+        dist_u = bfs_parents(*csr, sources, cap=2 * half - 1)[0]
+        flat = np.concatenate(ring_all)
+        owner = np.repeat(np.arange(len(at)), sizes)
+        starts = np.cumsum(sizes) - sizes
+        du = dist_u[search_of[owner], flat]
+        # Every ring vertex is within 2*half of u through x1, so the ones the
+        # u search leaves unreached are exactly those at 2*half: the first
+        # such is the antipode. Else the first one farthest from u is the
+        # relaxed end.
+        missed = np.flatnonzero(du < 0)
+        has_antipode = np.logical_or.reduceat(du < 0, starts)
+        antipode = flat[missed[np.searchsorted(missed, starts[has_antipode])]]
+        farthest = np.flatnonzero(du == np.maximum.reduceat(du, starts)[owner])
+        relaxed = flat[farthest[np.searchsorted(farthest, starts)]]
+        ends = relaxed.copy()
+        ends[has_antipode] = antipode
+        paths = _tree_paths(trees, at, us, ends, half).tolist()
+        for i, x in enumerate(at.tolist()):
+            if has_antipode[i]:
                 # Endpoints at full distance make every subpath geodesic.
-                return PathWitness(vertices=tuple(path), certified_C=1.0)
-            if C > 1 and relaxed is not None and relaxed != u:
-                path = extract_path(parent1, u)[::-1] + extract_path(parent1, relaxed)[1:]
-                c = qg_certify(ball, path)
+                found[x] = PathWitness(vertices=tuple(paths[i]), certified_C=1.0)
+            elif C > 1 and relaxed[i] != us[i]:
+                c = qg_certify(ball, paths[i])
                 if c <= C + 1e-12:
-                    return PathWitness(vertices=tuple(path), certified_C=c)
-    return None
+                    found[x] = PathWitness(vertices=tuple(paths[i]), certified_C=c)
+        done = np.array([found[x] is not None for x in at.tolist()])
+        live[at[done]] = False
+        rest = at[~done]
+        tried[rest] += 1
+        spent = rest[tried[rest] == np.minimum(U_CAP, sizes[~done])]
+        live[spent] = False
+        anchor[spent] += 1
+        todo = spent[anchor[spent] < last[spent]]
+
+
+def _anchor_lists(csr, xs, C):
+    """The anchors of every x of `xs`, the vertices within C of it by
+    distance, then id, as one array, and the bounds of each x's run."""
+    near, reached = bfs_parents(*csr, xs, cap=int(C))[::2]
+    row, v = np.divmod(reached, near.shape[1])
+    by_near = np.lexsort((v, near.reshape(-1)[reached], row))
+    return v[by_near], np.searchsorted(row[by_near], np.arange(len(xs) + 1))
+
+
+def _anchor_trees(csr, sources, half):
+    """The parent rows of the searches from `sources` to depth `half`, and
+    their rings, the vertices at distance `half`, as (search, vertex)
+    arrays sorted by search, then vertex."""
+    dist, parent, order = bfs_parents(*csr, sources, cap=half)
+    ring = np.sort(order[dist.reshape(-1)[order] == half])
+    return (parent, *np.divmod(ring, dist.shape[1]))
+
+
+def _tree_paths(trees, rows, us, ends, half):
+    """The path from us[i] up tree rows[i] to its root, `half` steps, and on
+    down to ends[i], for every i: the tree paths are read in lockstep."""
+    walk = np.empty((2 * len(rows), half + 1), dtype=np.int64)
+    walk[:, 0] = np.concatenate([us, ends])
+    both = np.concatenate([rows, rows])
+    for step in range(half):
+        walk[:, step + 1] = trees[both, walk[:, step]]
+    up, down = walk[:len(rows)], walk[len(rows):]
+    return np.concatenate([up, down[:, half - 1::-1]], axis=1)

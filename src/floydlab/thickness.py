@@ -25,8 +25,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .divergence import DivergenceParams, div_function_estimate, growth_fit
 from .errors import InsufficientData, SegmentTooLong, StructureDepthMismatch
-from .graph_core import (GraphBall, bfs_distances, csr_from_edges, csr_induced,
-                         unit_matrix)
+from .graph_core import (GraphBall, bfs_distances, bfs_parents, csr_from_edges,
+                         csr_induced, unit_matrix)
 from .quasigeodesic import wideness_probe
 
 DIV_N_MIN = 2  # smallest n of a leaf's divergence fit
@@ -350,7 +350,10 @@ def induced_ball(ball: GraphBall, vertices: Sequence[int]):
         return None
     indptr, indices = csr_induced(*ball.csr_arrays, verts)
     base = int(np.argmin(ball.dist[verts]))  # nearest the base, then smallest
-    dist = bfs_distances(unit_matrix(indptr, indices), base)
+    # One search on the arrays, not on a unit matrix: the leaf builds its
+    # `matrix` once, on first use, and none is held through the probe's
+    # automorphism search, which sets thick-verify's peak memory.
+    dist = bfs_parents(indptr, indices, base)[0]
     if dist.min() < 0:
         return None
     sub = GraphBall(base=base, radius=int(dist.max()), indptr=indptr,

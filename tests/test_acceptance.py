@@ -232,7 +232,7 @@ def test_criterion_09_quasi_geodesic_certification():
         for _ in range(20):
             u = rng.randrange(ball.vertex_count)
             v = rng.randrange(ball.vertex_count)
-            _, parent = bfs_parents(*ball.csr_arrays, u)
+            _, parent, _ = bfs_parents(*ball.csr_arrays, u)
             path = extract_path(parent, v)
             if qg_certify(ball, path) != 1.0:
                 geodesics_ok = False

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from floydlab import cli
 from floydlab.cli import main
 from floydlab.graph_core import read_graph_file
 from floydlab.group_models import Heisenberg, growth_series
@@ -220,6 +221,17 @@ def test_count_flags_need_a_positive_integer(argv, flag, value):
 def test_radius_must_be_nonnegative(argv, capsys):
     assert main([*argv, "--radius", "-1"]) == 1
     assert capsys.readouterr().err == "floydlab: --radius: expected an integer >= 0, got -1\n"
+
+
+def test_segment_length_is_checked_before_the_ball_is_built(monkeypatch, capsys):
+    def no_ball(args):
+        raise AssertionError("ball built")
+
+    monkeypatch.setattr(cli, "_load_ball", no_ball)
+    argv = ["verify-thick", *_SOURCE, "--structure", "unused.json"]
+    assert main([*argv, "--segment-length", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "floydlab: --segment-length: expected an integer >= 2, got 1\n")
 
 
 @pytest.mark.parametrize("spec", ["invpow:x", "exp:", "invpow:", "exp:1/2"])

@@ -388,7 +388,7 @@ def test_karlsson_self_consistent_resample(z2_mid):
         v = rng.randrange(ball.vertex_count)
         if u == v:
             continue
-        _, parent = bfs_parents(*ball.csr_arrays, u)
+        _, parent, _ = bfs_parents(*ball.csr_arrays, u)
         path = extract_path(parent, v)
         if min(ball.dist[x] for x in path) > est.radius:
             checked += 1

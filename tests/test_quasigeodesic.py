@@ -48,7 +48,7 @@ def test_geodesics_certify_at_one():
         for _ in range(10):
             u = rng.randrange(ball.vertex_count)
             v = rng.randrange(ball.vertex_count)
-            _, parent = bfs_parents(*ball.csr_arrays, u)
+            _, parent, _ = bfs_parents(*ball.csr_arrays, u)
             path = extract_path(parent, v)
             assert qg_certify(ball, path) == 1.0
 

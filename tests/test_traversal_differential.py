@@ -10,9 +10,12 @@ of the wideness probe's middle-segment search as it scanned whole distance
 rows. `old_bfs` is a verbatim copy of the list-based loop that the Python
 search was before it read the CSR arrays and kept its distances and
 parents in dicts over the reached vertices. That search is now
-`bfs_parents`, from one source; `list(dist)` is its discovery order. Its
-multi-source mode is gone (multi-source distances are `bfs_distances`),
-and whole-graph searches, `build_ball`'s numbering and
+`bfs_parents`, which runs one search per source, all together one level
+at a time in numpy; the keys of search i in its `order` are its discovery
+order, and each search must give `old_bfs` and `old_bfs_parents`'s
+distances, parents and order from its source, with sources repeated, on
+the rim and at cap 0 (multi-source distances to the nearest source are
+`bfs_distances`). Whole-graph searches, `build_ball`'s numbering and
 `karlsson_set_estimate`'s geodesics, run in scipy's `breadth_first_order`,
 which must give `old_bfs`'s order and parents on rows in any stored order.
 Balls no longer keep neighbor tuples, so the copies walk the tuples that
@@ -80,7 +83,8 @@ of the loop that searched every eligible vertex: equal outright on balls
 without symmetries, and on symmetric balls (with `U_CAP` lowered to 1 to
 provoke misses) its pass set must be the orbit closure of the old one,
 with every mapped witness certified by `qg_certify` and the oracle in
-`helpers`.
+`helpers`; both comparisons also run with blocks of one search and of
+three rows of cells (`PROBE_BLOCKS`).
 
 The last group compares `find_automorphisms`, which grows the group in
 place in one int32 buffer, with `old_find_automorphisms` and
@@ -492,13 +496,6 @@ def random_csr(rng, n):
     return indptr, indices
 
 
-def dense(dist, parent, n):
-    """The dict results of `bfs_parents` as the lists of the list-based
-    loops: -1 for unreached vertices and for the parents of sources."""
-    assert set(parent) == set(dist)
-    return [dist.get(v, -1) for v in range(n)], [parent.get(v, -1) for v in range(n)]
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_bfs_matches_replaced_loops(seed):
     rng = random.Random(seed)
@@ -508,9 +505,10 @@ def test_bfs_matches_replaced_loops(seed):
     for _ in range(10):
         source = rng.randrange(n)
         cap = rng.choice([None, 0, 1, 2, 3, 5])
-        dist, parent = bfs_parents(indptr, indices, source, cap)
-        assert (list(dist), *dense(dist, parent, n)) == old_bfs(adj, [source], cap)
-        assert dense(dist, parent, n) == old_bfs_parents(adj, source, cap)
+        dist, parent, order = bfs_parents(indptr, indices, source, cap)
+        assert (order.tolist(), dist.tolist(), parent.tolist()) == old_bfs(
+            adj, [source], cap)
+        assert (dist.tolist(), parent.tolist()) == old_bfs_parents(adj, source, cap)
         assert (bfs_distances(unit_matrix(indptr, indices), source, cap).tolist()
                 == old_bfs_distances(adj, source, cap))
         # Whole-graph searches run in scipy, which walks the rows in the
@@ -569,9 +567,9 @@ def test_bfs_order_is_the_discovery_order(seed):
     indptr, indices = random_csr(rng, n)
     source = rng.randrange(n)
     cap = rng.choice([None, 1, 3])
-    dist, parent = bfs_parents(indptr, indices, source, cap)
-    order = list(dist)
-    assert sorted(order) == sorted(parent)
+    dist, parent, order = bfs_parents(indptr, indices, source, cap)
+    order = order.tolist()
+    assert sorted(order) == np.flatnonzero(dist >= 0).tolist()
     assert [dist[v] for v in order] == sorted(dist[v] for v in order)
     assert order[0] == source and parent[source] == -1
     for v in order[1:]:
@@ -647,10 +645,69 @@ def first_passes(ball, report):
     return set(first.values())
 
 
+# Block budgets of the probe's searches: the default, one source per block,
+# and three (search, vertex) rows of cells per block.
+PROBE_BLOCKS = {
+    "default": lambda ball: {},
+    "one-source": lambda ball: {"PROBE_BLOCK_SOURCES": 1},
+    "three-rows": lambda ball: {"PROBE_BLOCK_CELLS": 3 * ball.vertex_count},
+}
+
+
+def set_probe_blocks(monkeypatch, blocks, ball):
+    for attr, value in PROBE_BLOCKS[blocks](ball).items():
+        monkeypatch.setattr(quasigeodesic, attr, value)
+
+
+def assert_block_search_matches(indptr, indices, sources, cap):
+    """Each search of one multi-source `bfs_parents` call equals the
+    list-based loops from its source: distances, parents and discovery
+    order; `order` runs level by level."""
+    n = len(indptr) - 1
+    adj = csr_rows(indptr, indices)
+    dist, parent, order = bfs_parents(indptr, indices, sources, cap)
+    assert dist.shape == parent.shape == (len(sources), n)
+    assert (np.diff(dist.reshape(-1)[order]) >= 0).all()
+    search, vertex = np.divmod(order, n)
+    for i, source in enumerate(sources):
+        old_order, old_dist, old_parent = old_bfs(adj, [source], cap)
+        assert vertex[search == i].tolist() == old_order
+        assert dist[i].tolist() == old_dist and parent[i].tolist() == old_parent
+        assert (old_dist, old_parent) == old_bfs_parents(adj, source, cap)
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_BALLS))
+def test_block_search_matches_replaced_loops_on_probe_balls(name):
+    # Repeated sources, sources on the rim, cap 0, and (in "triangular") a
+    # ball that is not bipartite.
+    ball = PROBE_BALLS[name]()
+    rng = random.Random(name)
+    rim = np.flatnonzero(ball.dist == ball.radius).tolist()
+    for cap in (0, 1, 3, 7, None):
+        sources = [rng.randrange(ball.vertex_count) for _ in range(5)]
+        sources += rng.sample(rim, min(3, len(rim))) + sources[:2]
+        rng.shuffle(sources)
+        assert_block_search_matches(*ball.csr_arrays, sources, cap)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_block_search_matches_replaced_loops_on_random_graphs(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 40)
+    indptr, indices = random_csr(rng, n)
+    sources = [rng.randrange(n) for _ in range(rng.randrange(1, 8))]
+    sources += sources[: rng.randrange(len(sources) + 1)]
+    rng.shuffle(sources)
+    assert_block_search_matches(indptr, indices, sources,
+                                rng.choice([None, 0, 1, 2, 3, 5]))
+
+
 @pytest.mark.parametrize("name", sorted(PROBE_BALLS))
 @pytest.mark.parametrize("C", [1.0, 1.5])
-def test_wideness_probe_matches_full_row_scan(name, C, monkeypatch):
+@pytest.mark.parametrize("blocks", sorted(PROBE_BLOCKS))
+def test_wideness_probe_matches_full_row_scan(name, C, blocks, monkeypatch):
     ball = PROBE_BALLS[name]()
+    set_probe_blocks(monkeypatch, blocks, ball)
     for segment_length, u_cap in ((6, 6), (8, 6), (5, 1)):
         monkeypatch.setattr(quasigeodesic, "U_CAP", u_cap)
         new = wideness_probe(ball, C, segment_length)
@@ -708,8 +765,10 @@ def orbit_closure(ball, vertices):
 
 
 @pytest.mark.parametrize("name", sorted(ORBIT_PROBE_BALLS))
-def test_reduced_probe_passes_the_orbit_closure(name, monkeypatch):
+@pytest.mark.parametrize("blocks", sorted(PROBE_BLOCKS))
+def test_reduced_probe_passes_the_orbit_closure(name, blocks, monkeypatch):
     ball = ORBIT_PROBE_BALLS[name]()
+    set_probe_blocks(monkeypatch, blocks, ball)
     monkeypatch.setattr(quasigeodesic, "U_CAP", 1)
     for segment_length, C in ORBIT_PROBE_CASES:
         new = wideness_probe(ball, C, segment_length)
@@ -745,28 +804,31 @@ def test_orbit_probe_differential_covers_mapped_failures(monkeypatch):
 def test_probe_searches_each_orbit_until_its_first_pass(name, monkeypatch):
     ball = ORBIT_PROBE_BALLS[name]()
     monkeypatch.setattr(quasigeodesic, "U_CAP", 1)
-    searched = []
-    middle_segment = quasigeodesic._middle_segment
+    rounds = []
+    middle_segments = quasigeodesic._middle_segments
 
-    def spy(ball, x, *args):
-        searched.append(x)
-        return middle_segment(ball, x, *args)
+    def spy(ball, xs, *args):
+        rounds.append(xs.tolist())
+        return middle_segments(ball, xs, *args)
 
-    monkeypatch.setattr(quasigeodesic, "_middle_segment", spy)
+    monkeypatch.setattr(quasigeodesic, "_middle_segments", spy)
     for segment_length, C in ORBIT_PROBE_CASES:
-        searched.clear()
+        rounds.clear()
         new = wideness_probe(ball, C, segment_length)
         old = old_wideness_probe(ball, C, segment_length, 1)
         firsts = first_passes(ball, old)
         low = ball.orbit_min
-        # An orbit is searched in ascending order up to its first pass.
-        expected, done = [], set()
+        # An orbit is searched in ascending order up to its first pass, and
+        # round r searches the r-th of those members of every orbit, in
+        # ascending order.
+        searched = {}
         for x in old.eligible:
-            if low[x] not in done:
-                expected.append(x)
-                if x in firsts:
-                    done.add(low[x])
-        assert searched == expected
+            members = searched.setdefault(low[x], [])
+            if not (members and members[-1] in firsts):
+                members.append(x)
+        depth = max(map(len, searched.values()), default=0)
+        assert rounds == [sorted(m[r] for m in searched.values() if len(m) > r)
+                          for r in range(depth)]
         # Every other member gets the first image of that witness.
         group = ball.automorphisms
         for y, w in new.witnesses.items():
@@ -1871,7 +1933,7 @@ def test_qg_certify_matches_pair_loop(name):
         for _ in range(rng.randrange(0, 25)):
             row = indices[indptr[walk[-1]]:indptr[walk[-1] + 1]]
             walk.append(int(row[rng.randrange(len(row))]))
-        _, parent = bfs_parents(indptr, indices, walk[0])
+        _, parent, _ = bfs_parents(indptr, indices, walk[0])
         for path in (walk, extract_path(parent, walk[-1])):
             new = qg_certify(ball, path)
             assert new == old_qg_certify(ball, path)
