@@ -30,7 +30,13 @@ from .errors import (
     RangeMismatch,
 )
 from .floyd_metric import FloydFunction
-from .graph_core import GraphBall, Puncture, extract_path
+from .graph_core import (
+    GraphBall,
+    Puncture,
+    block_rows,
+    extract_path,
+    punctured_paths,
+)
 
 EXHAUSTIVE_CAP = 400  # "auto" runs the exhaustive protocol up to this many vertices
 SLOPE_BAND = (0.8, 1.2)  # growth_fit's linear-compatible log-log slopes
@@ -85,7 +91,8 @@ def div_triple(ball: GraphBall, a: int, b: int, c: int,
         raise PreconditionViolated("d(c, {a, b}) must be positive")
     threshold = params.delta * r - params.gamma
     if threshold > 0:
-        path = Puncture(ball.matrix).path(d_c, threshold, a, b)
+        path, = punctured_paths(*ball.csr_arrays, [a], [b],
+                                [np.flatnonzero(d_c <= threshold)])
         return None if path is None else len(path) - 1
     val = dijkstra(ball.matrix, directed=True, indices=[a])[0][b]
     return None if math.isinf(val) else int(val)
@@ -244,10 +251,10 @@ def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
 def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
                       c_per_pair):
     rng = random.Random(seed)
-    puncture = Puncture(ball.matrix)
     indptr, indices = ball.csr_arrays
     inner_set = set(inner.tolist())
-    triples: list[tuple[int, int, int, int, float, float]] = []
+    # Draw every triple first: only the search from a feeds the draws.
+    triples: list[tuple[int, int, int, int]] = []  # (a, b, c, n)
     for n in range(1, n_max + 1):
         for _ in range(pairs_per_n):
             a = int(inner[rng.randrange(len(inner))])
@@ -275,28 +282,47 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
             for c in cands:
                 if c not in centers and c in inner_set and c not in (a, b):
                     centers.append(c)
-            if not centers:
-                continue
-            # c lies within 2 steps of the a-b geodesic, so
-            # ra = d(c, {a, b}) <= n // 2 + 2, the limit. The threshold is
-            # below ra, so ra and the forbidden ball B_c(threshold) are
-            # those of an unbounded search, and a vertex beyond the limit
-            # (read as inf) is beyond the threshold too.
-            d_centers = dijkstra(ball.matrix, directed=True, indices=centers,
-                                 limit=n // 2 + 2)
-            for c, d_c in zip(centers, d_centers):
-                ra = int(min(d_c[a], d_c[b]))
-                threshold = params.delta * ra - params.gamma
-                value = float(n)
-                if threshold > 0:  # a BFS path is a shortest one
-                    path = puncture.path(d_c, threshold, a, b)
-                    value = math.inf if path is None else float(len(path) - 1)
-                triples.append((a, b, c, n, value, threshold))
+            triples += [(a, b, c, n) for c in centers]
     buckets = _Buckets(n_max)
-    if triples:
-        a, b, c, dab, value, radius = (np.array(col) for col in zip(*triples))
-        buckets.offer(a, b, c, dab, value, radius)
+    if not triples:
+        return buckets.finalize(n_min, "sampled", seed)
+    a, b, c, dab = (np.array(col, dtype=np.int64) for col in zip(*triples))
+    radius, forbidden = _forbidden_balls(ball, params, a, b, c, dab)
+    value = dab.astype(float)
+    cut = radius > 0  # a BFS path is a shortest one
+    paths = punctured_paths(indptr, indices, a[cut], b[cut], forbidden)
+    value[cut] = [math.inf if p is None else len(p) - 1 for p in paths]
+    buckets.offer(a, b, c, dab, value, radius)
     return buckets.finalize(n_min, "sampled", seed)
+
+
+def _forbidden_balls(ball, params, a, b, c, dab):
+    """The forbidden radius t of every triple (a[i], b[i], c[i]) with
+    d(a, b) = dab[i] (ascending), and the vertices of B_c(t) of each triple
+    with t > 0, from one Dijkstra search per n and block of centers.
+
+    c lies within 2 steps of the a-b geodesic, so ra = d(c, {a, b}) <=
+    n // 2 + 2, the limit. The threshold is below ra, so ra and the
+    forbidden ball B_c(threshold) are those of an unbounded search, and a
+    vertex beyond the limit (read as inf) is beyond the threshold too.
+    """
+    radius = np.empty(len(dab))
+    forbidden = []
+    block = block_rows(ball.vertex_count)
+    firsts = np.flatnonzero(np.diff(dab, prepend=0)).tolist()  # of each n
+    for first, stop in zip(firsts, firsts[1:] + [len(dab)]):
+        n = int(dab[first])
+        for lo in range(first, stop, block):
+            rows = slice(lo, min(lo + block, stop))
+            d_c = dijkstra(ball.matrix, directed=True, indices=c[rows],
+                           limit=n // 2 + 2)
+            at = np.arange(len(d_c))
+            ra = np.minimum(d_c[at, a[rows]], d_c[at, b[rows]])
+            t = params.delta * ra - params.gamma
+            radius[rows] = t
+            forbidden += [np.flatnonzero(d_c[i] <= t[i])
+                          for i in np.flatnonzero(t > 0).tolist()]
+    return radius, forbidden
 
 
 def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
@@ -321,14 +347,18 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
     finite real >= 1.
 
     Both protocols, and div_triple, run on one engine: plain searches run
-    Dijkstra on the ball's unit matrix (`GraphBall.matrix`), punctured ones
-    run on one `graph_core.Puncture` per call, and `_Buckets.offer` picks
-    values and witnesses from arrays of triples by one rule. The
-    sampled protocol runs, per a-b pair, one Dijkstra search from a up to
-    n and one from the pair's centers up to n // 2 + 2; each punctured
-    triple then takes one breadth-first search from a over the whole ball
-    (`Puncture.path`). The exhaustive protocol runs its punctured rows
-    through multi-row Dijkstra on the punctured matrix (`Puncture.without`).
+    Dijkstra on the ball's unit matrix (`GraphBall.matrix`), and
+    `_Buckets.offer` picks values and witnesses from arrays of triples by
+    one rule. The sampled protocol first draws every triple, running one
+    Dijkstra search from a up to n per a-b pair (its heap order picks the
+    geodesic that the later draws read); it then runs, per n, one
+    multi-row Dijkstra search from that n's centers up to n // 2 + 2 (in
+    blocks of `graph_core.block_rows` rows), and all punctured detours in
+    blocks of breadth-first searches that stop when they reach b
+    (`graph_core.punctured_paths`). The exhaustive protocol runs its
+    punctured rows through multi-row Dijkstra on a punctured copy of the
+    matrix (`graph_core.Puncture`); div_triple takes one detour from
+    `punctured_paths`.
     """
     if protocol not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown protocol {protocol!r}")

@@ -32,7 +32,7 @@ from .errors import (
     SampleExhausted,
     TableExhausted,
 )
-from .graph_core import GraphBall, Puncture, extract_path, sphere
+from .graph_core import GraphBall, extract_path, punctured_paths, sphere
 
 _BUILTIN_KINDS = ("inverse_power", "exponential", "inverse_square_plus_one")
 VANISH_RATIO = 0.35  # sphere_diameter_trend's "vanishing" end-to-start ratio
@@ -469,7 +469,6 @@ def karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
     rng = random.Random(seed)
     dist = ball.dist.tolist()
     segments: list[tuple[int, float]] = []  # (min base distance, floyd length)
-    puncture = Puncture(ball.matrix) if C > 1 else None
 
     def record(path: list[int]) -> None:
         md = min(dist[x] for x in path)
@@ -487,7 +486,8 @@ def karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
         if C > 1:
             rho = rng.randrange(0, max(1, ball.radius))
             if dist[u] > rho and dist[v] > rho:
-                detour = puncture.path(ball.dist, rho, u, v)
+                detour, = punctured_paths(*ball.csr_arrays, [u], [v],
+                                          [np.flatnonzero(ball.dist <= rho)])
                 if detour is not None and qg_certify(
                         ball, PathWitness(vertices=tuple(detour))) <= C:
                     record(detour)

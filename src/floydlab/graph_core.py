@@ -98,7 +98,9 @@ class GraphBall:
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         """The read-only unit matrix of the adjacency: every unit-weight
-        scipy search of the ball runs on it or on a `Puncture` of it."""
+        scipy search of the ball runs on it, or, for whole Dijkstra rows in
+        the ball minus a ball, on a `Puncture` of it. The numpy searches
+        (`bfs_parents`, `punctured_paths`) read the CSR arrays instead."""
         matrix = unit_matrix(self.indptr, self.indices)
         for arr in (matrix.data, matrix.indices, matrix.indptr):
             arr.flags.writeable = False
@@ -418,9 +420,23 @@ def bfs_distances(matrix: sp.csr_matrix, sources: int | Sequence[int],
     return dist.astype(np.int64)
 
 
+# A block of `bfs_parents` searches keeps each of its (search, vertex) int32
+# arrays within BLOCK_CELLS cells: each level gathers the rows of all the
+# block's searches, and the arrays are O(kV) whatever the searches reach.
+BLOCK_CELLS = 2**17
+
+
+def block_rows(vertex_count: int) -> int:
+    """Rows per block of searches over `vertex_count` vertices: as many as
+    fit BLOCK_CELLS cells, at least one."""
+    return max(1, BLOCK_CELLS // vertex_count)
+
+
 def bfs_parents(indptr: np.ndarray, indices: np.ndarray,
-                sources: int | Sequence[int], cap: int | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                sources: int | Sequence[int], cap: int | None = None, *,
+                blocked: Sequence[np.ndarray] | None = None,
+                targets: Sequence[int] | None = None, parents: bool = True
+                ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Breadth-first searches over CSR arrays, one from each entry of
     `sources` (one vertex, or a sequence: one search per entry, repeats
     included), run together one level at a time; the one such loop in
@@ -434,39 +450,95 @@ def bfs_parents(indptr: np.ndarray, indices: np.ndarray,
     is a FIFO queue over each CSR row in stored order, and the first
     discoverer of a vertex is its parent, as in scipy's
     `breadth_first_order`. `cap` stops the searches beyond that depth.
+    `blocked[i]` lists vertices that search i never enters (the search
+    sees the graph minus them; a search that starts on one raises
+    `PreconditionViolated`), and `targets[i]` stops search i once it has
+    discovered that vertex. Neither changes a reached vertex's distance or
+    parent. `parents=False` skips the parent array and returns None for it.
     Besides the O(kV) result arrays the cost is what the searches reach,
-    so capped searches stay local; whole-ball searches run in scipy on a
-    unit matrix.
+    so capped and targeted searches stay local.
     """
     src = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     k, n = len(src), len(indptr) - 1
     dist = np.full((k, n), -1, dtype=np.int32)
-    parent = np.full((k, n), -1, dtype=np.int32)
-    flat_dist, flat_parent = dist.reshape(-1), parent.reshape(-1)
+    parent = np.full((k, n), -1, dtype=np.int32) if parents else None
+    flat_dist = dist.reshape(-1)
     # The frontier keys stay grouped by search, each group in its search's
     # discovery order, so gathering their rows in order walks every queue.
     frontier = np.arange(k) * n + src
+    if blocked is not None:
+        # A blocked vertex reads -2 until the searches end: never fresh.
+        walls = np.concatenate([i * n + np.asarray(b, dtype=np.int64)
+                                for i, b in enumerate(blocked)])
+        flat_dist[walls] = -2
+        if (flat_dist[frontier] == -2).any():
+            raise PreconditionViolated(
+                "a punctured search starts inside its forbidden ball")
+    goals = None if targets is None else (
+        np.arange(k) * n + np.asarray(targets, dtype=np.int64))
     flat_dist[frontier] = 0
     levels = [frontier]
     depth = 0
     while len(frontier) and (cap is None or depth < cap):
         depth += 1
         search, u = np.divmod(frontier, n)
+        if goals is not None:  # a search that has found its target stops
+            going = flat_dist[goals[search]] < 0
+            search, u = search[going], u[going]
         slots, sizes = _row_slots(indptr, u)
         keys = np.repeat(search * n, sizes) + indices[slots]
-        fresh = flat_dist[keys] < 0
+        fresh = flat_dist[keys] == -1
         keys = keys[fresh]
         # np.unique sorts stably, so `first` is each key's first discoverer.
         _, first = np.unique(keys, return_index=True)
         first.sort()
         frontier = keys[first]
         flat_dist[frontier] = depth
-        flat_parent[frontier] = np.repeat(u, sizes)[fresh][first]
+        if parents:
+            parent.reshape(-1)[frontier] = np.repeat(u, sizes)[fresh][first]
         levels.append(frontier)
+    if blocked is not None:
+        flat_dist[walls] = -1
     order = np.concatenate(levels)
     if np.ndim(sources) == 0:
-        return dist[0], parent[0], order
+        return dist[0], None if parent is None else parent[0], order
     return dist, parent, order
+
+
+def punctured_paths(indptr: np.ndarray, indices: np.ndarray,
+                    sources: Sequence[int], targets: Sequence[int],
+                    forbidden: Sequence[np.ndarray]) -> list[list[int] | None]:
+    """For each job i, the path of a breadth-first search from sources[i]
+    to targets[i] in the graph minus the vertices forbidden[i] (a ball
+    B_c(t), or any vertex set), None when the target is unreached: a
+    shortest path, each vertex's parent its first discoverer in the stored
+    row order, as in scipy's `breadth_first_order` on the punctured graph.
+    A source inside its forbidden set raises `PreconditionViolated`.
+
+    The jobs run in blocks of `block_rows(V)` searches, each block one
+    `bfs_parents` call that stops each search at its target, and the
+    block's paths are read back in lockstep.
+    """
+    n = len(indptr) - 1
+    block = block_rows(n)
+    paths: list[list[int] | None] = []
+    for lo in range(0, len(sources), block):
+        src = np.asarray(sources[lo:lo + block], dtype=np.int64)
+        dst = np.asarray(targets[lo:lo + block], dtype=np.int64)
+        dist, parent, _ = bfs_parents(indptr, indices, src,
+                                      blocked=forbidden[lo:lo + block],
+                                      targets=dst)
+        rows = np.arange(len(src))
+        length = dist[rows, dst]
+        walk = np.empty((len(src), max(int(length.max()), 0) + 1), dtype=np.int64)
+        walk[:, 0] = dst
+        for step in range(1, walk.shape[1]):
+            # A walk that has reached its source stays there.
+            up = parent[rows, walk[:, step - 1]]
+            walk[:, step] = np.where(up >= 0, up, walk[:, step - 1])
+        for steps, row in zip(length.tolist(), walk.tolist()):
+            paths.append(None if steps < 0 else row[steps::-1])
+    return paths
 
 
 def extract_path(parent, target: int) -> list[int]:
@@ -482,13 +554,16 @@ def extract_path(parent, target: int) -> list[int]:
 
 
 class Puncture:
-    """Searches in a graph minus a closed ball B_c(t) = {v : d_c[v] <= t},
-    on `cut`, a private copy of a unit matrix plus an empty sink row V.
+    """Whole-row Dijkstra searches in a graph minus a closed ball
+    B_c(t) = {v : d_c[v] <= t}, on `cut`, a private copy of a unit matrix
+    plus an empty sink row V.
 
     `without` points every slot that enters the ball at the sink, yields
     `cut`, and puts the slots back in a `finally`. A sink has no way out,
     so a search from outside the ball sees the graph minus the ball; a
     source inside it raises `PreconditionViolated`. One object per caller.
+    Paths that avoid a ball come from `punctured_paths`, which changes no
+    matrix.
     """
 
     def __init__(self, matrix: sp.csr_matrix):
@@ -521,18 +596,6 @@ class Puncture:
             yield self.cut
         finally:
             indices[slots] = np.repeat(inside, sizes)
-
-    def path(self, d_c: np.ndarray, threshold: float, a: int,
-             b: int) -> list[int] | None:
-        """The a-b path of one breadth-first search from a in the graph
-        minus the closed ball B_c(threshold), None when b is unreached: a
-        shortest path, each vertex's parent its first discoverer in the
-        stored row order, as in `bfs_parents`."""
-        with self.without(d_c, threshold, [a]) as cut:
-            _, pred = breadth_first_order(cut, a, directed=True,
-                                          return_predecessors=True)
-        path = [int(v) for v in extract_path(pred, b)]
-        return path if path[0] == a else None
 
 
 def build_ball(edges: Iterable[tuple[Hashable, Hashable]], base: Hashable,

@@ -23,17 +23,17 @@ from .graph_core import (
     Puncture,
     bfs_distances,
     bfs_parents,
+    block_rows,
     find_automorphisms,
+    punctured_paths,
 )
 
 SLACK_PATHS = 200  # escape_ray_search's budget of backtracked paths per start
 U_CAP = 6  # wideness_probe's ring vertices tried as segment ends per anchor
 # A block of the probe's searches has at most PROBE_BLOCK_SOURCES vertices,
-# fewer where its (search, vertex) int32 result arrays would pass
-# PROBE_BLOCK_CELLS cells. Each level gathers the rows of all the block's
-# searches, and a cap-7 search of the Heisenberg r=8 ball reaches about a
-# thousand vertices.
-PROBE_BLOCK_CELLS = 2**17
+# fewer where `graph_core.block_rows` allows fewer. Each level gathers the
+# rows of all the block's searches, and a cap-7 search of the Heisenberg
+# r=8 ball reaches about a thousand vertices.
 PROBE_BLOCK_SOURCES = 48
 
 
@@ -153,7 +153,8 @@ def _search_from(ball, puncture, start, C, inner_radius, targets):
     shortest = dist[best]
     if math.isinf(shortest):
         return None
-    path = puncture.path(ball.dist, inner_radius, start, int(targets[best]))
+    path, = punctured_paths(*ball.csr_arrays, [start], [targets[best]],
+                            [np.flatnonzero(ball.dist <= inner_radius)])
     c = qg_certify(ball, path)
     if c <= C + 1e-12:
         return PathWitness(vertices=tuple(path), certified_C=c)
@@ -280,8 +281,8 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
 def _middle_segments(ball, xs, C, half):
     """The segment found around each vertex of `xs` (None where there is
     none), searched in blocks of PROBE_BLOCK_SOURCES vertices, fewer on
-    balls where that many rows pass PROBE_BLOCK_CELLS."""
-    block = max(1, min(PROBE_BLOCK_SOURCES, PROBE_BLOCK_CELLS // ball.vertex_count))
+    balls where `block_rows` allows fewer."""
+    block = min(PROBE_BLOCK_SOURCES, block_rows(ball.vertex_count))
     found = []
     for i in range(0, len(xs), block):
         found += _segment_block(ball, xs[i:i + block], C, half)
@@ -330,7 +331,7 @@ def _segment_block(ball, xs, C, half):
         sizes = np.array([len(r) for r in ring_all])
         us = np.array([r[t] for r, t in zip(ring_all, tried[at].tolist())])
         sources, search_of = np.unique(us, return_inverse=True)
-        dist_u = bfs_parents(*csr, sources, cap=2 * half - 1)[0]
+        dist_u = bfs_parents(*csr, sources, cap=2 * half - 1, parents=False)[0]
         flat = np.concatenate(ring_all)
         owner = np.repeat(np.arange(len(at)), sizes)
         starts = np.cumsum(sizes) - sizes
@@ -368,7 +369,7 @@ def _segment_block(ball, xs, C, half):
 def _anchor_lists(csr, xs, C):
     """The anchors of every x of `xs`, the vertices within C of it by
     distance, then id, as one array, and the bounds of each x's run."""
-    near, reached = bfs_parents(*csr, xs, cap=int(C))[::2]
+    near, _, reached = bfs_parents(*csr, xs, cap=int(C), parents=False)
     row, v = np.divmod(reached, near.shape[1])
     by_near = np.lexsort((v, near.reshape(-1)[reached], row))
     return v[by_near], np.searchsorted(row[by_near], np.arange(len(xs) + 1))

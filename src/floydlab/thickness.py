@@ -353,7 +353,7 @@ def induced_ball(ball: GraphBall, vertices: Sequence[int]):
     # One search on the arrays, not on a unit matrix: the leaf builds its
     # `matrix` once, on first use, and none is held through the probe's
     # automorphism search, which sets thick-verify's peak memory.
-    dist = bfs_parents(indptr, indices, base)[0]
+    dist = bfs_parents(indptr, indices, base, parents=False)[0]
     if dist.min() < 0:
         return None
     sub = GraphBall(base=base, radius=int(dist.max()), indptr=indptr,

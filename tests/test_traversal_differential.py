@@ -23,11 +23,21 @@ Balls no longer keep neighbor tuples, so the copies walk the tuples that
 No search takes a vertex mask: the masked searches of
 `old_punctured_bfs` and `old_bfs`, from allowed sources, are compared
 with `Puncture` searches on the graph minus the excluded vertices
-(`breadth_first_order` parents and `Puncture.path` for one source,
-multi-source Dijkstra distances, also stopped at a cap), and
-`old_punctured_geodesic` with `Puncture.path`.
-The sampled divergence estimate runs two bounded Dijkstra searches per
-pair and one punctured breadth-first search on the whole ball per triple.
+(`breadth_first_order` parents for one source, multi-source Dijkstra
+distances, also stopped at a cap) and with `punctured_paths`, and
+`old_punctured_geodesic` with `punctured_paths`.
+`punctured_paths` runs its jobs in blocks of `bfs_parents` searches that
+never enter their forbidden sets and stop at their targets. It is compared
+with `old_punctured_path`, a verbatim copy of the `Puncture.path` it
+replaced (one scipy search over the whole sink-punctured matrix per job),
+on the sampled balls and random graphs, with targets next to the ball,
+inside it and unreachable, repeated sources, and blocks split by a small
+cell budget; on the F2 tree a search that cannot reach its target must
+exhaust exactly its source's component.
+The sampled divergence estimate draws every triple first, with one bounded
+Dijkstra search per pair, then runs one bounded search per n and block of
+centers and all punctured detours through `punctured_paths`, which a
+spy counts.
 Its references are the same code with every search limit removed,
 `old_sampled_estimate`, whose searches all run on the whole ball, and
 `old_windowed_sampled_estimate` with `OldSearches` and `old_window_detour`,
@@ -38,9 +48,11 @@ cases take every exit of the window rule. The punctured searches
 forbidden ball at a sink row in place, are compared row by row with
 searches on `csr_restrict`, a verbatim copy of the edge-deleting
 restriction they replaced, and with `naive_div_triple` in `helpers`; in
-every caller (both divergence protocols, `div_triple`, `escape_ray_search`
-and `karlsson_set_estimate`) they must leave the index buffer as they
-found it, also when the search raises. Dijkstra on a ball's unit matrix,
+every caller (the exhaustive protocol and `escape_ray_search`) they must
+leave the index buffer as they found it, also when the search raises. The
+callers of `punctured_paths` (the sampled protocol, `div_triple`,
+`escape_ray_search` and `karlsson_set_estimate`) must leave the ball's CSR
+arrays and unit matrix bit-identical, also when a search raises. Dijkstra on a ball's unit matrix,
 plain and punctured, must return what it returned with `unweighted=True`.
 The `old_*` divergence functions and `OldBuckets` are verbatim copies of
 both estimates, the exhaustive one's per-tie witness loops and
@@ -64,7 +76,8 @@ bit with `old_qg_certify`, a copy of the loop that ran one search per
 distinct path vertex and walked the pairs (only its `bfs_distances` call
 takes the new matrix argument).
 
-The escape-ray search, whose searches now run on a `Puncture`, is compared
+The escape-ray search, whose searches now run on a `Puncture` and through
+`punctured_paths`, is compared
 with `old_escape_ray_search` and `old_search_from`, verbatim copies of the
 masked search that walked neighbor tuples, on balls where it finds
 geodesic rays, bent rays (through its bounded backtracking) and nothing,
@@ -151,6 +164,7 @@ from floydlab.graph_core import (
     csr_induced,
     extract_path,
     is_automorphism,
+    punctured_paths,
     read_graph_file,
     single_vertex_ball,
     sphere,
@@ -553,7 +567,9 @@ def assert_punctured_searches_match_mask(indptr, indices, sources, allowed, cap)
                           limit=cap)
     dist, parent = old_punctured_bfs(adj, sources[:1], allowed)
     assert np.maximum(pred[:n], -1).tolist() == parent
-    assert [puncture.path(d_c, 0.5, sources[0], v) for v in range(n)] == [
+    outside = np.flatnonzero(d_c <= 0.5)
+    assert punctured_paths(indptr, indices, [sources[0]] * n, list(range(n)),
+                           [outside] * n) == [
         extract_path(parent, v) if dist[v] >= 0 else None for v in range(n)]
     for want, got in ((old_punctured_bfs(adj, sources, allowed)[0], near),
                       (old_bfs(adj, sources, cap, allowed)[1], capped)):
@@ -581,13 +597,16 @@ def test_bfs_order_is_the_discovery_order(seed):
 def test_punctured_geodesic_matches_replaced_loop(seed):
     rng = random.Random(seed)
     ball = build_ball(random_connected_edges(rng, rng.randrange(2, 40)), 0, 40)
-    puncture = Puncture(ball.matrix)
+    jobs = []
     for _ in range(15):
         u, v = rng.randrange(ball.vertex_count), rng.randrange(ball.vertex_count)
         rho = rng.randrange(-1, max(1, max(ball.dist.tolist())))
         if ball.dist[u] > rho and ball.dist[v] > rho:
-            assert puncture.path(ball.dist, rho, u, v) == old_punctured_geodesic(
-                ball, u, v, rho)
+            jobs.append((u, v, rho))
+    us, vs, rhos = zip(*jobs) if jobs else ((), (), ())
+    forbidden = [np.flatnonzero(ball.dist <= rho) for rho in rhos]
+    assert punctured_paths(*ball.csr_arrays, us, vs, forbidden) == [
+        old_punctured_geodesic(ball, *job) for job in jobs]
 
 
 def star_ball():
@@ -648,15 +667,15 @@ def first_passes(ball, report):
 # Block budgets of the probe's searches: the default, one source per block,
 # and three (search, vertex) rows of cells per block.
 PROBE_BLOCKS = {
-    "default": lambda ball: {},
-    "one-source": lambda ball: {"PROBE_BLOCK_SOURCES": 1},
-    "three-rows": lambda ball: {"PROBE_BLOCK_CELLS": 3 * ball.vertex_count},
+    "default": lambda ball: [],
+    "one-source": lambda ball: [(quasigeodesic, "PROBE_BLOCK_SOURCES", 1)],
+    "three-rows": lambda ball: [(graph_core, "BLOCK_CELLS", 3 * ball.vertex_count)],
 }
 
 
 def set_probe_blocks(monkeypatch, blocks, ball):
-    for attr, value in PROBE_BLOCKS[blocks](ball).items():
-        monkeypatch.setattr(quasigeodesic, attr, value)
+    for owner, attr, value in PROBE_BLOCKS[blocks](ball):
+        monkeypatch.setattr(owner, attr, value)
 
 
 def assert_block_search_matches(indptr, indices, sources, cap):
@@ -668,6 +687,10 @@ def assert_block_search_matches(indptr, indices, sources, cap):
     dist, parent, order = bfs_parents(indptr, indices, sources, cap)
     assert dist.shape == parent.shape == (len(sources), n)
     assert (np.diff(dist.reshape(-1)[order]) >= 0).all()
+    # Without the parent array the searches are the same.
+    bare = bfs_parents(indptr, indices, sources, cap, parents=False)
+    assert bare[1] is None
+    assert np.array_equal(bare[0], dist) and np.array_equal(bare[2], order)
     search, vertex = np.divmod(order, n)
     for i, source in enumerate(sources):
         old_order, old_dist, old_parent = old_bfs(adj, [source], cap)
@@ -1091,9 +1114,10 @@ def test_punctured_searches_refuse_a_source_inside_the_ball():
     with pytest.raises(PreconditionViolated):
         with puncture.without(d_c, 1.0, [far, near]):
             pass
-    with pytest.raises(PreconditionViolated):
-        puncture.path(d_c, 1.0, near, far)
     assert puncture.cut.indices.tobytes() == ball.matrix.indices.tobytes()
+    inside = np.flatnonzero(d_c <= 1.0)
+    with pytest.raises(PreconditionViolated):
+        punctured_paths(*ball.csr_arrays, [far, near], [near, far], [inside] * 2)
 
 
 class PunctureLog:
@@ -1138,18 +1162,11 @@ def puncturing_callers():
     escape-ray case also backtracks, so it runs both of its searches."""
     f2 = cayley_ball(Free(2), 4)
     params = DivergenceParams(0.5, 0.0)
-    w = floyd_weighting(cayley_ball(FreeAbelian(2), 6),
-                        FloydFunction.inverse_power(2))
     return {
         "exhaustive": lambda: div_function_estimate(
             f2, 4, params, protocol="exhaustive", margin=1.0),
-        "sampled": lambda: div_function_estimate(
-            f2, 2, params, protocol="sampled", margin=2.0),
-        "div_triple": lambda: div_triple(f2, 1, 2, 0, params),
         "escape_ray_search": lambda: escape_ray_search(
             wind_and_rail_ball(), 3, 1.3, 1, 4),
-        "karlsson_set_estimate": lambda: karlsson_set_estimate(
-            w, C=1.5, epsilon=0.3, samples=20, seed=0),
     }
 
 
@@ -1161,17 +1178,254 @@ def test_puncture_restores_the_index_buffer(monkeypatch):
         call()
         assert log.calls and set(log.calls) == {(True, True)}, name
         searches[name] = len(log.calls)
-    assert searches["escape_ray_search"] >= 3  # two Dijkstra runs and a path
+    # The distances to the nearest target, then to every target.
+    assert searches["escape_ray_search"] >= 2
 
     # A search that raises on the punctured buffer leaves it restored.
-    for owner, attr in ((divergence, "dijkstra"), (quasigeodesic, "dijkstra"),
-                        (graph_core, "breadth_first_order")):
+    for owner, attr in ((divergence, "dijkstra"), (quasigeodesic, "dijkstra")):
         monkeypatch.setattr(owner, attr, log.failing(getattr(owner, attr)))
     for name, call in puncturing_callers().items():
         log.calls.clear()
         with pytest.raises(RuntimeError):
             call()
         assert log.calls == [(True, True)], name
+
+
+def path_searching_callers():
+    """Every caller of `punctured_paths`, each on a case that searches, with
+    the ball it searches."""
+    f2 = cayley_ball(Free(2), 4)
+    rail = wind_and_rail_ball()
+    params = DivergenceParams(0.5, 0.0)
+    w = floyd_weighting(cayley_ball(FreeAbelian(2), 6),
+                        FloydFunction.inverse_power(2))
+    return {
+        "sampled": (f2, lambda: div_function_estimate(
+            f2, 2, params, protocol="sampled", margin=2.0)),
+        "div_triple": (f2, lambda: div_triple(f2, 1, 2, 0, params)),
+        "escape_ray_search": (rail, lambda: escape_ray_search(rail, 3, 1.3, 1, 4)),
+        "karlsson_set_estimate": (w.ball, lambda: karlsson_set_estimate(
+            w, C=1.5, epsilon=0.3, samples=20, seed=0)),
+    }
+
+
+def ball_bytes(ball):
+    """The bytes of a ball's CSR arrays, distances and unit matrix."""
+    matrix = ball.matrix
+    return [arr.tobytes() for arr in (ball.indptr, ball.indices, ball.dist,
+                                      matrix.data, matrix.indices, matrix.indptr)]
+
+
+def test_punctured_paths_leave_the_ball_unchanged(monkeypatch):
+    """The path searches write to no array of the ball: after every caller's
+    searches, also after a search that raises partway, its CSR arrays and
+    unit matrix are bit-identical."""
+    punctured = []
+    bfs = graph_core.bfs_parents
+
+    def spy(*args, **kwargs):
+        punctured.append(kwargs.get("blocked") is not None)
+        return bfs(*args, **kwargs)
+
+    monkeypatch.setattr(graph_core, "bfs_parents", spy)
+    for name, (ball, call) in path_searching_callers().items():
+        before = ball_bytes(ball)
+        punctured.clear()
+        call()
+        assert any(punctured), name
+        assert ball_bytes(ball) == before, name
+
+    # The second level of the first search raises.
+    row_slots, levels = graph_core._row_slots, []
+
+    def failing(*args):
+        levels.append(None)
+        if len(levels) > 1:
+            raise RuntimeError("search failed")
+        return row_slots(*args)
+
+    monkeypatch.setattr(graph_core, "_row_slots", failing)
+    for name, (ball, call) in path_searching_callers().items():
+        before = ball_bytes(ball)
+        levels.clear()
+        with pytest.raises(RuntimeError):
+            call()
+        assert ball_bytes(ball) == before, name
+
+
+def old_punctured_path(puncture, d_c, threshold, a, b):
+    """`Puncture.path` as it was (verbatim, `self` renamed `puncture`): one
+    scipy breadth-first search from a over the whole sink-punctured copy of
+    the matrix."""
+    with puncture.without(d_c, threshold, [a]) as cut:
+        _, pred = breadth_first_order(cut, a, directed=True,
+                                      return_predecessors=True)
+    path = [int(v) for v in extract_path(pred, b)]
+    return path if path[0] == a else None
+
+
+def detour_jobs(rng, matrix, tries):
+    """Up to `tries` random jobs (a, b, d_c, threshold) on a unit matrix:
+    a forbidden ball B_c(threshold) around a random c, a outside it (often
+    the a of an earlier job), and as b a random vertex, a vertex next to
+    the ball, a vertex inside it (never reached) or a itself."""
+    n = matrix.shape[0]
+    jobs = []
+    for _ in range(tries):
+        c = rng.randrange(n)
+        d_c = dijkstra(matrix, directed=True, indices=c)
+        threshold = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+        outside = np.flatnonzero(d_c > threshold).tolist()
+        if not outside:
+            continue
+        a = rng.choice(outside)
+        if jobs and rng.random() < 0.4 and d_c[jobs[-1][0]] > threshold:
+            a = jobs[-1][0]
+        pools = [range(n), [a],
+                 np.flatnonzero((d_c > threshold) & (d_c <= threshold + 1)),
+                 np.flatnonzero(d_c <= threshold)]
+        pool = rng.choice([p for p in pools if len(p)])
+        jobs.append((a, int(pool[rng.randrange(len(pool))]), d_c, threshold))
+    return jobs
+
+
+def assert_paths_match_old(indptr, indices, jobs):
+    """`punctured_paths` on the jobs, in one call, gives each job the path
+    (or None) of `old_punctured_path`; returns the paths."""
+    puncture = Puncture(unit_matrix(indptr, indices))
+    a, b, d_c, threshold = zip(*jobs)
+    forbidden = [np.flatnonzero(d <= t) for d, t in zip(d_c, threshold)]
+    paths = punctured_paths(indptr, indices, a, b, forbidden)
+    assert paths == [old_punctured_path(puncture, d, t, s, e)
+                     for s, e, d, t in jobs]
+    return paths
+
+
+# Block budgets of the detour searches: the default, and one or three
+# (search, vertex) rows of cells per block.
+DETOUR_BLOCKS = {"default": None, "one-row": 1, "three-rows": 3}
+
+
+@pytest.mark.parametrize("blocks", sorted(DETOUR_BLOCKS))
+@pytest.mark.parametrize("name", sorted(SAMPLED_CASES))
+def test_punctured_paths_match_the_whole_ball_search(name, blocks, monkeypatch):
+    ball = SAMPLED_CASES[name][0]()
+    if DETOUR_BLOCKS[blocks] is not None:
+        monkeypatch.setattr(graph_core, "BLOCK_CELLS",
+                            DETOUR_BLOCKS[blocks] * ball.vertex_count)
+    assert_paths_match_old(*ball.csr_arrays,
+                           detour_jobs(random.Random(name), ball.matrix, 60))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_punctured_paths_match_on_random_graphs(seed, monkeypatch):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 40)
+    indptr, indices = random_csr(rng, n)
+    monkeypatch.setattr(graph_core, "BLOCK_CELLS", rng.choice([1, 2, 5, 2**17]) * n)
+    jobs = detour_jobs(rng, unit_matrix(indptr, indices), 25)
+    if jobs:
+        assert_paths_match_old(indptr, indices, jobs)
+
+
+def test_punctured_paths_cover_every_kind_of_job():
+    # Unreached targets, paths of one vertex, targets next to the ball,
+    # others, and sources repeated in one call all occur in the cases above.
+    kinds = collections.Counter()
+    for name in sorted(SAMPLED_CASES):
+        ball = SAMPLED_CASES[name][0]()
+        jobs = detour_jobs(random.Random(name), ball.matrix, 60)
+        a, b, d_c, threshold = zip(*jobs)
+        paths = punctured_paths(*ball.csr_arrays, a, b, [
+            np.flatnonzero(d <= t) for d, t in zip(d_c, threshold)])
+        for path, (a, b, d_c, t) in zip(paths, jobs):
+            kinds["unreached" if path is None else "one-vertex" if a == b
+                  else "next-to-ball" if d_c[b] <= t + 1 else "far"] += 1
+        sources = [a for a, *_ in jobs]
+        kinds["repeated-source"] += len(sources) - len(set(sources))
+    assert min(kinds.values()) > 0 and len(kinds) == 5
+
+
+def test_punctured_paths_exhaust_the_tree_component():
+    """In the F2 tree every forbidden ball around the base cuts the branches
+    apart: a search for a target on another branch reaches exactly the
+    component of its source before it gives up, and one for a target on
+    its own branch stops once it finds it."""
+    ball = cayley_ball(Free(2), 5)
+    indptr, indices = ball.csr_arrays
+    inside = np.flatnonzero(ball.dist <= 1)
+    allowed = (ball.dist > 1).tolist()
+    a = int(np.flatnonzero(ball.dist == 2)[0])
+    dist, _ = old_punctured_bfs(tuple_rows(ball), [a], allowed)
+    component = np.flatnonzero(np.array(dist) >= 0)
+    other = int(np.flatnonzero((np.array(dist) < 0) & (ball.dist > 1))[0])
+    near = int(component[np.array(dist)[component] == 2][0])
+    for b, reached in ((other, component), (near, None)):
+        found, parent, _ = bfs_parents(indptr, indices, [a], blocked=[inside],
+                                       targets=[b])
+        if reached is not None:
+            assert np.array_equal(np.flatnonzero(found[0] >= 0), reached)
+        else:
+            assert found[0, b] == dist[b] < max(dist)
+            assert (found[0] <= dist[b]).all()
+    jobs = [(a, b, ball.dist, 1.0) for b in (other, near)]
+    assert assert_paths_match_old(indptr, indices, jobs)[0] is None
+
+
+def test_sampled_protocol_batches_its_searches(monkeypatch):
+    """The sampled protocol runs one Dijkstra search per drawn pair, then
+    one per n and block of that n's centers, and one breadth-first search
+    per block of punctured triples: no search per triple. Blocks of three
+    rows give the same samples."""
+    make, n_max, margin = SAMPLED_CASES["z2"]
+    ball = make()
+    params = DivergenceParams(0.5, 0.0)
+
+    def run():
+        calls, blocks, offered = [], [], []
+        search, bfs, offer = divergence.dijkstra, graph_core.bfs_parents, _Buckets.offer
+
+        def dijkstra_spy(matrix, **kw):
+            calls.append((len(kw["indices"]), kw["limit"],
+                          kw.get("return_predecessors", False)))
+            return search(matrix, **kw)
+
+        def bfs_spy(indptr, indices, sources, *args, **kw):
+            blocks.append(len(sources))
+            return bfs(indptr, indices, sources, *args, **kw)
+
+        def offer_spy(self, *arrays):
+            offered.append(arrays)
+            return offer(self, *arrays)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(divergence, "dijkstra", dijkstra_spy)
+            patch.setattr(graph_core, "bfs_parents", bfs_spy)
+            patch.setattr(_Buckets, "offer", offer_spy)
+            samples = div_function_estimate(ball, n_max, params, protocol="sampled",
+                                            seed=0, margin=margin)
+        (_, _, _, dab, _, radius), = offered
+        return samples, calls, blocks, dab, radius
+
+    def split(count, block):
+        return [block] * (count // block) + [count % block] * (count % block > 0)
+
+    for rows in (None, 3):
+        if rows is not None:
+            monkeypatch.setattr(graph_core, "BLOCK_CELLS", rows * ball.vertex_count)
+        samples, calls, blocks, dab, radius = run()
+        block = graph_core.block_rows(ball.vertex_count)
+        draws = [(1, n, True) for n in range(1, n_max + 1) for _ in range(8)]
+        centers = [(size, n // 2 + 2, False) for n in range(1, n_max + 1)
+                   for size in split(int((dab == n).sum()), block)]
+        assert calls == draws + centers
+        assert blocks == split(int((radius > 0).sum()), block)
+        if rows is None:
+            default = samples
+            assert len(centers) == len(np.unique(dab))
+            assert len(blocks) < (radius > 0).sum()
+        else:
+            assert samples == default
 
 
 UNIT_BALLS = {
@@ -1216,10 +1470,12 @@ def test_unit_matrix_searches_match_the_unweighted_flag(name):
                         assert np.array_equal(g, w)
 
 
-def detour_length(puncture, d_c, threshold, a, b):
-    """The length of `Puncture.path`, inf when there is no path."""
-    path = puncture.path(d_c, threshold, a, b)
-    return math.inf if path is None else float(len(path) - 1)
+def detour_lengths(ball, d_c, threshold, a, targets):
+    """The length of the `punctured_paths` from a to each target around
+    B_c(threshold), inf where there is no path."""
+    paths = punctured_paths(*ball.csr_arrays, [a] * len(targets), targets,
+                            [np.flatnonzero(d_c <= threshold)] * len(targets))
+    return [math.inf if p is None else float(len(p) - 1) for p in paths]
 
 
 DETOUR_BALLS = {
@@ -1232,7 +1488,6 @@ DETOUR_BALLS = {
 @pytest.mark.parametrize("name", sorted(DETOUR_BALLS))
 def test_detour_equals_naive_div_triple(name):
     ball = DETOUR_BALLS[name]()
-    puncture = Puncture(ball.matrix)
     rng = random.Random(name)
     values = []
     for _ in range(80):
@@ -1243,7 +1498,7 @@ def test_detour_equals_naive_div_triple(name):
             if threshold <= 0:
                 continue
             want = naive_div_triple(ball, a, b, c, delta, gamma)
-            got = detour_length(puncture, d_c, threshold, a, b)
+            got, = detour_lengths(ball, d_c, threshold, a, [b])
             assert got == (math.inf if want is None else want)
             values.append((got, graph_distance(ball, a, b)))
     if name == "f2":  # a tree: a blocked geodesic cuts the pair apart
@@ -1741,8 +1996,8 @@ def test_punctured_rows_equal_restricted_rows(name, seed):
         with puncture.without(d_c, 0.5, sources) as cut:
             got = dijkstra(cut, directed=True, indices=sources)
         assert np.array_equal(got[:, :-1], want)
-        assert [detour_length(puncture, d_c, 0.5, sources[0], b)
-                for b in range(ball.vertex_count)] == want[0].tolist()
+        assert detour_lengths(ball, d_c, 0.5, sources[0],
+                              list(range(ball.vertex_count))) == want[0].tolist()
 
 
 @pytest.mark.parametrize("name", sorted(LAYOUT_BALLS))
