@@ -489,9 +489,12 @@ def bfs_parents(indptr: np.ndarray, indices: np.ndarray,
         keys = np.repeat(search * n, sizes) + indices[slots]
         fresh = flat_dist[keys] == -1
         keys = keys[fresh]
-        # np.unique sorts stably, so `first` is each key's first discoverer.
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
+        # A fresh key keeps the largest mark, len(keys) - position, of its
+        # occurrences, so `first` is each key's first discoverer, in order;
+        # every marked key is then overwritten with its depth.
+        mark = np.arange(len(keys), 0, -1, dtype=np.int32)
+        np.maximum.at(flat_dist, keys, mark)
+        first = np.flatnonzero(flat_dist[keys] == mark)
         frontier = keys[first]
         flat_dist[frontier] = depth
         if parents:

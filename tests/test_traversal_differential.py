@@ -52,8 +52,9 @@ every caller (the exhaustive protocol and `escape_ray_search`) they must
 leave the index buffer as they found it, also when the search raises. The
 callers of `punctured_paths` (the sampled protocol, `div_triple`,
 `escape_ray_search` and `karlsson_set_estimate`) must leave the ball's CSR
-arrays and unit matrix bit-identical, also when a search raises. Dijkstra on a ball's unit matrix,
-plain and punctured, must return what it returned with `unweighted=True`.
+arrays and unit matrix bit-identical, also when a search raises.
+Dijkstra on a ball's unit matrix, plain and punctured, must return what it
+returned with `unweighted=True`.
 The `old_*` divergence functions and `OldBuckets` are verbatim copies of
 both estimates, the exhaustive one's per-tie witness loops and
 `div_triple` as they were before one search object and one array witness
@@ -77,9 +78,9 @@ distinct path vertex and walked the pairs (only its `bfs_distances` call
 takes the new matrix argument).
 
 The escape-ray search, whose searches now run on a `Puncture` and through
-`punctured_paths`, is compared
-with `old_escape_ray_search` and `old_search_from`, verbatim copies of the
-masked search that walked neighbor tuples, on balls where it finds
+`punctured_paths`, is compared with `old_escape_ray_search` and
+`old_search_from`, verbatim copies of the masked search that walked
+neighbor tuples, on balls where it finds
 geodesic rays, bent rays (through its bounded backtracking) and nothing,
 and on a gadget where two bent chains certify and the backtracking's row
 order decides which is returned.
