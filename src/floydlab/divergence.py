@@ -32,7 +32,7 @@ from .errors import (
 from .floyd_metric import FloydFunction
 from .graph_core import (
     GraphBall,
-    Puncture,
+    bfs_rows,
     block_rows,
     extract_path,
     punctured_paths,
@@ -190,10 +190,24 @@ def _orbit_witnesses(group: np.ndarray, low: np.ndarray, key: np.ndarray,
             radius[i[first]])
 
 
+def _center_triples(ra, ambient, params, n_max):
+    """The forbidden radius t = delta * d(c, a) - gamma of every row a of
+    the inner region, given ra = d(c, a) per inner vertex, and the
+    admissible (a, b) pairs of center c as an (inner, inner) mask.
+
+    Row a keeps partners b with d(c, b) >= d(c, a) > 0, so each unordered
+    pair is enumerated with r = min(d(c,a), d(c,b)) = d(c,a) exactly once
+    (twice, harmlessly, when the two distances tie).
+    """
+    t = params.delta * ra - params.gamma
+    admissible = ((ra[None, :] >= ra[:, None]) & (ra[:, None] > 0)
+                  & (ambient > 0) & (ambient <= n_max))
+    return t, admissible
+
+
 def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
-    puncture = Puncture(ball.matrix)
-    d_inner = dijkstra(ball.matrix, directed=True, indices=inner)
-    ambient = d_inner[:, inner]
+    indptr, indices = ball.csr_arrays
+    ambient = bfs_rows(indptr, indices, inner, columns=inner)
     # A base-fixing automorphism h keeps every distance, so it maps the
     # inner region onto itself and the triples at c, with their values and
     # radii, onto the triples at h(c). Only the smallest vertex of each
@@ -201,31 +215,18 @@ def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
     # into the smallest witness over all their images.
     group, low = ball.automorphisms, ball.orbit_min
     reps = np.unique(low[inner])
+    d_reps = bfs_rows(indptr, indices, reps)
     best = np.full(n_max + 1, -1.0)  # largest value so far per d(a,b)
     d_inf = n_max + 1  # least d(a,b) of a disconnecting triple so far
     winners = []
-    for ci, c in zip(np.searchsorted(inner, reps).tolist(), reps.tolist()):
-        d_c = d_inner[ci]
-        ra = d_c[inner]
-        t = params.delta * ra - params.gamma
-        # Row a keeps partners b with d(c, b) >= d(c, a) > 0, so each
-        # unordered pair is enumerated with r = min(d(c,a), d(c,b)) = d(c,a)
-        # exactly once (twice, harmlessly, when the two distances tie).
-        admissible = ((ra[None, :] >= ra[:, None]) & (ra[:, None] > 0)
-                      & (ambient > 0) & (ambient <= n_max))
-        # A triple needs a punctured search only if its forbidden ball can
-        # reach some a-b geodesic: d(c,a) + d(c,b) <= d(a,b) + 2t. Otherwise
-        # every geodesic survives and the value is ambient.
-        blockable = admissible & (t[:, None] > 0) & (
-            ra[None, :] + ra[:, None] <= ambient + 2 * t[:, None])
-        needy = np.flatnonzero(blockable.any(axis=1))
+
+    def fold(c, ra, needy, rows):
+        """Fold the triples at center c, whose rows `needy` of the inner
+        region have the punctured distances `rows`."""
+        nonlocal d_inf
+        t, admissible = _center_triples(ra, ambient, params, n_max)
         values = ambient.copy()
-        floors = np.floor(t[needy])
-        for key in np.unique(floors):
-            rows = needy[floors == key]
-            with puncture.without(d_c, key, inner[rows]) as cut:
-                values[rows] = dijkstra(cut, directed=True,
-                                        indices=inner[rows])[:, inner]
+        values[needy] = rows
         ii, jj = np.nonzero(admissible)
         dab, value = ambient[ii, jj].astype(np.int64), values[ii, jj]
         cut = np.isinf(value)
@@ -241,6 +242,37 @@ def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
                 group, low, dab[tied], inner[ii[tied]], inner[jj[tied]], c,
                 t[ii[tied]])
             winners.append((dabs, best[dabs], *witness))
+
+    chunk = block_rows(len(inner))
+    first = 0
+    while first < len(reps):
+        # The punctured rows of consecutive centers, until there are about
+        # `chunk` of them, run as one block of breadth-first searches.
+        needy_of, blocked = [], []
+        stop = first
+        while stop < len(reps) and len(blocked) < chunk:
+            ra = d_reps[stop, inner]
+            t, admissible = _center_triples(ra, ambient, params, n_max)
+            # A triple needs a punctured search only if its forbidden ball
+            # can reach some a-b geodesic: d(c,a) + d(c,b) <= d(a,b) + 2t.
+            # Otherwise every geodesic survives and the value is ambient.
+            blockable = admissible & (t[:, None] > 0) & (
+                ra[None, :] + ra[:, None] <= ambient + 2 * t[:, None])
+            needy = np.flatnonzero(blockable.any(axis=1))
+            # Row a avoids B_c(floor t), the vertices within t of c.
+            keys, key_of = np.unique(np.floor(t[needy]), return_inverse=True)
+            balls = [np.flatnonzero(d_reps[stop] <= key) for key in keys]
+            blocked += [balls[i] for i in key_of.tolist()]
+            needy_of.append(needy)
+            stop += 1
+        found = bfs_rows(indptr, indices, inner[np.concatenate(needy_of)],
+                         blocked, inner)
+        at = 0
+        for i, needy in zip(range(first, stop), needy_of):
+            fold(int(reps[i]), d_reps[i, inner], needy, found[at:at + len(needy)])
+            at += len(needy)
+        del found  # freed before the next block allocates its rows
+        first = stop
     buckets = _Buckets(n_max)
     if winners:
         dab, value, lo, hi, hc, radius = map(np.concatenate, zip(*winners))
@@ -320,7 +352,12 @@ def _forbidden_balls(ball, params, a, b, c, dab):
             ra = np.minimum(d_c[at, a[rows]], d_c[at, b[rows]])
             t = params.delta * ra - params.gamma
             radius[rows] = t
-            forbidden += [np.flatnonzero(d_c[i] <= t[i])
+            # Row i's ball is the run of keys i * V + v of one flatnonzero.
+            width = d_c.shape[1]
+            key = np.flatnonzero(d_c <= t[:, None])
+            bounds = np.searchsorted(key, np.arange(len(d_c) + 1) * width).tolist()
+            vertex = key % width
+            forbidden += [vertex[bounds[i]:bounds[i + 1]]
                           for i in np.flatnonzero(t > 0).tolist()]
     return radius, forbidden
 
@@ -346,19 +383,21 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
     scale; the supremum is approximated, never certified. margin must be a
     finite real >= 1.
 
-    Both protocols, and div_triple, run on one engine: plain searches run
-    Dijkstra on the ball's unit matrix (`GraphBall.matrix`), and
-    `_Buckets.offer` picks values and witnesses from arrays of triples by
-    one rule. The sampled protocol first draws every triple, running one
-    Dijkstra search from a up to n per a-b pair (its heap order picks the
-    geodesic that the later draws read); it then runs, per n, one
+    Both protocols pick values and witnesses from arrays of triples by one
+    rule (`_Buckets.offer`). The sampled protocol and div_triple run their
+    plain searches as Dijkstra on the ball's unit matrix
+    (`GraphBall.matrix`). The sampled protocol first draws every triple,
+    running one Dijkstra search from a up to n per a-b pair (its heap order
+    picks the geodesic that the later draws read); it then runs, per n, one
     multi-row Dijkstra search from that n's centers up to n // 2 + 2 (in
     blocks of `graph_core.block_rows` rows), and all punctured detours in
     blocks of breadth-first searches that stop when they reach b
-    (`graph_core.punctured_paths`). The exhaustive protocol runs its
-    punctured rows through multi-row Dijkstra on a punctured copy of the
-    matrix (`graph_core.Puncture`); div_triple takes one detour from
-    `punctured_paths`.
+    (`graph_core.punctured_paths`). The exhaustive protocol runs no
+    Dijkstra: its ambient rows, its centers' rows and its punctured rows
+    (row a in the ball minus B_c(floor t)) are bit-parallel breadth-first
+    searches (`graph_core.bfs_rows`), the punctured rows of consecutive
+    centers gathered into blocks of about BLOCK_CELLS / |inner| searches.
+    div_triple takes one detour from `punctured_paths`.
     """
     if protocol not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown protocol {protocol!r}")

@@ -11,7 +11,6 @@ bound on the ambient distance.
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Sequence
@@ -46,7 +45,8 @@ class GraphBall:
     unit `matrix`, `slot_rows`, `edge_arrays`, `automorphisms` and
     `orbit_min` are derived read-only on first use; `dist` is the only view
     of base distances. Safe for concurrent reads: two threads may both
-    derive a value, equal both times, and punctures change a copy.
+    derive a value, equal both times, and no search writes to the ball: a
+    punctured search keeps its forbidden vertices in its own arrays.
     """
 
     base: int
@@ -98,9 +98,9 @@ class GraphBall:
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         """The read-only unit matrix of the adjacency: every unit-weight
-        scipy search of the ball runs on it, or, for whole Dijkstra rows in
-        the ball minus a ball, on a `Puncture` of it. The numpy searches
-        (`bfs_parents`, `punctured_paths`) read the CSR arrays instead."""
+        scipy search of the whole ball runs on it. The numpy searches
+        (`bfs_parents`, `bfs_rows`, `punctured_paths`) read the CSR arrays
+        instead."""
         matrix = unit_matrix(self.indptr, self.indices)
         for arr in (matrix.data, matrix.indices, matrix.indptr):
             arr.flags.writeable = False
@@ -508,6 +508,67 @@ def bfs_parents(indptr: np.ndarray, indices: np.ndarray,
     return dist, parent, order
 
 
+def bfs_rows(indptr: np.ndarray, indices: np.ndarray, sources: Sequence[int],
+             blocked: Sequence[np.ndarray] | None = None,
+             columns: np.ndarray | None = None) -> np.ndarray:
+    """Distances of breadth-first searches over CSR arrays, one from each
+    entry of `sources` (repeats included), as a float64 (k, len(columns))
+    array: row i holds search i's distance to each vertex of `columns`
+    (every vertex when None), inf where the search does not reach it.
+    `blocked[i]` lists vertices that search i never enters, which read
+    inf; a search that starts on one raises `PreconditionViolated`.
+
+    The searches are bit-parallel: search i is bit i % 64 of word i // 64
+    of a vertex's '<u8' row in the (V, W) `seen` and frontier arrays. Each
+    level gathers the frontier words over the CSR slots and ORs each row's
+    slots together, so one numpy pass advances every search; the searches
+    end when every search has reached or blocked every column, or when a
+    level sets no new bit. A level costs O(E W + len(columns) k) whatever
+    the searches reach, so run them in blocks of about
+    BLOCK_CELLS / len(columns) sources.
+    """
+    src = np.asarray(sources, dtype=np.int64).reshape(-1)
+    k, n = len(src), len(indptr) - 1
+    cols = np.arange(n) if columns is None else np.asarray(columns, dtype=np.int64)
+    out = np.full((k, len(cols)), np.inf)
+    if k == 0:
+        return out
+    words = (k + 63) // 64
+    word = np.arange(k) // 64
+    bit = np.left_shift(np.uint64(1), (np.arange(k) % 64).astype(np.uint64))
+    seen = np.zeros((n, words), dtype="<u8")
+    if blocked is not None:
+        walls = [np.asarray(b, dtype=np.int64) for b in blocked]
+        sizes = [len(w) for w in walls]
+        np.bitwise_or.at(seen, (np.concatenate(walls), np.repeat(word, sizes)),
+                         np.repeat(bit, sizes))
+        if (seen[src, word] & bit).any():
+            raise PreconditionViolated(
+                "a punctured search starts inside its forbidden ball")
+    new = np.zeros_like(seen)
+    np.bitwise_or.at(new, (src, word), bit)
+    every = np.bitwise_or.reduce(new, axis=0)  # the bits of all k searches
+    seen |= new
+    # A row without slots would read its successor's first slot in reduceat.
+    rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+    starts = indptr[rows]
+    reach = np.zeros_like(seen)
+    depth = 0
+    while True:
+        # Bit i of byte j of a little-endian word is search 8j + i of it.
+        hit = np.unpackbits(new[cols].view(np.uint8), axis=1, count=k,
+                            bitorder="little").view(bool)
+        out.T[hit] = depth
+        if (seen[cols] == every).all():  # every column reached or blocked
+            return out
+        reach[rows] = np.bitwise_or.reduceat(new[indices], starts, axis=0)
+        np.bitwise_and(reach, ~seen, out=new)
+        if not new.any():
+            return out
+        seen |= new
+        depth += 1
+
+
 def punctured_paths(indptr: np.ndarray, indices: np.ndarray,
                     sources: Sequence[int], targets: Sequence[int],
                     forbidden: Sequence[np.ndarray]) -> list[list[int] | None]:
@@ -554,51 +615,6 @@ def extract_path(parent, target: int) -> list[int]:
         path.append(parent[path[-1]])
     path.reverse()
     return path
-
-
-class Puncture:
-    """Whole-row Dijkstra searches in a graph minus a closed ball
-    B_c(t) = {v : d_c[v] <= t}, on `cut`, a private copy of a unit matrix
-    plus an empty sink row V.
-
-    `without` points every slot that enters the ball at the sink, yields
-    `cut`, and puts the slots back in a `finally`. A sink has no way out,
-    so a search from outside the ball sees the graph minus the ball; a
-    source inside it raises `PreconditionViolated`. One object per caller.
-    Paths that avoid a ball come from `punctured_paths`, which changes no
-    matrix.
-    """
-
-    def __init__(self, matrix: sp.csr_matrix):
-        n, m = matrix.shape[0], matrix.nnz
-        self.cut = sp.csr_matrix((matrix.data, matrix.indices.copy(),
-                                  np.append(matrix.indptr, m)),
-                                 shape=(n + 1, n + 1))
-        # The slots whose column is v: by_column[col_start[v]:col_start[v + 1]].
-        self.by_column = np.argsort(self.cut.indices, kind="stable")
-        self.col_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.cut.indices, minlength=n),
-                  out=self.col_start[1:])
-
-    @contextmanager
-    def without(self, d_c: np.ndarray, threshold: float, sources):
-        """`cut` minus the closed ball B_c(threshold) while the with block
-        runs; every search in it must start at one of `sources`."""
-        if (d_c[sources] <= threshold).any():
-            raise PreconditionViolated(
-                "a punctured search starts inside its forbidden ball")
-        inside = np.flatnonzero(d_c <= threshold)
-        starts = self.col_start[inside]
-        sizes = self.col_start[inside + 1] - starts
-        ends = np.cumsum(sizes)
-        slots = self.by_column[np.arange(sizes.sum())
-                               + np.repeat(starts - ends + sizes, sizes)]
-        indices = self.cut.indices
-        indices[slots] = self.cut.shape[0] - 1  # the sink
-        try:
-            yield self.cut
-        finally:
-            indices[slots] = np.repeat(inside, sizes)
 
 
 def build_ball(edges: Iterable[tuple[Hashable, Hashable]], base: Hashable,

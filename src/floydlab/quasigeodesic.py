@@ -20,12 +20,13 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import BadRadii, NonPath, SegmentTooLong
 from .graph_core import (
     GraphBall,
-    Puncture,
     bfs_distances,
     bfs_parents,
     block_rows,
+    csr_induced,
     find_automorphisms,
     punctured_paths,
+    unit_matrix,
 )
 
 SLACK_PATHS = 200  # escape_ray_search's budget of backtracked paths per start
@@ -138,34 +139,42 @@ def escape_ray_search(ball: GraphBall, x: int, C: float, inner_radius: float,
 
     near = bfs_distances(ball.matrix, x, cap=int(C))
     starts = np.flatnonzero((near >= 0) & (ball.dist > inner_radius))
-    puncture = Puncture(ball.matrix)
+    # Every search runs in the ball minus the closed inner ball: one induced
+    # graph on the vertices outside it serves them all.
+    inside = np.flatnonzero(ball.dist <= inner_radius)
+    outside = np.flatnonzero(ball.dist > inner_radius)
+    rank = np.full(ball.vertex_count, -1, dtype=np.int64)
+    rank[outside] = np.arange(len(outside))
+    punctured = unit_matrix(*csr_induced(*ball.csr_arrays, outside))
+    to_target = None  # each vertex's distance to the nearest target, once read
     for start in starts[np.argsort(near[starts], kind="stable")].tolist():
-        witness = _search_from(ball, puncture, start, C, inner_radius, targets)
+        dist = dijkstra(punctured, directed=True, indices=rank[start])[rank[targets]]
+        best = int(np.argmin(dist))  # the first of the nearest targets
+        if math.isinf(dist[best]):
+            continue
+        path, = punctured_paths(*ball.csr_arrays, [start], [targets[best]],
+                                [inside])
+        c = qg_certify(ball, path)
+        if c <= C + 1e-12:
+            return PathWitness(vertices=tuple(path), certified_C=c)
+        if to_target is None:  # inf inside the inner ball
+            nearest = np.full(ball.vertex_count, math.inf)
+            nearest[outside] = dijkstra(punctured, directed=True,
+                                        indices=rank[targets], min_only=True)
+            to_target = nearest.tolist()
+        witness = _backtrack(ball, start, C, targets, dist[best] + int(2 * C),
+                             to_target)
         if witness is not None:
             return witness
     return None
 
 
-def _search_from(ball, puncture, start, C, inner_radius, targets):
-    with puncture.without(ball.dist, inner_radius, [start]) as cut:
-        dist = dijkstra(cut, directed=True, indices=start)[targets]
-    best = int(np.argmin(dist))  # the first of the nearest targets
-    shortest = dist[best]
-    if math.isinf(shortest):
-        return None
-    path, = punctured_paths(*ball.csr_arrays, [start], [targets[best]],
-                            [np.flatnonzero(ball.dist <= inner_radius)])
-    c = qg_certify(ball, path)
-    if c <= C + 1e-12:
-        return PathWitness(vertices=tuple(path), certified_C=c)
-
-    # Bounded backtracking: enumerate paths of length <= shortest + 2C whose
-    # every prefix can still reach a target within budget. The budget keeps
-    # the DFS off the inner ball and off vertices cut off from the targets.
-    with puncture.without(ball.dist, inner_radius, targets) as cut:
-        dist_to_target = dijkstra(cut, directed=True, indices=targets,
-                                  min_only=True).tolist()
-    budget = shortest + int(2 * C)
+def _backtrack(ball, start, C, targets, budget, dist_to_target):
+    """Bounded backtracking from `start`: enumerate paths of length <=
+    `budget` whose every prefix can still reach a target within budget,
+    and return the first that certifies at C. The budget keeps the DFS off
+    the inner ball and off vertices cut off from the targets, which
+    `dist_to_target` reads as inf."""
     at_target = set(targets.tolist())
     tried = 0
     indptr, indices = ball.csr_arrays

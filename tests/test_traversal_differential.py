@@ -22,10 +22,16 @@ Balls no longer keep neighbor tuples, so the copies walk the tuples that
 `csr_rows` and `tuple_rows` read from the CSR arrays.
 No search takes a vertex mask: the masked searches of
 `old_punctured_bfs` and `old_bfs`, from allowed sources, are compared
-with `Puncture` searches on the graph minus the excluded vertices
-(`breadth_first_order` parents for one source, multi-source Dijkstra
-distances, also stopped at a cap) and with `punctured_paths`, and
-`old_punctured_geodesic` with `punctured_paths`.
+with searches on `OldPuncture`, a verbatim copy of the deleted
+`graph_core.Puncture` (the sink-punctured copy of a unit matrix), on the
+graph minus the excluded vertices (`breadth_first_order` parents for one
+source, multi-source Dijkstra distances, also stopped at a cap) and with
+`punctured_paths`, and `old_punctured_geodesic` with `punctured_paths`.
+`bfs_rows`, which packs 64 searches into each word and ORs the frontier
+words over each CSR row per level, must give the distances of
+`bfs_parents` and of Dijkstra on an `OldPuncture`, with 1, 63, 64, 65
+and 129 searches, empty and non-empty blocked sets, a column subset,
+cut-off components and an isolated vertex.
 `punctured_paths` runs its jobs in blocks of `bfs_parents` searches that
 never enter their forbidden sets and stop at their targets. It is compared
 with `old_punctured_path`, a verbatim copy of the `Puncture.path` it
@@ -43,16 +49,14 @@ Its references are the same code with every search limit removed,
 `old_windowed_sampled_estimate` with `OldSearches` and `old_window_detour`,
 verbatim copies of the estimate that ran its punctured searches on the
 window B_a(2n + 4) of each pair; `window_exits` checks that the compared
-cases take every exit of the window rule. The punctured searches
-(`graph_core.Puncture`), which point the index slots entering the
-forbidden ball at a sink row in place, are compared row by row with
-searches on `csr_restrict`, a verbatim copy of the edge-deleting
-restriction they replaced, and with `naive_div_triple` in `helpers`; in
-every caller (the exhaustive protocol and `escape_ray_search`) they must
-leave the index buffer as they found it, also when the search raises. The
-callers of `punctured_paths` (the sampled protocol, `div_triple`,
-`escape_ray_search` and `karlsson_set_estimate`) must leave the ball's CSR
-arrays and unit matrix bit-identical, also when a search raises.
+cases take every exit of the window rule. The `OldPuncture` searches,
+which point the index slots entering the forbidden ball at a sink row in
+place, are compared row by row with searches on `csr_restrict`, a
+verbatim copy of the edge-deleting restriction they replaced, and with
+`naive_div_triple` in `helpers`. Every caller of a punctured search (the
+sampled and exhaustive protocols, `div_triple`, `escape_ray_search` and
+`karlsson_set_estimate`) must leave the ball's CSR arrays and unit matrix
+bit-identical, also when a search raises.
 Dijkstra on a ball's unit matrix, plain and punctured, must return what it
 returned with `unweighted=True`.
 The `old_*` divergence functions and `OldBuckets` are verbatim copies of
@@ -77,10 +81,10 @@ bit with `old_qg_certify`, a copy of the loop that ran one search per
 distinct path vertex and walked the pairs (only its `bfs_distances` call
 takes the new matrix argument).
 
-The escape-ray search, whose searches now run on a `Puncture` and through
-`punctured_paths`, is compared with `old_escape_ray_search` and
-`old_search_from`, verbatim copies of the masked search that walked
-neighbor tuples, on balls where it finds
+The escape-ray search, whose searches now run on one induced graph of the
+ball minus the inner ball and through `punctured_paths`, is compared with
+`old_escape_ray_search` and `old_search_from`, verbatim copies of the
+masked search that walked neighbor tuples, on balls where it finds
 geodesic rays, bent rays (through its bounded backtracking) and nothing,
 and on a gadget where two bent chains certify and the backtracking's row
 order decides which is returned.
@@ -90,7 +94,13 @@ every center (`old_all_centers_exhaustive_estimate`, a verbatim copy, on
 `OldSinkSearches`, a verbatim copy of the search object that divergence
 kept before `Puncture` and `GraphBall.matrix` replaced it) with the one
 that scans one center per symmetry orbit and picks each witness over the
-images of the tied triples.
+images of the tied triples. `old_puncture_exhaustive_estimate` is a
+verbatim copy of that scan as it ran its punctured rows, one multi-row
+Dijkstra per center and forbidden radius, on a `Puncture` (here
+`OldPuncture`); the scan that runs them as blocks of `bfs_rows` searches
+across consecutive centers must give its samples on every case, at the
+default block budget and with blocks cut after one center and in the
+middle of the center list (`EXHAUSTIVE_BLOCKS`).
 
 The wideness probe is compared with `old_wideness_probe`, a verbatim copy
 of the loop that searched every eligible vertex: equal outright on balls
@@ -126,6 +136,7 @@ from floydlab.divergence import (
     DivergenceParams,
     DivergenceSample,
     _Buckets,
+    _orbit_witnesses,
     div_function_estimate,
     div_triple,
 )
@@ -158,8 +169,8 @@ from floydlab.graph_core import (
     _first_sphere_maps,
     bfs_distances,
     bfs_parents,
+    bfs_rows,
     GraphBall,
-    Puncture,
     build_ball,
     csr_from_edges,
     csr_induced,
@@ -498,6 +509,52 @@ def old_bfs(adjacency, sources, cap=None, allowed=None):
     return order, dist, parent
 
 
+class OldPuncture:
+    """`graph_core.Puncture` as it was before `bfs_rows` replaced it
+    (verbatim, the class renamed): whole-row Dijkstra searches in a graph
+    minus a closed ball B_c(t) = {v : d_c[v] <= t}, on `cut`, a private
+    copy of a unit matrix plus an empty sink row V.
+
+    `without` points every slot that enters the ball at the sink, yields
+    `cut`, and puts the slots back in a `finally`. A sink has no way out,
+    so a search from outside the ball sees the graph minus the ball; a
+    source inside it raises `PreconditionViolated`. One object per caller.
+    Paths that avoid a ball come from `punctured_paths`, which changes no
+    matrix.
+    """
+
+    def __init__(self, matrix: sp.csr_matrix):
+        n, m = matrix.shape[0], matrix.nnz
+        self.cut = sp.csr_matrix((matrix.data, matrix.indices.copy(),
+                                  np.append(matrix.indptr, m)),
+                                 shape=(n + 1, n + 1))
+        # The slots whose column is v: by_column[col_start[v]:col_start[v + 1]].
+        self.by_column = np.argsort(self.cut.indices, kind="stable")
+        self.col_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.cut.indices, minlength=n),
+                  out=self.col_start[1:])
+
+    @contextmanager
+    def without(self, d_c: np.ndarray, threshold: float, sources):
+        """`cut` minus the closed ball B_c(threshold) while the with block
+        runs; every search in it must start at one of `sources`."""
+        if (d_c[sources] <= threshold).any():
+            raise PreconditionViolated(
+                "a punctured search starts inside its forbidden ball")
+        inside = np.flatnonzero(d_c <= threshold)
+        starts = self.col_start[inside]
+        sizes = self.col_start[inside + 1] - starts
+        ends = np.cumsum(sizes)
+        slots = self.by_column[np.arange(sizes.sum())
+                               + np.repeat(starts - ends + sizes, sizes)]
+        indices = self.cut.indices
+        indices[slots] = self.cut.shape[0] - 1  # the sink
+        try:
+            yield self.cut
+        finally:
+            indices[slots] = np.repeat(inside, sizes)
+
+
 def random_csr(rng, n):
     """CSR arrays of a random simple graph, possibly disconnected, with
     every row in a random order."""
@@ -557,7 +614,7 @@ def assert_punctured_searches_match_mask(indptr, indices, sources, allowed, cap)
     Dijkstra gives the distances, also stopped at `cap`."""
     n = len(allowed)
     adj = csr_rows(indptr, indices)
-    puncture = Puncture(unit_matrix(indptr, indices))
+    puncture = OldPuncture(unit_matrix(indptr, indices))
     # d_c = 1 on allowed vertices and 0 elsewhere forbids exactly the rest.
     d_c = np.array(allowed, dtype=float)
     with puncture.without(d_c, 0.5, sources) as cut:
@@ -575,6 +632,63 @@ def assert_punctured_searches_match_mask(indptr, indices, sources, allowed, cap)
     for want, got in ((old_punctured_bfs(adj, sources, allowed)[0], near),
                       (old_bfs(adj, sources, cap, allowed)[1], capped)):
         assert got[:n].tolist() == [math.inf if d < 0 else d for d in want]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_bfs_rows_match_block_search_and_punctured_dijkstra(seed):
+    """`bfs_rows` gives search i the distances of `bfs_parents` from its
+    source in the graph minus its blocked set, and those of scipy's
+    Dijkstra on an `OldPuncture` of that set, at `columns`, inf where the
+    search does not reach: on random graphs with shuffled rows, cut-off
+    components and an isolated last vertex, with k searches filling part
+    of a word, one word, one word and a bit, and several words."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 40)
+    indptr, indices = random_csr(rng, n)
+    indptr, n = np.append(indptr, indptr[-1]), n + 1  # vertex n - 1: isolated
+    puncture = OldPuncture(unit_matrix(indptr, indices))
+    k = [1, 63, 64, 65, 129][seed % 5]
+    sources = [rng.randrange(n) for _ in range(k)]
+    if seed % 3 == 0:
+        sources[-1] = n - 1
+    blocked = []
+    for s in sources:
+        share = rng.choice([0.0, 0.2, 0.5])
+        blocked.append(np.array([v for v in range(n)
+                                 if v != s and rng.random() < share], dtype=np.int64))
+    columns = np.array(sorted(rng.sample(range(n), rng.randrange(1, n + 1))))
+    got = bfs_rows(indptr, indices, sources, blocked, columns)
+    assert got.shape == (k, len(columns)) and got.dtype == np.float64
+    dist, _, _ = bfs_parents(indptr, indices, sources, blocked=blocked,
+                             parents=False)
+    assert np.array_equal(got, np.where(dist < 0, np.inf, dist)[:, columns])
+    for i, (s, walls) in enumerate(zip(sources, blocked)):
+        # d_c = 0 on the blocked vertices and 1 elsewhere forbids exactly them.
+        d_c = np.ones(n)
+        d_c[walls] = 0
+        with puncture.without(d_c, 0.5, [s]) as cut:
+            want = dijkstra(cut, directed=True, indices=s)
+        assert np.array_equal(got[i], want[columns])
+    # No blocked sets and every vertex as a column: the plain searches.
+    assert np.array_equal(bfs_rows(indptr, indices, sources), dijkstra(
+        unit_matrix(indptr, indices), directed=True, indices=sources))
+
+
+def test_bfs_rows_differential_covers_every_kind_of_row():
+    """The graphs of the cases above include vertices cut off from a
+    source by the graph itself, graphs whose other vertices all reach each
+    other, and the isolated vertex, which reaches no other."""
+    kinds = collections.Counter()
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 40)
+        indptr, indices = random_csr(rng, n)
+        indptr, n = np.append(indptr, indptr[-1]), n + 1
+        reach = bfs_rows(indptr, indices, range(n))
+        kinds["cut-off"] += int(np.isinf(reach).any())
+        kinds["connected"] += int(np.isfinite(reach[:-1, :-1]).all())
+        kinds["isolated"] += int(np.isinf(reach[-1, :-1]).all())
+    assert min(kinds.values()) > 0 and len(kinds) == 3
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -1107,7 +1221,7 @@ def forbidden_ball(ball: GraphBall, c: int, threshold: float):
 
 def test_punctured_searches_refuse_a_source_inside_the_ball():
     ball = cayley_ball(FreeAbelian(2), 4)
-    puncture = Puncture(ball.matrix)
+    puncture = OldPuncture(ball.matrix)
     d_c, outside = forbidden_ball(ball, 0, 1.0)
     near, far = int(np.flatnonzero(d_c == 1)[0]), int(outside[0])
     # The restricted graph keeps no edge at `near`; a redirect into the
@@ -1119,82 +1233,19 @@ def test_punctured_searches_refuse_a_source_inside_the_ball():
     inside = np.flatnonzero(d_c <= 1.0)
     with pytest.raises(PreconditionViolated):
         punctured_paths(*ball.csr_arrays, [far, near], [near, far], [inside] * 2)
+    # Search 64, in the second word, starts inside its own forbidden set.
+    sources = [far] * 64 + [near]
+    with pytest.raises(PreconditionViolated):
+        bfs_rows(*ball.csr_arrays, sources, [inside] * 65)
+    # A source inside another search's forbidden set is allowed.
+    rows = bfs_rows(*ball.csr_arrays, sources, [inside] * 64 + [inside[:0]])
+    assert rows[64, near] == 0 and math.isinf(rows[0, near])
 
 
-class PunctureLog:
-    """Spies on `Puncture.without`: per punctured search, whether its buffer
-    was changed inside the with block and restored after it, and the cut
-    that is open, so that a search can be made to fail on it."""
-
-    def __init__(self, monkeypatch):
-        self.calls: list[tuple[bool | None, bool]] = []
-        self.open: list[sp.csr_matrix] = []
-        without = Puncture.without
-
-        @contextmanager
-        def spy(puncture, *args):
-            before = puncture.cut.indices.tobytes()
-            changed = None
-            try:
-                with without(puncture, *args) as cut:
-                    changed = cut.indices.tobytes() != before
-                    self.open.append(cut)
-                    try:
-                        yield cut
-                    finally:
-                        self.open.pop()
-            finally:
-                self.calls.append(
-                    (changed, puncture.cut.indices.tobytes() == before))
-
-        monkeypatch.setattr(Puncture, "without", spy)
-
-    def failing(self, search):
-        """`search`, raising when it runs on an open cut."""
-        def run(matrix, *args, **kwargs):
-            if self.open and matrix is self.open[-1]:
-                raise RuntimeError("search failed")
-            return search(matrix, *args, **kwargs)
-        return run
-
-
-def puncturing_callers():
-    """Every caller of `Puncture`, each on a case that punctures; the
-    escape-ray case also backtracks, so it runs both of its searches."""
-    f2 = cayley_ball(Free(2), 4)
-    params = DivergenceParams(0.5, 0.0)
-    return {
-        "exhaustive": lambda: div_function_estimate(
-            f2, 4, params, protocol="exhaustive", margin=1.0),
-        "escape_ray_search": lambda: escape_ray_search(
-            wind_and_rail_ball(), 3, 1.3, 1, 4),
-    }
-
-
-def test_puncture_restores_the_index_buffer(monkeypatch):
-    log = PunctureLog(monkeypatch)
-    searches = {}
-    for name, call in puncturing_callers().items():
-        log.calls.clear()
-        call()
-        assert log.calls and set(log.calls) == {(True, True)}, name
-        searches[name] = len(log.calls)
-    # The distances to the nearest target, then to every target.
-    assert searches["escape_ray_search"] >= 2
-
-    # A search that raises on the punctured buffer leaves it restored.
-    for owner, attr in ((divergence, "dijkstra"), (quasigeodesic, "dijkstra")):
-        monkeypatch.setattr(owner, attr, log.failing(getattr(owner, attr)))
-    for name, call in puncturing_callers().items():
-        log.calls.clear()
-        with pytest.raises(RuntimeError):
-            call()
-        assert log.calls == [(True, True)], name
-
-
-def path_searching_callers():
-    """Every caller of `punctured_paths`, each on a case that searches, with
-    the ball it searches."""
+def searching_callers():
+    """Every caller of a punctured search, each on a case that punctures,
+    with the ball it searches: the callers of `punctured_paths` and the
+    exhaustive protocol, whose punctured rows run in `bfs_rows`."""
     f2 = cayley_ball(Free(2), 4)
     rail = wind_and_rail_ball()
     params = DivergenceParams(0.5, 0.0)
@@ -1203,6 +1254,8 @@ def path_searching_callers():
     return {
         "sampled": (f2, lambda: div_function_estimate(
             f2, 2, params, protocol="sampled", margin=2.0)),
+        "exhaustive": (f2, lambda: div_function_estimate(
+            f2, 4, params, protocol="exhaustive", margin=1.0)),
         "div_triple": (f2, lambda: div_triple(f2, 1, 2, 0, params)),
         "escape_ray_search": (rail, lambda: escape_ray_search(rail, 3, 1.3, 1, 4)),
         "karlsson_set_estimate": (w.ball, lambda: karlsson_set_estimate(
@@ -1218,25 +1271,31 @@ def ball_bytes(ball):
 
 
 def test_punctured_paths_leave_the_ball_unchanged(monkeypatch):
-    """The path searches write to no array of the ball: after every caller's
-    searches, also after a search that raises partway, its CSR arrays and
-    unit matrix are bit-identical."""
+    """The punctured searches write to no array of the ball: after every
+    caller's searches, also after a search that raises partway, its CSR
+    arrays and unit matrix are bit-identical."""
     punctured = []
-    bfs = graph_core.bfs_parents
+    bfs, rows = graph_core.bfs_parents, divergence.bfs_rows
 
     def spy(*args, **kwargs):
         punctured.append(kwargs.get("blocked") is not None)
         return bfs(*args, **kwargs)
 
+    def rows_spy(*args, **kwargs):
+        punctured.append(len(args) > 3 and args[3] is not None)
+        return rows(*args, **kwargs)
+
     monkeypatch.setattr(graph_core, "bfs_parents", spy)
-    for name, (ball, call) in path_searching_callers().items():
+    monkeypatch.setattr(divergence, "bfs_rows", rows_spy)
+    for name, (ball, call) in searching_callers().items():
         before = ball_bytes(ball)
         punctured.clear()
         call()
         assert any(punctured), name
         assert ball_bytes(ball) == before, name
 
-    # The second level of the first search raises.
+    # The second level of the first path search raises, and so does the
+    # exhaustive protocol's first block of punctured rows.
     row_slots, levels = graph_core._row_slots, []
 
     def failing(*args):
@@ -1245,8 +1304,14 @@ def test_punctured_paths_leave_the_ball_unchanged(monkeypatch):
             raise RuntimeError("search failed")
         return row_slots(*args)
 
+    def failing_rows(*args, **kwargs):
+        if len(args) > 3:
+            raise RuntimeError("search failed")
+        return rows(*args, **kwargs)
+
     monkeypatch.setattr(graph_core, "_row_slots", failing)
-    for name, (ball, call) in path_searching_callers().items():
+    monkeypatch.setattr(divergence, "bfs_rows", failing_rows)
+    for name, (ball, call) in searching_callers().items():
         before = ball_bytes(ball)
         levels.clear()
         with pytest.raises(RuntimeError):
@@ -1293,7 +1358,7 @@ def detour_jobs(rng, matrix, tries):
 def assert_paths_match_old(indptr, indices, jobs):
     """`punctured_paths` on the jobs, in one call, gives each job the path
     (or None) of `old_punctured_path`; returns the paths."""
-    puncture = Puncture(unit_matrix(indptr, indices))
+    puncture = OldPuncture(unit_matrix(indptr, indices))
     a, b, d_c, threshold = zip(*jobs)
     forbidden = [np.flatnonzero(d <= t) for d, t in zip(d_c, threshold)]
     paths = punctured_paths(indptr, indices, a, b, forbidden)
@@ -1444,7 +1509,7 @@ def test_unit_matrix_searches_match_the_unweighted_flag(name):
     it returned with `unweighted=True`: distances, predecessors and (with
     min_only) the nearest sources."""
     ball = UNIT_BALLS[name]()
-    puncture = Puncture(ball.matrix)
+    puncture = OldPuncture(ball.matrix)
     rng = random.Random(name)
     options = ({}, {"limit": 2}, {"min_only": True},
                {"min_only": True, "limit": 3})
@@ -1983,7 +2048,7 @@ def test_csr_restrict_equals_inline_punctured_mask(name):
 @pytest.mark.parametrize("seed", range(5))
 def test_punctured_rows_equal_restricted_rows(name, seed):
     ball = LAYOUT_BALLS[name]()
-    puncture = Puncture(ball.matrix)
+    puncture = OldPuncture(ball.matrix)
     rng = random.Random(seed)
     for mask in _vertex_masks(ball, seed):
         allowed = np.flatnonzero(mask).tolist()
@@ -2524,16 +2589,162 @@ def test_orbit_differential_covers_symmetric_asymmetric_and_cut_balls():
     assert [s.is_infinite for s in tree] == [False, True, True, True]
 
 
+def old_puncture_exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
+    """`divergence._exhaustive_estimate` as it was before `bfs_rows`
+    (verbatim, `Puncture` renamed `OldPuncture`): one multi-row Dijkstra
+    over a sink-punctured copy of the matrix per center and forbidden
+    radius."""
+    puncture = OldPuncture(ball.matrix)
+    d_inner = dijkstra(ball.matrix, directed=True, indices=inner)
+    ambient = d_inner[:, inner]
+    # A base-fixing automorphism h keeps every distance, so it maps the
+    # inner region onto itself and the triples at c, with their values and
+    # radii, onto the triples at h(c). Only the smallest vertex of each
+    # orbit is scanned as a center; its winning triples are then turned
+    # into the smallest witness over all their images.
+    group, low = ball.automorphisms, ball.orbit_min
+    reps = np.unique(low[inner])
+    best = np.full(n_max + 1, -1.0)  # largest value so far per d(a,b)
+    d_inf = n_max + 1  # least d(a,b) of a disconnecting triple so far
+    winners = []
+    for ci, c in zip(np.searchsorted(inner, reps).tolist(), reps.tolist()):
+        d_c = d_inner[ci]
+        ra = d_c[inner]
+        t = params.delta * ra - params.gamma
+        # Row a keeps partners b with d(c, b) >= d(c, a) > 0, so each
+        # unordered pair is enumerated with r = min(d(c,a), d(c,b)) = d(c,a)
+        # exactly once (twice, harmlessly, when the two distances tie).
+        admissible = ((ra[None, :] >= ra[:, None]) & (ra[:, None] > 0)
+                      & (ambient > 0) & (ambient <= n_max))
+        # A triple needs a punctured search only if its forbidden ball can
+        # reach some a-b geodesic: d(c,a) + d(c,b) <= d(a,b) + 2t. Otherwise
+        # every geodesic survives and the value is ambient.
+        blockable = admissible & (t[:, None] > 0) & (
+            ra[None, :] + ra[:, None] <= ambient + 2 * t[:, None])
+        needy = np.flatnonzero(blockable.any(axis=1))
+        values = ambient.copy()
+        floors = np.floor(t[needy])
+        for key in np.unique(floors):
+            rows = needy[floors == key]
+            with puncture.without(d_c, key, inner[rows]) as cut:
+                values[rows] = dijkstra(cut, directed=True,
+                                        indices=inner[rows])[:, inner]
+        ii, jj = np.nonzero(admissible)
+        dab, value = ambient[ii, jj].astype(np.int64), values[ii, jj]
+        cut = np.isinf(value)
+        if cut.any():
+            d_inf = min(d_inf, int(dab[cut].min()))
+        # Div(n) is infinite for n >= d_inf, so finite buckets there are
+        # never read, and only disconnecting triples of least d(a,b) can win.
+        live = np.flatnonzero(np.where(cut, dab == d_inf, dab < d_inf))
+        np.maximum.at(best, dab[live], value[live])
+        tied = live[value[live] == best[dab[live]]]
+        if tied.size:
+            dabs, *witness = _orbit_witnesses(
+                group, low, dab[tied], inner[ii[tied]], inner[jj[tied]], c,
+                t[ii[tied]])
+            winners.append((dabs, best[dabs], *witness))
+    buckets = _Buckets(n_max)
+    if winners:
+        dab, value, lo, hi, hc, radius = map(np.concatenate, zip(*winners))
+        buckets.offer(lo, hi, hc, dab, value, radius)
+    return buckets.finalize(n_min, "exhaustive", seed)
+
+
+# Rows per block of the exhaustive protocol's punctured searches: the
+# default, one (a block ends after the first center with a punctured row),
+# and 300 (two or three centers per block on the z2 case).
+EXHAUSTIVE_BLOCKS = {"default": None, "one-row": 1, "300-rows": 300}
+
+
+def exhaustive_blocks(ball, n_max, params, margin, rows, monkeypatch):
+    """The exhaustive samples at `rows` rows per block (None: the default
+    budget), and the (centers, rows) of each block of punctured searches.
+
+    Center i is scanned once to collect its rows and once to fold them, so
+    between the calls of blocks j - 1 and j the spy sees the folds of block
+    j - 1 and then the centers of block j."""
+    events = []
+    triples, search = divergence._center_triples, divergence.bfs_rows
+
+    def triples_spy(*args):
+        events.append(None)
+        return triples(*args)
+
+    def search_spy(indptr, indices, sources, blocked=None, columns=None):
+        if blocked is not None:
+            events.append(len(sources))
+        return search(indptr, indices, sources, blocked, columns)
+
+    inner_size = int((ball.dist <= int(ball.radius / margin + 1e-9)).sum())
+    with monkeypatch.context() as patch:
+        if rows is not None:
+            patch.setattr(graph_core, "BLOCK_CELLS", rows * inner_size)
+        patch.setattr(divergence, "_center_triples", triples_spy)
+        patch.setattr(divergence, "bfs_rows", search_spy)
+        samples = div_function_estimate(ball, n_max, params, protocol="exhaustive",
+                                        seed=2, margin=margin)
+    blocks, seen, folds = [], 0, 0
+    for event in events:
+        if event is None:
+            seen += 1
+        else:
+            blocks.append((seen - folds, event))
+            folds, seen = seen - folds, 0
+    return samples, blocks
+
+
+@functools.cache
+def old_exhaustive_samples(name, delta, gamma):
+    ball, margin = orbit_ball(name)
+    n_max = int(ball.radius / margin + 1e-9)
+    inner = np.flatnonzero(ball.dist <= n_max)
+    return old_puncture_exhaustive_estimate(
+        ball, n_max, DivergenceParams(delta, gamma), inner, 1, 2)
+
+
+@pytest.mark.parametrize("blocks", sorted(EXHAUSTIVE_BLOCKS))
+@pytest.mark.parametrize("name", sorted(ORBIT_BALLS))
+@pytest.mark.parametrize("delta,gamma", ENGINE_PARAMS)
+def test_exhaustive_blocks_match_puncture_code(name, delta, gamma, blocks,
+                                               monkeypatch):
+    ball, margin = orbit_ball(name)
+    n_max = int(ball.radius / margin + 1e-9)
+    new, _ = exhaustive_blocks(ball, n_max, DivergenceParams(delta, gamma),
+                               margin, EXHAUSTIVE_BLOCKS[blocks], monkeypatch)
+    old = old_exhaustive_samples(name, delta, gamma)
+    assert len(old) == n_max
+    assert_same_samples(new, old)
+
+
+def test_exhaustive_blocks_split_after_one_center_and_mid_list(monkeypatch):
+    ball, margin = orbit_ball("z2")
+    params = DivergenceParams(0.5, 0.0)
+    split = {name: exhaustive_blocks(ball, 10, params, margin, rows, monkeypatch)[1]
+             for name, rows in EXHAUSTIVE_BLOCKS.items()}
+    # Each budget collects each of the 36 centers once, with all its rows.
+    for blocks in split.values():
+        centers, rows = np.sum(blocks, axis=0)
+        assert centers == 36 and rows == np.sum(split["default"], axis=0)[1]
+    # One row: every center here has punctured rows, and ends its block.
+    assert [centers for centers, _ in split["one-row"]] == [1] * 36
+    # 300 rows and the default: several blocks of several centers.
+    for name in ("300-rows", "default"):
+        assert len(split[name]) > 1
+        assert max(centers for centers, _ in split[name]) > 1
+
+
 def test_exhaustive_runs_one_center_per_orbit(monkeypatch):
     ball, margin = orbit_ball("z2")
+    inner = np.flatnonzero(ball.dist <= 10)
     centers = set()
-    without = Puncture.without
+    triples = divergence._center_triples
 
-    def spy(self, d_c, threshold, sources):
-        centers.add(int(np.flatnonzero(d_c == 0)[0]))
-        return without(self, d_c, threshold, sources)
+    def spy(ra, *args):
+        centers.add(int(inner[np.flatnonzero(ra == 0)[0]]))
+        return triples(ra, *args)
 
-    monkeypatch.setattr(Puncture, "without", spy)
+    monkeypatch.setattr(divergence, "_center_triples", spy)
     div_function_estimate(ball, 10, DivergenceParams(0.5, 0.0),
                           protocol="exhaustive", margin=margin)
     group = ball.automorphisms
