@@ -32,6 +32,7 @@ from .errors import (
 from .floyd_metric import FloydFunction
 from .graph_core import (
     GraphBall,
+    Symmetry,
     bfs_rows,
     block_rows,
     extract_path,
@@ -164,30 +165,47 @@ class _Buckets:
         return samples
 
 
-def _orbit_witnesses(group: np.ndarray, low: np.ndarray, key: np.ndarray,
-                     a: np.ndarray, b: np.ndarray, c: int, radius: np.ndarray):
+def _orbit_witnesses(symmetry: Symmetry, members: np.ndarray, key: np.ndarray,
+                     a: np.ndarray, b: np.ndarray, radius: np.ndarray):
     """Per distinct `key` (a small nonnegative int), the smallest witness
-    (min(ha, hb), max(ha, hb), hc) over every h in `group` and every triple
-    (a[i], b[i], c) with that key, with the radius of the triple that gives
-    it. Returns (key, lo, hi, c, radius) arrays, one entry per key.
+    (min(a', b'), max(a', b'), c') over the triples (a[i], b[i]) with that
+    key at the center c = orbit_min, mapped to every center c' of c's orbit
+    `members` by the transversal element u_c' of `symmetry`, with the
+    radius of the triple that gives it. The images at c' are the triples
+    at c', whichever group element sends c to c', so the minimum is the one
+    over all centers. Returns (key, lo, hi, c', radius) arrays, one entry
+    per key.
 
-    `low` is each vertex's smallest orbit image, so the least first entry
-    of a key is lo* = min(low[a], low[b]) over its triples, and only
-    triples with low[a] == lo* or low[b] == lo* are mapped through the
-    group.
+    Each image end lies in the orbit of its end, so the least first entry
+    of a key is lo* = min(low[a], low[b]) over its triples, low being the
+    orbit minima. A triple gives lo* at c' exactly when one end is
+    y = u_c'^-1(lo*): only the triples with that end are mapped, and only
+    their other end.
     """
-    lo_orbit = np.minimum(low[a], low[b])
+    low = symmetry.orbit_min
     lo_star = np.full(key.max() + 1, len(low))
-    np.minimum.at(lo_star, key, lo_orbit)
-    near = np.flatnonzero(lo_orbit == lo_star[key])
-    key, radius = key[near], radius[near]
-    ha, hb = group[:, a[near]], group[:, b[near]]
-    g, i = np.nonzero(np.minimum(ha, hb) == lo_star[key])
-    hi, hc, key = np.maximum(ha[g, i], hb[g, i]), group[g, c], key[i]
-    order = np.lexsort((hc, hi, key))
-    first = order[np.flatnonzero(np.diff(key[order], prepend=-1))]
-    return (key[first], lo_star[key[first]], hi[first], hc[first],
-            radius[i[first]])
+    np.minimum.at(lo_star, key, np.minimum(low[a], low[b]))
+    keys = np.unique(key)
+    # Query q: center member[q] and key kq[q], with its end y[q].
+    kq, member = np.repeat(keys, len(members)), np.tile(members, len(keys))
+    y = symmetry.to_rep(member, lo_star[kq])
+    # Both ends of every triple, sorted by (key, end).
+    width = len(low)
+    code = np.concatenate([key * width + a, key * width + b])
+    other = np.concatenate([b, a])
+    order = np.argsort(code, kind="stable")
+    code, other, triple = code[order], other[order], order % len(a)
+    start = np.searchsorted(code, kq * width + y)
+    sizes = np.searchsorted(code, kq * width + y, side="right") - start
+    q = np.repeat(np.arange(len(kq)), sizes)
+    before = np.cumsum(sizes) - sizes  # matches of the queries before q
+    at = start[q] + np.arange(len(q)) - before[q]
+    hi = symmetry.from_rep(member[q], other[at])
+    k, c = kq[q], member[q]
+    order = np.lexsort((c, hi, k))
+    first = order[np.flatnonzero(np.diff(k[order], prepend=-1))]
+    return (k[first], lo_star[k[first]], hi[first], c[first],
+            radius[triple[at[first]]])
 
 
 def _center_triples(ra, ambient, params, n_max):
@@ -212,17 +230,27 @@ def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
     # inner region onto itself and the triples at c, with their values and
     # radii, onto the triples at h(c). Only the smallest vertex of each
     # orbit is scanned as a center; its winning triples are then turned
-    # into the smallest witness over all their images.
-    group, low = ball.automorphisms, ball.orbit_min
+    # into the smallest witness over their images at every center.
+    symmetry = ball.symmetry
+    low = symmetry.orbit_min
     reps = np.unique(low[inner])
-    d_reps = bfs_rows(indptr, indices, reps)
+    by_orbit = inner[np.argsort(low[inner], kind="stable")]
+    orbit_bounds = np.searchsorted(low[by_orbit], np.append(reps, len(low)))
+    # The centers' rows are kept over the window that holds every forbidden
+    # ball: B_c(floor t) with t = delta * d(c, a) - gamma <= delta * 2 r_in
+    # - gamma, around a center within r_in of the base.
+    r_in = int(ball.dist[inner].max())
+    reach = r_in + max(0, math.floor(params.delta * (2 * r_in) - params.gamma))
+    window = np.flatnonzero(ball.dist <= reach)
+    d_reps = bfs_rows(indptr, indices, reps, columns=window)
+    inner_at = np.searchsorted(window, inner)
     best = np.full(n_max + 1, -1.0)  # largest value so far per d(a,b)
     d_inf = n_max + 1  # least d(a,b) of a disconnecting triple so far
     winners = []
 
-    def fold(c, ra, needy, rows):
-        """Fold the triples at center c, whose rows `needy` of the inner
-        region have the punctured distances `rows`."""
+    def fold(i, ra, needy, rows):
+        """Fold the triples at center reps[i], whose rows `needy` of the
+        inner region have the punctured distances `rows`."""
         nonlocal d_inf
         t, admissible = _center_triples(ra, ambient, params, n_max)
         values = ambient.copy()
@@ -238,9 +266,10 @@ def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
         np.maximum.at(best, dab[live], value[live])
         tied = live[value[live] == best[dab[live]]]
         if tied.size:
+            members = by_orbit[orbit_bounds[i]:orbit_bounds[i + 1]]
             dabs, *witness = _orbit_witnesses(
-                group, low, dab[tied], inner[ii[tied]], inner[jj[tied]], c,
-                t[ii[tied]])
+                symmetry, members, dab[tied], inner[ii[tied]],
+                inner[jj[tied]], t[ii[tied]])
             winners.append((dabs, best[dabs], *witness))
 
     chunk = block_rows(len(inner))
@@ -251,7 +280,7 @@ def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
         needy_of, blocked = [], []
         stop = first
         while stop < len(reps) and len(blocked) < chunk:
-            ra = d_reps[stop, inner]
+            ra = d_reps[stop, inner_at]
             t, admissible = _center_triples(ra, ambient, params, n_max)
             # A triple needs a punctured search only if its forbidden ball
             # can reach some a-b geodesic: d(c,a) + d(c,b) <= d(a,b) + 2t.
@@ -261,7 +290,7 @@ def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
             needy = np.flatnonzero(blockable.any(axis=1))
             # Row a avoids B_c(floor t), the vertices within t of c.
             keys, key_of = np.unique(np.floor(t[needy]), return_inverse=True)
-            balls = [np.flatnonzero(d_reps[stop] <= key) for key in keys]
+            balls = [window[d_reps[stop] <= key] for key in keys]
             blocked += [balls[i] for i in key_of.tolist()]
             needy_of.append(needy)
             stop += 1
@@ -269,7 +298,7 @@ def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
                          blocked, inner)
         at = 0
         for i, needy in zip(range(first, stop), needy_of):
-            fold(int(reps[i]), d_reps[i, inner], needy, found[at:at + len(needy)])
+            fold(i, d_reps[i, inner_at], needy, found[at:at + len(needy)])
             at += len(needy)
         del found  # freed before the next block allocates its rows
         first = stop
@@ -372,9 +401,9 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
 
     protocol "exhaustive" covers every admissible triple in the inner
     region (grouped so one punctured search serves many partners), scanning
-    one center per orbit of `ball.automorphisms` and picking each witness
-    over the images of the tied triples, with the same samples as a scan
-    of every center; "sampled" draws seeded a-b pairs at distance n and
+    one center per orbit of `ball.symmetry` and picking each witness over
+    the images of the tied triples at every center of the orbit, with the
+    same samples as a scan of every center; "sampled" draws seeded a-b pairs at distance n and
     centers c near their geodesics (a heuristic for finding large values,
     kept out of exhaustive mode); "auto" picks exhaustive for balls up to
     EXHAUSTIVE_CAP vertices. A forced "exhaustive" on an inner region of
@@ -395,8 +424,10 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
     (`graph_core.punctured_paths`). The exhaustive protocol runs no
     Dijkstra: its ambient rows, its centers' rows and its punctured rows
     (row a in the ball minus B_c(floor t)) are bit-parallel breadth-first
-    searches (`graph_core.bfs_rows`), the punctured rows of consecutive
-    centers gathered into blocks of about BLOCK_CELLS / |inner| searches.
+    searches (`graph_core.bfs_rows`): the centers' rows kept only over the
+    base ball that holds every forbidden ball, the punctured rows of
+    consecutive centers gathered into blocks of about BLOCK_CELLS / |inner|
+    searches.
     div_triple takes one detour from `punctured_paths`.
     """
     if protocol not in ("auto", "exhaustive", "sampled"):

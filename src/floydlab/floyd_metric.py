@@ -370,20 +370,23 @@ def _sphere_rows(w: FloydWeighting, sources: np.ndarray,
     The ball's base-fixing automorphisms keep every edge's level, so they
     map paths to paths with the same weight sequence, and scipy's float
     Dijkstra gives d(s, t) == d(h(s), h(t)) bit for bit. Each source's
-    representative is `ball.orbit_min`, which need not be a source; for an
-    automorphism h with h(s) = rep, the row of s is the row of rep read at
-    h(targets), which stays in the sphere. Sources are never swapped with
-    targets: d(s, t) and d(t, s) may differ in the last place.
+    representative is `ball.orbit_min`, which need not be a source; the
+    transversal element u_s of `ball.symmetry` sends it to s and maps the
+    sphere onto itself, so the row of s holds d(rep, t) at the column of
+    u_s(t) for every target t. Sources are never swapped with targets:
+    d(s, t) and d(t, s) may differ in the last place.
     """
-    group = w.ball.automorphisms
-    rep = w.ball.orbit_min[sources]
-    which = (group[:, sources] == rep).argmax(axis=0)
+    symmetry = w.ball.symmetry
+    rep = symmetry.orbit_min[sources]
     reps = np.unique(rep)
     rep_rows = _target_rows(w, reps, targets)
     column = np.empty(w.ball.vertex_count, dtype=np.int64)
     column[targets] = np.arange(len(targets))
-    moved = column[group[which[:, None], targets[None, :]]]
-    return rep_rows[np.searchsorted(reps, rep)[:, None], moved]
+    moved = column[symmetry.from_rep(
+        sources, np.broadcast_to(targets, (len(sources), len(targets))))]
+    out = np.empty((len(sources), len(targets)))
+    out[np.arange(len(sources))[:, None], moved] = rep_rows[np.searchsorted(reps, rep)]
+    return out
 
 
 def _target_rows(w: FloydWeighting, sources: np.ndarray,

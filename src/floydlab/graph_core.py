@@ -42,11 +42,11 @@ class GraphBall:
     no other edge layout is stored: every search reads its rows from them.
     The ball keeps the arrays it is given and makes them read-only; it
     rejects a base or a CSR entry outside 0..V-1 with a ValueError. The
-    unit `matrix`, `slot_rows`, `edge_arrays`, `automorphisms` and
-    `orbit_min` are derived read-only on first use; `dist` is the only view
-    of base distances. Safe for concurrent reads: two threads may both
-    derive a value, equal both times, and no search writes to the ball: a
-    punctured search keeps its forbidden vertices in its own arrays.
+    unit `matrix`, `slot_rows`, `edge_arrays` and `symmetry` are derived
+    read-only on first use; `dist` is the only view of base distances.
+    Safe for concurrent reads: two threads may both derive a value, equal
+    both times, and no search writes to the ball: a punctured search keeps
+    its forbidden vertices in its own arrays.
     """
 
     base: int
@@ -122,22 +122,18 @@ class GraphBall:
         return self.slot_rows[upper], self.indices[upper]
 
     @cached_property
-    def automorphisms(self) -> np.ndarray:
-        """Base-fixing automorphisms found in the graph: a read-only (|G|, V)
-        int32 array whose rows are verified permutations of the vertices,
-        forming a group, with the identity first (see `find_automorphisms`)."""
-        perms = find_automorphisms(self)
-        perms.flags.writeable = False
-        return perms
+    def symmetry(self) -> "Symmetry":
+        """Base-fixing automorphisms found in the graph, as verified sparse
+        generators with their orbits and a Schreier transversal (see
+        `find_automorphisms` and `Symmetry`)."""
+        return find_automorphisms(self)
 
-    @cached_property
+    @property
     def orbit_min(self) -> np.ndarray:
-        """The smallest vertex of every vertex's orbit under `automorphisms`:
-        a read-only array of length V, the representative that each
+        """The smallest vertex of every vertex's orbit under `symmetry`: a
+        read-only array of length V, the representative that each
         orbit-reduced scan runs in place of the vertex."""
-        low = self.automorphisms.min(axis=0)
-        low.flags.writeable = False
-        return low
+        return self.symmetry.orbit_min
 
     def check_index(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:
@@ -187,10 +183,10 @@ def unit_matrix(indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
 
-GROUP_CAP = 64  # most automorphisms find_automorphisms keeps
+GROUP_CAP = 64  # most S_1 actions the symmetry search closes over
 _S1_CAP = 64  # larger first spheres are not searched for symmetries
 _SEARCH_CAP = 20_000  # S_1 vertex images the candidate search may try
-_EXTENSION_CAP = 64  # candidate maps extended past S_1
+_EXTENSION_CAP = 64  # candidate maps extended past S_1 or past a twin pair
 
 
 def is_automorphism(ball: GraphBall, perm: np.ndarray) -> bool:
@@ -213,6 +209,106 @@ def is_automorphism(ball: GraphBall, perm: np.ndarray) -> bool:
     a, b = perm[u], perm[v]
     image = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
     return np.array_equal(image, u * n + v)
+
+
+def is_sparse_automorphism(ball: GraphBall, moved: np.ndarray,
+                           images: np.ndarray) -> bool:
+    """Whether the map sending moved[i] to images[i] and fixing every other
+    vertex is a base-fixing automorphism, checked on the edges at moved
+    vertices only: `moved` must be ascending, `images` a permutation of it,
+    the base unmoved, and the neighbors of each image the images of the
+    moved vertex's neighbors. Such a map is a bijection that sends every
+    edge to an edge (an edge with no moved end is fixed), so it maps the
+    finite edge set onto itself, which is what `is_automorphism` checks on
+    the whole ball."""
+    moved = np.asarray(moved, dtype=np.int64)
+    images = np.asarray(images, dtype=np.int64)
+    if moved.ndim != 1 or moved.shape != images.shape:
+        return False
+    if len(moved) == 0:
+        return True
+    if (moved[0] < 0 or moved[-1] >= ball.vertex_count
+            or (np.diff(moved) <= 0).any() or ball.base in moved
+            or not np.array_equal(np.sort(images), moved)):
+        return False
+    slots, sizes = _row_slots(ball.indptr, moved)
+    image_slots, image_sizes = _row_slots(ball.indptr, images)
+    if not np.array_equal(sizes, image_sizes):
+        return False
+    # The neighbors of the moved vertices under the map, each row sorted.
+    ends = ball.indices[slots]
+    at = np.minimum(np.searchsorted(moved, ends), len(moved) - 1)
+    mapped = np.where(moved[at] == ends, images[at], ends)
+    mapped = mapped[np.lexsort((mapped, np.repeat(np.arange(len(moved)), sizes)))]
+    return np.array_equal(mapped, ball.indices[image_slots])
+
+
+class Symmetry:
+    """Base-fixing automorphisms of a ball, kept as verified generators and
+    never listed as a group (see `find_automorphisms`).
+
+    Generator j is sparse: `moves[j] = (moved, images)` sends moved[i] to
+    images[i], with `moved` ascending, and fixes every other vertex.
+    `orbit_min[v]` is the smallest vertex of v's orbit under the group the
+    generators generate. The Schreier transversal spans each orbit from
+    that vertex: generator via[v] sends parent[v] to v, and an orbit
+    minimum has parent and via -1, so u_v = g_via[v] . u_parent[v] is a
+    group element that sends orbit_min[v] to v. Every array is read-only.
+    """
+
+    def __init__(self, moves: tuple[tuple[np.ndarray, np.ndarray], ...],
+                 orbit_min: np.ndarray, parent: np.ndarray, via: np.ndarray):
+        self.moves, self.orbit_min, self.parent, self.via = moves, orbit_min, parent, via
+        for arr in (orbit_min, parent, via, *(a for move in moves for a in move)):
+            arr.flags.writeable = False
+
+    def _steps(self, v: np.ndarray) -> list[np.ndarray]:
+        """The transversal's generators from each v up to its orbit minimum:
+        entry k holds, per v, the generator of the k-th step up, -1 for a
+        walk that has reached its minimum."""
+        at = np.asarray(v, dtype=np.int64)
+        steps = []
+        while True:
+            gen = self.via[at]
+            if (gen < 0).all():
+                return steps
+            steps.append(gen)
+            at = np.where(gen >= 0, self.parent[at], at)
+
+    def _walk(self, v: Sequence[int], x: np.ndarray, inverse: bool) -> np.ndarray:
+        """Row i of the vertices x mapped by u_v[i], or by its inverse, all
+        rows in lockstep: one gather per step from a table of the dense
+        maps of the generators the walks use (-1, no generator, reads the
+        identity row)."""
+        out = np.array(x, dtype=np.int64)
+        steps = self._steps(v)
+        if not steps:
+            return out
+        used, row = np.unique(np.stack(steps), return_inverse=True)
+        table = np.empty((len(used), len(self.orbit_min)), dtype=np.int32)
+        for i, j in enumerate(used.tolist()):
+            table[i] = np.arange(table.shape[1])
+            if j >= 0:
+                moved, images = self.moves[j]
+                if inverse:
+                    table[i, images] = moved
+                else:
+                    table[i, moved] = images
+        flat = out.reshape(len(out), -1)
+        for gen in row if inverse else row[::-1]:
+            flat[:] = table[gen[:, None], flat]
+        return out
+
+    def from_rep(self, v: Sequence[int], x: np.ndarray) -> np.ndarray:
+        """u_v[i](x[i]) for every row i: the vertices x[i] (any trailing
+        shape) mapped by the transversal element that sends orbit_min[v[i]]
+        to v[i]."""
+        return self._walk(v, x, inverse=False)
+
+    def to_rep(self, v: Sequence[int], x: np.ndarray) -> np.ndarray:
+        """u_v[i]^-1(x[i]) for every row i, the inverse of `from_rep`: it
+        sends v[i] to orbit_min[v[i]]."""
+        return self._walk(v, x, inverse=True)
 
 
 def _first_sphere_maps(ball: GraphBall, s1: np.ndarray):
@@ -275,13 +371,21 @@ class _Layering:
         self.lower = np.full((n, width), n, dtype=np.int64)
         self.lower[r, np.arange(len(r)) - start[r]] = c
         self.degree = np.diff(ball.indptr)
+        self.ball = ball
         order = np.argsort(ball.dist, kind="stable")
         self.layers = np.split(order, np.cumsum(np.bincount(ball.dist))[:-1])[2:]
         self.targets = []
+        # Twin pairs: adjacent equal rows of a layer's targets, the layers
+        # in ascending order.
+        twins = [np.empty((0, 2), dtype=np.int64)]
         for layer in self.layers:
             keys = np.column_stack([self.degree[layer], self.lower[layer]])
             o = np.lexsort(keys.T[::-1])
-            self.targets.append((keys[o], layer[o]))
+            keys, dest = keys[o], layer[o]
+            self.targets.append((keys, dest))
+            same = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
+            twins.append(np.column_stack([dest[same], dest[same + 1]]))
+        self.twins = np.concatenate(twins)
 
     def extend(self, base: int, s1: np.ndarray,
                images: Sequence[int]) -> np.ndarray | None:
@@ -303,72 +407,89 @@ class _Layering:
             perm[layer[o]] = dest
         return perm[:n]
 
+    def lift(self, v: int, w: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """The swap of the twins v and w (two equal rows of one layer's
+        `targets`) extended up the layers above theirs, as (moved, images)
+        with `moved` ascending; None at the first layer whose keys differ.
 
-def _closure(group: np.ndarray, size: int, gens: list[np.ndarray],
-             key: np.ndarray) -> int | None:
-    """Grow the group `group[:size]` in place into the group it generates
-    together with the last permutation of `gens`, and return the new size,
-    or None when the buffer `group` has no room for it (rows from `size` on
-    are then left undefined, so the caller rolls back by keeping its size).
+        Layer by layer, a vertex whose sorted lower-neighbor images equal
+        its own lower neighbors stays, and the others go as `extend` maps a
+        layer: each to the vertex with its degree and those images as lower
+        neighbors, ties in ascending id order. The two kinds never share a
+        key (the map so far is a bijection of the layer below, so an image
+        set equal to a fixed vertex's lower neighbors is the preimage's own),
+        so this is `extend` run on the whole ball from the swap, and only
+        the upper neighbors of moved vertices are read."""
+        ball, lower = self.ball, self.lower
+        n = ball.vertex_count
+        image = np.arange(n + 1)
+        image[[v, w]] = w, v
+        layer = np.array(sorted((v, w)))
+        level = int(ball.dist[v])
+        moved = [layer]
+        while True:
+            slots, _ = _row_slots(ball.indptr, layer)
+            level += 1
+            up = np.unique(ball.indices[slots])
+            up = up[ball.dist[up] == level]
+            keys = np.sort(image[lower[up]], axis=1)
+            change = (keys != lower[up]).any(axis=1)
+            layer = up[change]
+            if not len(layer):
+                break
+            degree = self.degree[layer][:, None]
+            got = np.hstack([degree, keys[change]])
+            want = np.hstack([degree, lower[layer]])
+            o_got, o_want = np.lexsort(got.T[::-1]), np.lexsort(want.T[::-1])
+            if not np.array_equal(got[o_got], want[o_want]):
+                return None
+            image[layer[o_got]] = layer[o_want]
+            moved.append(layer)
+        moved = np.sort(np.concatenate(moved))
+        return moved.astype(np.int32), image[moved].astype(np.int32)
+
+
+def _closure(group: np.ndarray, size: int, gens: list[np.ndarray]) -> int | None:
+    """Grow the group `group[:size]` of actions on S_1 positions in place
+    into the group it generates together with the last row of `gens`, and
+    return the new size, or None when the buffer `group` has no room for
+    it (rows from `size` on are then left undefined, so the caller rolls
+    back by keeping its size).
 
     `group[:size]` must be the group that `gens[:-1]` generate, identity
     first: it is closed under those, so its elements are multiplied by the
     new generator only, and the new elements, appended in breadth-first
-    order, by all of them. Elements are told apart by their images of
-    `key` first.
+    order, by all of them.
     """
-    by_key: dict[bytes, list[int]] = {}
-    for i in range(size):
-        by_key.setdefault(group[i, key].tobytes(), []).append(i)
+    seen = {group[i].tobytes() for i in range(size)}
     old = size
     i = 0
     while i < size:  # grows while it is walked: breadth-first
         for h in gens if i >= old else gens[-1:]:
             p = h[group[i]]
-            bucket = by_key.setdefault(p[key].tobytes(), [])
-            if any(np.array_equal(p, group[j]) for j in bucket):
+            if p.tobytes() in seen:
                 continue
             if size == len(group):
                 return None
-            bucket.append(size)
+            seen.add(p.tobytes())
             group[size] = p
             size += 1
         i += 1
     return size
 
 
-def find_automorphisms(ball: GraphBall) -> np.ndarray:
-    """A group of base-fixing automorphisms of the ball, as a (|G|, V) int32
-    array of permutations with the identity first.
-
-    Each candidate map of S_1 (see `_first_sphere_maps`) that the group found
-    so far does not already realise is extended one BFS layer at a time
-    (`_Layering.extend`) and kept only if `is_automorphism` verifies it;
-    the group is then closed over the kept maps. A map whose group would pass
-    GROUP_CAP elements is dropped. Symmetries may be missed, which only
-    makes the group smaller: every returned row is a verified automorphism.
-
-    The group lives in one (GROUP_CAP, V) buffer that each closure grows in
-    place from the group found so far; a dropped map is rolled back by size.
-    The result is a view of the buffer's first |G| rows; the rows past them
-    are never written, so they take address space but almost no memory.
-    """
-    n = ball.vertex_count
-    s1 = np.flatnonzero(ball.dist == 1)
-    m = len(s1)
-    group = np.empty((GROUP_CAP, n), dtype=np.int32)
-    group[0] = np.arange(n)
-    size = 1
-    if not 2 <= m <= _S1_CAP:
-        return group[:size]
-    # The group's actions on S_1 positions, grown and rolled back alike.
+def _first_sphere_generators(ball: GraphBall, s1: np.ndarray,
+                             layering: _Layering, moves: list) -> int:
+    """Append to `moves` the verified extensions of candidate actions on
+    S_1 that the actions kept so far do not generate, and return the
+    number of candidates extended."""
+    n, m = ball.vertex_count, len(s1)
+    # The kept actions' group on S_1 positions, grown and rolled back by size.
     acting = np.empty((GROUP_CAP, m), dtype=np.int32)
     acting[0] = np.arange(m)
-    acting_size = 1
-    layering = None
-    gens: list[np.ndarray] = []
-    actions: list[np.ndarray] = []  # the generators' actions on S_1 positions
-    realised = {tuple(range(m))}  # the group's actions on S_1 positions
+    size = 1
+    actions: list[np.ndarray] = []
+    realised = {tuple(range(m))}
     extensions = 0
     for action in _first_sphere_maps(ball, s1):
         # A larger group has at least twice the order, so none fits.
@@ -377,24 +498,171 @@ def find_automorphisms(ball: GraphBall) -> np.ndarray:
         if action in realised:
             continue
         action = np.array(action, dtype=np.int32)
-        # The group's action on S_1 is no larger than the group.
-        grown = _closure(acting, acting_size, actions + [action], np.arange(m))
+        grown = _closure(acting, size, actions + [action])
         if grown is None:
             continue
         extensions += 1
-        layering = layering or _Layering(ball)
         perm = layering.extend(ball.base, s1, s1[action])
         if perm is None or not is_automorphism(ball, perm):
             continue
-        perm = perm.astype(np.int32)
-        closed = _closure(group, size, gens + [perm], s1)
-        if closed is None:
-            continue
-        gens.append(perm)
+        moved = np.flatnonzero(perm != np.arange(n))
+        moves.append((moved.astype(np.int32), perm[moved].astype(np.int32)))
         actions.append(action)
-        realised.update(map(tuple, acting[acting_size:grown].tolist()))
-        size, acting_size = closed, grown
-    return group[:size]
+        realised.update(map(tuple, acting[size:grown].tolist()))
+        size = grown
+    return extensions
+
+
+def _twin_generators(ball: GraphBall, layering: _Layering, moves: list,
+                     extensions: int, low: np.ndarray) -> np.ndarray:
+    """Append to `moves` verified twin swaps that merge orbits of the maps
+    found so far, whose minima are `low`, and return the minima of the
+    merged orbits.
+
+    A twin pair with an upper neighbor has its swap extended, in the order
+    of `_Layering.twins`, while the extensions stay within _EXTENSION_CAP;
+    each kept swap is a generator. A leaf pair, neither twin having an
+    upper neighbor, moves nothing else: its swap needs no extension, and
+    the swaps of disjoint leaf pairs commute, so the verified ones still
+    apart go into generators that are products of disjoint swaps, taken
+    greedily in order until no leaf pair is apart.
+    """
+    pv, pw = layering.twins.T
+    if not len(pv):
+        return low
+    dist, rows, cols = ball.dist, ball.slot_rows, ball.indices
+    has_upper = np.zeros(ball.vertex_count, dtype=bool)
+    has_upper[rows[dist[cols] > dist[rows]]] = True
+    leaf = ~(has_upper[pv] | has_upper[pw])
+    up_v, up_w = pv[~leaf], pw[~leaf]
+    at = 0
+    while extensions < _EXTENSION_CAP:
+        # The next pair, in order, whose twins lie in two orbits.
+        apart = np.flatnonzero(low[up_v[at:]] != low[up_w[at:]])
+        if not len(apart):
+            break
+        at += int(apart[0]) + 1
+        extensions += 1
+        swap = layering.lift(int(up_v[at - 1]), int(up_w[at - 1]))
+        if swap is not None and is_sparse_automorphism(ball, *swap):
+            moves.append(swap)
+            low = _merge_orbits(low, *swap)
+    # Twins whose only neighbors are their common lower ones swap freely;
+    # a neighbor in their own layer calls for the check.
+    pv, pw = pv[leaf], pw[leaf]
+    sideways = np.zeros(ball.vertex_count, dtype=bool)
+    sideways[rows[dist[cols] == dist[rows]]] = True
+    good = ~(sideways[pv] | sideways[pw])
+    for i in np.flatnonzero(~good).tolist():
+        pair = np.sort([pv[i], pw[i]])
+        good[i] = is_sparse_automorphism(ball, pair, pair[::-1])
+    pv, pw = pv[good], pw[good]
+    n = ball.vertex_count
+    while True:
+        # The first pair, in order, joining each two orbits; a pair joins
+        # the product unless an earlier chosen one already joins its orbits
+        # (union-find over the orbits' minima) or shares a vertex with it.
+        apart = np.flatnonzero(low[pv] != low[pw])
+        a, b = low[pv[apart]], low[pw[apart]]
+        _, first = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_index=True)
+        first.sort()
+        root: dict[int, int] = {}
+
+        def find(x):
+            while root.get(x, x) != x:
+                root[x] = x = root.get(root[x], root[x])
+            return x
+
+        used, chosen = set(), []
+        for i, x, y in zip(apart[first].tolist(), a[first].tolist(), b[first].tolist()):
+            x, y = find(x), find(y)
+            v, w = int(pv[i]), int(pw[i])
+            if x != y and v not in used and w not in used:
+                root[max(x, y)] = min(x, y)
+                used |= {v, w}
+                chosen.append(i)
+        if not chosen:
+            return low
+        moved = np.concatenate([pv[chosen], pw[chosen]])
+        order = np.argsort(moved)
+        swaps = (moved[order].astype(np.int32),
+                 np.concatenate([pw[chosen], pv[chosen]])[order].astype(np.int32))
+        moves.append(swaps)
+        low = _merge_orbits(low, *swaps)
+
+
+def _merge_orbits(low: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The orbit minima `low` (one per vertex) after the orbits of x[i] and
+    y[i] are joined for every i: until the minima at the two ends of every
+    join agree, each orbit takes the least minimum it is joined to."""
+    while True:
+        a, b = low[x], low[y]
+        apart = a != b
+        if not apart.any():
+            return low
+        least = np.arange(len(low))
+        np.minimum.at(least, a[apart], b[apart])
+        np.minimum.at(least, b[apart], a[apart])
+        low = least[low]
+
+
+def _transversal(moves: list[tuple[np.ndarray, np.ndarray]],
+                 low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Schreier transversal (parent, via) of the orbits `low` under the
+    sparse maps `moves`: a breadth-first search from every orbit minimum at
+    once along the maps, each newly reached vertex keeping the first map,
+    in order, that reached it."""
+    n = len(low)
+    parent = np.full(n, -1, dtype=np.int32)
+    via = np.full(n, -1, dtype=np.int32)
+    reached = low == np.arange(n)
+    frontier = reached.copy()
+    while frontier.any():
+        fresh = np.zeros(n, dtype=bool)
+        for j, (x, y) in enumerate(moves):
+            step = frontier[x] & ~reached[y]
+            parent[y[step]], via[y[step]] = x[step], j
+            reached[y[step]] = fresh[y[step]] = True
+        frontier = fresh
+    return parent, via
+
+
+def find_automorphisms(ball: GraphBall) -> Symmetry:
+    """Base-fixing automorphisms of the ball, from two sources of generators.
+
+    First the maps of S_1: each candidate action on S_1 (see
+    `_first_sphere_maps`) that the actions kept so far do not already
+    generate is extended one BFS layer at a time (`_Layering.extend`) and
+    kept only if `is_automorphism` verifies it. The kept actions' group is
+    closed as rows of |S_1| positions; an action whose group would pass
+    GROUP_CAP elements is dropped.
+
+    Then the twin swaps (`_twin_generators`). Twins are two vertices of one
+    layer beyond S_1 with the same degree and the same lower neighbors:
+    adjacent equal rows of `_Layering.targets`. Layer by layer upward, a
+    twin pair in two different orbits has its swap extended over the
+    layers above (`_Layering.lift`), verified on the edges at its moved
+    vertices (`is_sparse_automorphism`) and kept, which merges orbits. The
+    extensions of both phases count against _EXTENSION_CAP. Twins without
+    upper neighbors extend nothing: their swaps go, uncounted, into a few
+    products of disjoint swaps.
+
+    Symmetries may be missed, which only makes the orbits smaller: every
+    generator is a verified automorphism. A ball whose S_1 has fewer than
+    2 or more than _S1_CAP vertices gets none.
+    """
+    n = ball.vertex_count
+    s1 = np.flatnonzero(ball.dist == 1)
+    moves: list[tuple[np.ndarray, np.ndarray]] = []
+    low = np.arange(n)
+    if 2 <= len(s1) <= _S1_CAP:
+        layering = _Layering(ball)
+        extensions = _first_sphere_generators(ball, s1, layering, moves)
+        for move in moves:
+            low = _merge_orbits(low, *move)
+        low = _twin_generators(ball, layering, moves, extensions, low)
+    parent, via = _transversal(moves, low)
+    return Symmetry(moves=tuple(moves), orbit_min=low, parent=parent, via=via)
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,11 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import BadRadii, NonPath, SegmentTooLong
 from .graph_core import (
     GraphBall,
+    _row_slots,
     bfs_distances,
     bfs_parents,
     block_rows,
     csr_induced,
-    find_automorphisms,
     punctured_paths,
     unit_matrix,
 )
@@ -229,19 +229,19 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
     concatenation is a geodesic and certifies at 1. For C > 1 a relaxed
     endpoint distance is accepted if the concatenation certifies at C.
 
-    The search runs on each symmetry orbit, under the ball's base-fixing
-    automorphisms (`find_automorphisms`), until a member passes: round r
-    searches the r-th eligible member, in ascending order, of every orbit
-    that has not passed. A round's vertices are searched together, in
-    blocks of breadth-first searches (`bfs_parents`), each vertex trying
-    its candidates in the order above. An automorphism h keeps every ball
-    distance, so it keeps eligibility and maps a segment certified at C
-    around x onto one certified at C around h(x). When x is the first of
-    its orbit to pass, every h(x) gets h(path) as its witness (the first
-    such h in group order), including the members before x, which failed;
-    x keeps its own. The pass set is thus the union of the orbits that
-    hold a vertex the search passes on its own, with one witness per
-    passing vertex.
+    The search runs on each symmetry orbit of `ball.symmetry` until a
+    member passes: round r searches the r-th eligible member, in ascending
+    order, of every orbit that has not passed. A round's vertices are
+    searched together, in blocks of breadth-first searches (`bfs_parents`),
+    each vertex trying its candidates in the order above. An automorphism
+    h keeps every ball distance, so it keeps eligibility and maps a segment
+    certified at C around x onto one certified at C around h(x). When x is
+    the first of its orbit to pass, every member y gets u_y(u_x^-1(path))
+    as its witness, u being the transversal elements that send the orbit's
+    smallest vertex to x and to y; x keeps its own, and the members before
+    x, which failed, get theirs this way too. The pass set is thus the
+    union of the orbits that hold a vertex the search passes on its own,
+    with one witness per passing vertex.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
@@ -252,14 +252,10 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
         raise SegmentTooLong(
             f"segment of length {segment_length} cannot fit in radius {ball.radius}")
     eligible = tuple(np.flatnonzero(ball.dist <= ball.radius - half).tolist())
-    # Found here rather than read from the cached `ball.automorphisms`, so
-    # the (|G|, V) rows are freed when the probe returns: in verify_thick
-    # the leaf's next user, its sampled divergence, has no use for them,
-    # and kept they raised its peak memory (4.8 MiB of rows on the
-    # prod:zn:1,free:2 r=8 leaf). Orbits are named by their smallest
-    # vertex, the rule of `GraphBall.orbit_min`.
-    group = find_automorphisms(ball)
-    orbit = group.min(axis=0)
+    symmetry = ball.symmetry
+    orbit = symmetry.orbit_min
+    by_orbit = np.argsort(orbit, kind="stable")
+    orbit_start = np.searchsorted(orbit[by_orbit], np.arange(ball.vertex_count + 1))
     passed = np.zeros(ball.vertex_count, dtype=bool)  # by smallest vertex
     found_at: dict[int, PathWitness] = {}
     pending = np.array(eligible, dtype=np.int64)
@@ -268,15 +264,22 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
         _, first = np.unique(orbit[pending], return_index=True)
         first.sort()
         xs = pending[first]
-        for x, found in zip(xs.tolist(), _middle_segments(ball, xs, C, half)):
-            if found is None:
-                continue
+        hits = [(x, found) for x, found in
+                zip(xs.tolist(), _middle_segments(ball, xs, C, half))
+                if found is not None]
+        if hits:
+            x = np.array([x for x, _ in hits])
             passed[orbit[x]] = True
-            images = group[:, list(found.vertices)].tolist()
-            for y, path in zip(group[:, x].tolist(), images):
-                if y not in found_at:
-                    found_at[y] = PathWitness(vertices=tuple(path),
-                                              certified_C=found.certified_C)
+            # Each passing path, moved to its orbit's smallest vertex, then
+            # to every member of the orbit.
+            to_min = symmetry.to_rep(x, [found.vertices for _, found in hits])
+            slots, sizes = _row_slots(orbit_start, orbit[x])
+            members = by_orbit[slots]
+            owner = np.repeat(np.arange(len(hits)), sizes)
+            images = symmetry.from_rep(members, to_min[owner]).tolist()
+            for y, i, path in zip(members.tolist(), owner.tolist(), images):
+                found_at[y] = PathWitness(vertices=tuple(path),
+                                          certified_C=hits[i][1].certified_C)
         pending = np.delete(pending, first)
         pending = pending[~passed[orbit[pending]]]
     witnesses = {x: found_at[x] for x in eligible if x in found_at}

@@ -351,8 +351,7 @@ def induced_ball(ball: GraphBall, vertices: Sequence[int]):
     indptr, indices = csr_induced(*ball.csr_arrays, verts)
     base = int(np.argmin(ball.dist[verts]))  # nearest the base, then smallest
     # One search on the arrays, not on a unit matrix: the leaf builds its
-    # `matrix` once, on first use, and none is held through the probe's
-    # automorphism search, which sets thick-verify's peak memory.
+    # `matrix` once, on first use.
     dist = bfs_parents(indptr, indices, base, parents=False)[0]
     if dist.min() < 0:
         return None

@@ -226,21 +226,44 @@ def naive_div_triple(ball, a, b, c, delta, gamma):
     return python_punctured_bfs(ball, a, b, forbidden)
 
 
-def check_automorphism_group(ball, perms):
-    """Assert that `perms` (rows: vertex v goes to row[v]) are base-fixing
-    automorphisms of the ball forming a group, identity first, using only
-    Python sets over the neighbor lists."""
+def check_automorphism_generators(ball, moves):
+    """Assert that each generator (moved, images), vertex moved[i] going to
+    images[i] and every other vertex staying, is a base-fixing automorphism
+    of the ball that moves every vertex it lists, using only Python sets
+    over the neighbor lists."""
     n = ball.vertex_count
-    maps = [tuple(int(x) for x in row) for row in perms]
-    assert maps and maps[0] == tuple(range(n)), "identity is not first"
-    assert len(set(maps)) == len(maps), "repeated element"
     edges = {frozenset((u, v)) for u in range(n) for v in neighbors(ball, u)}
-    for g in maps:
-        assert sorted(g) == list(range(n)), "not a bijection"
-        assert g[ball.base] == ball.base, "base moved"
-        assert {frozenset((g[u], g[v])) for u, v in map(tuple, edges)} == edges, \
-            "adjacency not preserved"
-    group = set(maps)
-    for g in maps:
-        for h in maps:
-            assert tuple(g[x] for x in h) in group, "not closed"
+    for moved, images in moves:
+        g = dict(zip(moved.tolist(), images.tolist()))
+        assert len(g) == len(moved) and sorted(g) == moved.tolist(), \
+            "moved vertices not ascending and distinct"
+        assert set(g.values()) == set(g), "not a bijection of the moved set"
+        assert all(x != y for x, y in g.items()), "a listed vertex stays"
+        assert ball.base not in g, "base moved"
+        image = {frozenset(g.get(x, x) for x in e) for e in edges}
+        assert image == edges, "adjacency not preserved"
+
+
+def python_orbits(ball, moves):
+    """The orbit of every vertex under the generators (moved, images), as a
+    list of frozensets, by a Python search over each generator and its
+    inverse."""
+    n = ball.vertex_count
+    steps = [dict(zip(m.tolist(), i.tolist())) for m, i in moves]
+    steps += [{y: x for x, y in g.items()} for g in steps]
+    orbit_of = [None] * n
+    for v in range(n):
+        if orbit_of[v] is not None:
+            continue
+        orbit, todo = {v}, [v]
+        while todo:
+            x = todo.pop()
+            for g in steps:
+                y = g.get(x, x)
+                if y not in orbit:
+                    orbit.add(y)
+                    todo.append(y)
+        orbit = frozenset(orbit)
+        for x in orbit:
+            orbit_of[x] = orbit
+    return orbit_of

@@ -30,6 +30,7 @@ from floydlab.graph_core import (
     _Layering,
     build_ball,
     is_automorphism,
+    is_sparse_automorphism,
     single_vertex_ball,
     sphere,
 )
@@ -44,10 +45,11 @@ from floydlab.group_models import (
 )
 
 from helpers import (
-    check_automorphism_group,
+    check_automorphism_generators,
     graph_distance,
     min_floyd_over_simple_paths,
     neighbors,
+    python_orbits,
     random_connected_edges,
     random_small_ball,
     vertex_of,
@@ -436,15 +438,23 @@ def two_pentagons():
                        (0, 3), (3, 7), (7, 8), (8, 4), (4, 0)], 0, 2)
 
 
-@pytest.mark.parametrize("model,radius,order", [
-    (FreeAbelian(2), 6, 8), (Free(2), 4, 24), (FreeAbelian(3), 4, 48),
-    (Heisenberg(), 6, 1)])
-def test_group_orders(model, radius, order):
+# Orbits per sphere S_0..S_r: one per sphere on the trees F_2 and Z * Z,
+# and on Z^2, Z^3 and the Heisenberg S_1 as many as the maps of S_1 alone
+# give; the Heisenberg leaf twins merge orbits of the outer sphere only.
+@pytest.mark.parametrize("model,radius,per_sphere", [
+    (FreeAbelian(2), 6, [1, 1, 2, 2, 3, 3, 4]),
+    (Free(2), 4, [1] * 5),
+    (FreeAbelian(3), 4, [1, 1, 2, 3, 4]),
+    (Heisenberg(), 6, [1, 4, 12, 36, 82, 164, 254]),
+    (FreeProduct(FreeAbelian(1), FreeAbelian(1)), 6, [1] * 7)])
+def test_orbit_counts(model, radius, per_sphere):
     ball = cayley_ball(model, radius)
-    assert ball.automorphisms.shape == (order, ball.vertex_count)
-    assert ball.automorphisms.dtype == np.int32
-    assert not ball.automorphisms.flags.writeable
-    check_automorphism_group(ball, ball.automorphisms)
+    symmetry = ball.symmetry
+    check_automorphism_generators(ball, symmetry.moves)
+    low = ball.orbit_min
+    assert [len(np.unique(low[ball.dist == r])) for r in range(radius + 1)] == per_sphere
+    for arr in (low, symmetry.parent, symmetry.via, *symmetry.moves[0]):
+        assert not arr.flags.writeable
 
 
 ORACLE_BALLS = {
@@ -460,24 +470,119 @@ ORACLE_BALLS = {
 @pytest.mark.parametrize("name", sorted(ORACLE_BALLS))
 def test_automorphisms_pass_the_set_oracle(name):
     ball = ORACLE_BALLS[name]()
-    check_automorphism_group(ball, ball.automorphisms)
-    assert not ball.automorphisms.flags.writeable
-    # orbit_min[v] is an image of v, and no image of v is smaller.
-    group, low = ball.automorphisms, ball.orbit_min
-    assert not low.flags.writeable
-    assert (group == low).any(axis=0).all()
-    assert (group >= low).all()
+    symmetry = ball.symmetry
+    check_automorphism_generators(ball, symmetry.moves)
+    # orbit_min[v] is the smallest vertex of v's orbit under the generators.
+    orbits = python_orbits(ball, symmetry.moves)
+    assert ball.orbit_min.tolist() == [min(o) for o in orbits]
+    # The transversal element u_v sends orbit_min[v] to v, and its inverse
+    # sends v back.
+    v = np.arange(ball.vertex_count)
+    assert np.array_equal(symmetry.from_rep(v, ball.orbit_min), v)
+    assert np.array_equal(symmetry.to_rep(v, v), ball.orbit_min)
+
+
+def test_transversal_maps_whole_orbits_on_large_balls():
+    # Sampled v: u_v(orbit_min[v]) == v, and u_v is an automorphism: it
+    # maps the neighbors of orbit_min[v] onto those of v.
+    rng = np.random.default_rng(5)
+    for model, radius in ((Free(2), 8), (FreeProduct(FreeAbelian(1), FreeAbelian(1)), 8),
+                          (DirectProduct(FreeAbelian(1), Free(2)), 7)):
+        ball = cayley_ball(model, radius)
+        symmetry = ball.symmetry
+        v = rng.choice(ball.vertex_count, 200, replace=False)
+        low = ball.orbit_min[v]
+        assert np.array_equal(symmetry.from_rep(v, low), v)
+        assert np.array_equal(symmetry.to_rep(v, v), low)
+        for x, y in zip(v.tolist(), low.tolist()):
+            mapped = symmetry.from_rep([x], [list(neighbors(ball, y))])[0]
+            assert sorted(mapped.tolist()) == list(neighbors(ball, x))
 
 
 def test_verification_rejects_maps_that_extend():
     ball = two_pentagons()
-    assert len(ball.automorphisms) == 8
+    # The order-8 group: S_1 and S_2 are one orbit each.
+    assert [len(np.unique(ball.orbit_min[ball.dist == r])) for r in range(3)] == [1, 1, 1]
     s1 = np.flatnonzero(ball.dist == 1)
     layering = _Layering(ball)
     extended = [layering.extend(ball.base, s1, images)
                 for images in itertools.permutations(s1.tolist())]
     assert sum(p is not None for p in extended) == 24
     assert sum(p is not None and is_automorphism(ball, p) for p in extended) == 8
+
+
+def seeded_extend(ball, layering, v, w):
+    """`_Layering.extend`'s rule run over the whole ball from the swap of
+    v and w: every layer below theirs fixed, their layer swapping only v
+    and w, and each layer above mapped by sorted keys, ties in id order."""
+    n = ball.vertex_count
+    perm = np.append(np.arange(n), n)
+    perm[[v, w]] = w, v
+    for layer, (want, dest) in zip(layering.layers, layering.targets):
+        if ball.dist[layer[0]] <= ball.dist[v]:
+            continue
+        keys = np.column_stack([layering.degree[layer],
+                                np.sort(perm[layering.lower[layer]], axis=1)])
+        o = np.lexsort(keys.T[::-1])
+        if not np.array_equal(keys[o], want):
+            return None
+        perm[layer[o]] = dest
+    return perm[:n]
+
+
+TWIN_BALLS = {
+    "f2": lambda: cayley_ball(Free(2), 4),
+    "product": lambda: cayley_ball(DirectProduct(FreeAbelian(1), Free(2)), 4),
+    "free-product": lambda: cayley_ball(FreeProduct(FreeAbelian(1), FreeAbelian(1)), 5),
+    "heis": lambda: cayley_ball(Heisenberg(), 5),
+    "pentagons": two_pentagons,
+    **{f"random-{seed}": (lambda seed=seed: build_ball(random_connected_edges(
+        random.Random(seed), 30), 0, 30)) for seed in range(8)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_BALLS))
+def test_twin_lift_is_the_whole_ball_extension(name):
+    ball = TWIN_BALLS[name]()
+    layering = _Layering(ball)
+    for v, w in layering.twins.tolist():
+        whole = seeded_extend(ball, layering, v, w)
+        lifted = layering.lift(v, w)
+        if whole is None:
+            assert lifted is None
+            continue
+        moved, images = lifted
+        perm = np.arange(ball.vertex_count)
+        perm[moved] = images
+        assert np.array_equal(perm, whole)
+        assert np.array_equal(moved, np.flatnonzero(whole != np.arange(len(whole))))
+        # The local check agrees with the check on the whole ball.
+        assert is_sparse_automorphism(ball, moved, images) == is_automorphism(ball, perm)
+
+
+def test_sparse_check_agrees_with_is_automorphism_on_bad_maps():
+    ball = cayley_ball(Free(2), 4)
+    n = ball.vertex_count
+    layering = _Layering(ball)
+    v, w = layering.twins[0].tolist()
+    # Twins of an inner layer: swapping them alone strands their subtrees.
+    assert ball.dist[v] < ball.radius
+    near = np.array(sorted((v, w)))
+    cases = {
+        "twins without their subtrees": (near, near[::-1]),
+        "not twins": (np.array([1, n - 1]), np.array([n - 1, 1])),
+        "not a bijection": (near, np.array([w, w])),
+        "moves the base": (np.array([0, 1]), np.array([1, 0])),
+    }
+    for name, (moved, images) in cases.items():
+        perm = np.arange(n)
+        perm[moved] = images
+        assert not is_automorphism(ball, perm), name
+        assert not is_sparse_automorphism(ball, moved, images), name
+    # Leaf twins need nothing above them.
+    leaves = [(a, b) for a, b in layering.twins.tolist() if ball.dist[a] == ball.radius]
+    a, b = leaves[0]
+    assert is_sparse_automorphism(ball, np.array([a, b]), np.array([b, a]))
 
 
 def test_is_automorphism_rejects_non_maps():
@@ -559,7 +664,7 @@ def test_gathered_rows_equal_direct_rows(name, floyd, tmp_path, monkeypatch):
 
     ball = ROW_BALLS[name]()
     w = floyd_weighting(ball, _floyd(floyd, tmp_path))
-    assert len(ball.automorphisms) > 1
+    assert ball.symmetry.moves
     calls = _recorded_dijkstra(monkeypatch)
     for r in range(1, ball.radius + 1):
         verts = np.array(sphere(ball, r).vertices)
@@ -604,10 +709,11 @@ def test_forced_fallback_and_one_row_blocks_keep_the_rows(name, tmp_path,
 
 
 def test_scan_rows_are_blocked_by_bytes(monkeypatch):
-    # 3 rows of 8-byte floats per block: 3 * 8 * V bytes.
-    ball = cayley_ball(Free(2), 5)
+    # 3 rows of 8-byte floats per block: 3 * 8 * V bytes, on a sphere of
+    # 8 orbits.
+    ball = cayley_ball(FreeAbelian(2), 14)
     w = floyd_weighting(ball, INVPOW2)
-    verts = np.array(sphere(ball, 5).vertices)
+    verts = np.array(sphere(ball, 14).vertices)
     reps = np.unique(ball.orbit_min[verts]).tolist()
     assert len(reps) > 6
     calls = _recorded_dijkstra(monkeypatch)
@@ -701,9 +807,9 @@ def test_scan_runs_one_row_per_orbit(monkeypatch):
     # The dihedral orbits of the Z^2 sphere S_r: floor(r / 2) + 1 of them,
     # each scanned from its smallest vertex.
     assert [len(reps) for reps in rows] == [r // 2 + 1 for r in range(1, 5)]
+    orbits = python_orbits(ball, ball.symmetry.moves)
     for r, reps in zip(range(1, 5), rows):
-        assert reps == sorted({int(ball.automorphisms[:, s].min())
-                               for s in sphere(ball, r).vertices})
+        assert reps == sorted({min(orbits[s]) for s in sphere(ball, r).vertices})
     assert [res.sources_used for res in results] == [4, 8, 12, 16]
 
     # A sampled radius: pair_cap 32 keeps the sources S_4[0] and S_4[8],
@@ -715,3 +821,17 @@ def test_scan_runs_one_row_per_orbit(monkeypatch):
     reps = sorted({int(ball.orbit_min[s]) for s in sources})
     assert rows == [reps]
     assert not set(reps) <= set(sources)
+
+
+@pytest.mark.parametrize("model,radius,radii,margin,want", [
+    (Free(2), 8, range(2, 9), 1.0, 7), (FreeAbelian(2), 48, range(4, 17), 3.0, 75)])
+def test_scan_row_counts_of_the_benchmark_series(model, radius, radii, margin, want,
+                                                 monkeypatch):
+    # The two floyd-diam series of the floyd-geometry benchmark run one
+    # Dijkstra row per orbit of each sphere: every F_2 sphere is one orbit,
+    # and S_r of Z^2 has floor(r / 2) + 1.
+    w = floyd_weighting(cayley_ball(model, radius), INVPOW2)
+    calls = _recorded_dijkstra(monkeypatch)
+    for r in radii:
+        sphere_floyd_diameter(w, r, margin=margin)
+    assert sum(len(indices) for indices, _, _ in calls) == want

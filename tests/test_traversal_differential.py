@@ -110,10 +110,11 @@ with every mapped witness certified by `qg_certify` and the oracle in
 `helpers`; both comparisons also run with blocks of one search and of
 three rows of cells (`PROBE_BLOCKS`).
 
-The last group compares `find_automorphisms`, which grows the group in
-place in one int32 buffer, with `old_find_automorphisms` and
-`old_closure`, verbatim copies of the list-based search, under several
-group caps.
+The last group compares `find_automorphisms`, which keeps verified
+generators (maps of S_1 and twin swaps) and their orbits, with
+`old_find_automorphisms` and `old_closure`, verbatim copies of the search
+that listed its group: every generator passes the set oracle in `helpers`,
+and the new orbits are unions of the old ones, under several group caps.
 """
 
 import collections
@@ -131,12 +132,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
-from floydlab import divergence, graph_core, quasigeodesic
+from floydlab import divergence, floyd_metric, graph_core, quasigeodesic
 from floydlab.divergence import (
     DivergenceParams,
     DivergenceSample,
     _Buckets,
-    _orbit_witnesses,
     div_function_estimate,
     div_triple,
 )
@@ -200,11 +200,12 @@ from floydlab.quasigeodesic import (
 from floydlab.thickness import induced_ball
 
 from helpers import (
-    check_automorphism_group,
+    check_automorphism_generators,
     graph_distance,
     naive_div_triple,
     is_quasi_geodesic,
     neighbors,
+    python_orbits,
     random_connected_edges,
     wind_and_rail_ball,
 )
@@ -768,6 +769,12 @@ PROBE_BALLS = {
 }
 
 
+def distinct_orbits(ball, vertices):
+    """Whether the vertices lie in distinct orbits: the reduced probe then
+    searches each of them, as the unreduced one does."""
+    return len(np.unique(ball.orbit_min[list(vertices)])) == len(vertices)
+
+
 def first_passes(ball, report):
     """The first vertex of each orbit that `report` passes: the vertices
     the orbit-reduced probe searches and passes, given the unreduced
@@ -854,7 +861,7 @@ def test_wideness_probe_matches_full_row_scan(name, C, blocks, monkeypatch):
         # A vertex the reduced probe searches gets the same witness.
         for x in first_passes(ball, old):
             assert new.witnesses[x] == old.witnesses[x]
-        if len(ball.automorphisms) == 1:
+        if distinct_orbits(ball, new.eligible):
             assert new.witnesses == old.witnesses
             assert new.failures == old.failures
             assert new.pass_fraction == old.pass_fraction
@@ -867,9 +874,17 @@ def test_wideness_differential_covers_relaxed_and_failing_segments():
     heis = wideness_probe(PROBE_BALLS["heis"](), 1.5, 8)
     assert any(w.certified_C > 1.0 for w in heis.witnesses.values())
     assert wideness_probe(star_ball(), 1.0, 8).failures
-    orders = {name: len(make().automorphisms) for name, make in PROBE_BALLS.items()}
-    assert orders["heis"] == orders["random"] == 1
-    assert orders["z2"] == 8 and orders["star"] == 2
+    # Heisenberg's generators are swaps of leaf twins, on its outer sphere:
+    # its eligible vertices keep orbits of their own. The grid and the star
+    # merge eligible vertices.
+    split = {}
+    for name, make in PROBE_BALLS.items():
+        ball = make()
+        split[name] = distinct_orbits(ball, np.flatnonzero(ball.dist <= ball.radius - 3))
+    assert split["heis"] and not split["z2"] and not split["star"]
+    heis = PROBE_BALLS["heis"]()
+    assert heis.symmetry.moves
+    assert all(heis.dist[moved].min() == heis.radius for moved, _ in heis.symmetry.moves)
 
 
 def glued_ball(seed, n, copies):
@@ -935,7 +950,11 @@ def test_orbit_probe_differential_covers_mapped_failures(monkeypatch):
             if orbit_closure(ball, old.witnesses) & set(old.failures):
                 mapped.add(name)
     assert mapped == {name for name in ORBIT_PROBE_BALLS if name.startswith("glued")}
-    assert len(ORBIT_PROBE_BALLS["glued-0-7x3"]().automorphisms) == 6
+    # The three copies of the glued ball are permuted: its S_1, two edges
+    # at the base in each copy, is two orbits of three.
+    glued = ORBIT_PROBE_BALLS["glued-0-7x3"]()
+    s1 = glued.orbit_min[glued.dist == 1]
+    assert len(s1) == 6 and len(np.unique(s1)) == 2
 
 
 @pytest.mark.parametrize("name", sorted(ORBIT_PROBE_BALLS))
@@ -967,13 +986,16 @@ def test_probe_searches_each_orbit_until_its_first_pass(name, monkeypatch):
         depth = max(map(len, searched.values()), default=0)
         assert rounds == [sorted(m[r] for m in searched.values() if len(m) > r)
                           for r in range(depth)]
-        # Every other member gets the first image of that witness.
-        group = ball.automorphisms
+        # Every other member y gets u_y(u_x^-1(path)) of that witness, u
+        # being the transversal elements; x keeps its own.
+        symmetry = ball.symmetry
         for y, w in new.witnesses.items():
             x = next(f for f in firsts if low[f] == low[y])
-            h = group[np.flatnonzero(group[:, x] == y)[0]]
-            assert w == PathWitness(tuple(h[list(old.witnesses[x].vertices)].tolist()),
-                                    old.witnesses[x].certified_C)
+            path = old.witnesses[x].vertices
+            image = symmetry.from_rep([y], symmetry.to_rep([x], [path]))[0]
+            assert w == PathWitness(tuple(image.tolist()), old.witnesses[x].certified_C)
+            if y == x:
+                assert w.vertices == path
 
 
 def cycle_ball(length):
@@ -2167,6 +2189,7 @@ SCAN_BALLS = {
     "random": (lambda: build_ball(random_connected_edges(random.Random(7), 80), 0, 80),
                1.0, range(1, 9)),
     "file": (relabeled_file_ball, 1.0, range(1, 10)),
+    "glued": (lambda: glued_ball(0, 7, 3), 1.0, range(1, 5)),
 }
 
 
@@ -2191,11 +2214,35 @@ def test_sphere_scan_matches_unreduced_scan(name, floyd, pair_cap):
         assert outcome.pair_count == old.pair_count
 
 
+@pytest.mark.parametrize("name", ["f2", "product", "free-product", "glued", "file"])
+@pytest.mark.parametrize("pair_cap", [250_000, 40])
+def test_sphere_rows_match_direct_rows_per_source(name, pair_cap):
+    # The rows the scan reads off its representatives' rows, source by
+    # source and bit for bit, including the sampled sources of small caps.
+    make, margin, radii = SCAN_BALLS[name]
+    w = floyd_weighting(make(), FloydFunction.inverse_power(2))
+    for r in radii:
+        verts = sphere(w.ball, r).vertices
+        n = len(verts)
+        k = max(1, pair_cap // n)
+        sources = np.array(sorted({verts[(i * n) // k] for i in range(min(k, n))}))
+        targets = np.array(verts)
+        rows = floyd_metric._sphere_rows(w, sources, targets)
+        direct = _dijkstra_rows(w, sources.tolist())[:, targets]
+        for s, row, want in zip(sources.tolist(), rows, direct):
+            assert np.array_equal(row, want), (r, s)
+
+
 def test_scan_differential_covers_symmetric_sampled_and_asymmetric_balls():
-    orders = {name: len(make().automorphisms)
-              for name, (make, _, _) in SCAN_BALLS.items()}
-    assert orders["random"] == orders["heis"] == 1
-    assert orders["file"] == 8 and orders["f2"] == 24
+    orbits = {}
+    for name, (make, _, radii) in SCAN_BALLS.items():
+        ball = make()
+        orbits[name] = [len(np.unique(ball.orbit_min[ball.dist == r])) for r in radii]
+    # Heisenberg spheres 1..3 have an orbit per vertex, every F_2 and Z * Z
+    # sphere is one orbit, and the grid's S_r has floor(r / 2) + 1 orbits.
+    assert orbits["heis"] == [4, 12, 36]
+    assert orbits["f2"] == orbits["free-product"] == [1] * 6
+    assert orbits["file"] == [r // 2 + 1 for r in range(1, 10)]
     make, margin, _ = SCAN_BALLS["f2"]
     w = floyd_weighting(make(), FloydFunction.inverse_power(2))
     assert not sphere_floyd_diameter(w, 6, margin=margin).exhaustive
@@ -2552,6 +2599,8 @@ ORBIT_BALLS = {
     "heis": (lambda: cayley_ball(Heisenberg(), 9), 3.0),
     "product": (lambda: cayley_ball(DirectProduct(FreeAbelian(1), Free(2)), 6), 2.0),
     "free3": (lambda: cayley_ball(Free(3), 3), 1.0),
+    "free-product": (lambda: cayley_ball(FreeProduct(FreeAbelian(1), FreeAbelian(1)), 6),
+                     1.5),
     "random": (SCAN_BALLS["random"][0], 1.0),
     "file": (relabeled_file_ball, 1.5),
     **{f"engine-{name}": case for name, case in ENGINE_BALLS.items()},
@@ -2578,22 +2627,76 @@ def test_exhaustive_estimate_matches_all_centers(name, delta, gamma):
     assert_same_samples(new, old)
 
 
+@pytest.mark.parametrize("name", ["f2", "product", "free-product", "glued"])
+@pytest.mark.parametrize("delta,gamma", ENGINE_PARAMS)
+def test_orbit_witnesses_match_all_centers_in_small_blocks(name, delta, gamma,
+                                                           monkeypatch):
+    # Witnesses picked over the images of each representative's triples at
+    # every center of its orbit, one center's punctured rows per block.
+    if name == "glued":
+        ball, margin = glued_ball(0, 7, 3), 1.0
+    else:
+        ball, margin = orbit_ball(name)
+    n_max = int(ball.radius / margin + 1e-9)
+    inner = np.flatnonzero(ball.dist <= n_max)
+    params = DivergenceParams(delta, gamma)
+    monkeypatch.setattr(graph_core, "BLOCK_CELLS", len(inner))
+    new = div_function_estimate(ball, n_max, params, protocol="exhaustive",
+                                seed=2, margin=margin)
+    old = old_all_centers_exhaustive_estimate(ball, n_max, params, inner, 1, 2)
+    assert_same_samples(new, old)
+
+
 def test_orbit_differential_covers_symmetric_asymmetric_and_cut_balls():
-    orders = {name: len(orbit_ball(name)[0].automorphisms) for name in ORBIT_BALLS}
-    assert orders["z2"] == orders["file"] == 8
-    assert orders["f2"] == 24 and orders["z3"] == orders["free3"] == 48
-    assert orders["heis"] == orders["engine-heis"] == orders["random"] == 1
+    centers = {}
+    for name in ORBIT_BALLS:
+        ball, margin = orbit_ball(name)
+        inner = np.flatnonzero(ball.dist <= int(ball.radius / margin + 1e-9))
+        centers[name] = (len(np.unique(ball.orbit_min[inner])), len(inner))
+    # One center per sphere on the trees; the grid's dihedral orbits; an
+    # orbit per inner vertex on the Heisenberg balls.
+    assert centers["f2"] == centers["engine-f2"] == (5, 161)
+    assert centers["free-product"] == (5, 161)
+    assert centers["z2"] == (36, 221) and centers["file"] == (16, 85)
+    assert centers["heis"] == centers["engine-heis"] == (53, 53)
     assert orbit_ball("file")[0].base != 0
     tree = div_function_estimate(orbit_ball("f2")[0], 4, DivergenceParams(0.5, 0.0),
                                  protocol="exhaustive", margin=1.0)
     assert [s.is_infinite for s in tree] == [False, True, True, True]
 
 
+def old_orbit_witnesses(group: np.ndarray, low: np.ndarray, key: np.ndarray,
+                        a: np.ndarray, b: np.ndarray, c: int, radius: np.ndarray):
+    """Per distinct `key` (a small nonnegative int), the smallest witness
+    (min(ha, hb), max(ha, hb), hc) over every h in `group` and every triple
+    (a[i], b[i], c) with that key, with the radius of the triple that gives
+    it. Returns (key, lo, hi, c, radius) arrays, one entry per key.
+
+    `low` is each vertex's smallest orbit image, so the least first entry
+    of a key is lo* = min(low[a], low[b]) over its triples, and only
+    triples with low[a] == lo* or low[b] == lo* are mapped through the
+    group.
+    """
+    lo_orbit = np.minimum(low[a], low[b])
+    lo_star = np.full(key.max() + 1, len(low))
+    np.minimum.at(lo_star, key, lo_orbit)
+    near = np.flatnonzero(lo_orbit == lo_star[key])
+    key, radius = key[near], radius[near]
+    ha, hb = group[:, a[near]], group[:, b[near]]
+    g, i = np.nonzero(np.minimum(ha, hb) == lo_star[key])
+    hi, hc, key = np.maximum(ha[g, i], hb[g, i]), group[g, c], key[i]
+    order = np.lexsort((hc, hi, key))
+    first = order[np.flatnonzero(np.diff(key[order], prepend=-1))]
+    return (key[first], lo_star[key[first]], hi[first], hc[first],
+            radius[i[first]])
+
+
 def old_puncture_exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
     """`divergence._exhaustive_estimate` as it was before `bfs_rows`
-    (verbatim, `Puncture` renamed `OldPuncture`): one multi-row Dijkstra
-    over a sink-punctured copy of the matrix per center and forbidden
-    radius."""
+    (verbatim, `Puncture` renamed `OldPuncture`), on the group that
+    `old_find_automorphisms` lists, its witnesses picked by
+    `old_orbit_witnesses`: one multi-row Dijkstra over a sink-punctured copy
+    of the matrix per center and forbidden radius."""
     puncture = OldPuncture(ball.matrix)
     d_inner = dijkstra(ball.matrix, directed=True, indices=inner)
     ambient = d_inner[:, inner]
@@ -2602,7 +2705,8 @@ def old_puncture_exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
     # radii, onto the triples at h(c). Only the smallest vertex of each
     # orbit is scanned as a center; its winning triples are then turned
     # into the smallest witness over all their images.
-    group, low = ball.automorphisms, ball.orbit_min
+    group = old_find_automorphisms(ball)
+    low = group.min(axis=0)
     reps = np.unique(low[inner])
     best = np.full(n_max + 1, -1.0)  # largest value so far per d(a,b)
     d_inf = n_max + 1  # least d(a,b) of a disconnecting triple so far
@@ -2640,7 +2744,7 @@ def old_puncture_exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
         np.maximum.at(best, dab[live], value[live])
         tied = live[value[live] == best[dab[live]]]
         if tied.size:
-            dabs, *witness = _orbit_witnesses(
+            dabs, *witness = old_orbit_witnesses(
                 group, low, dab[tied], inner[ii[tied]], inner[jj[tied]], c,
                 t[ii[tied]])
             winners.append((dabs, best[dabs], *witness))
@@ -2747,9 +2851,9 @@ def test_exhaustive_runs_one_center_per_orbit(monkeypatch):
     monkeypatch.setattr(divergence, "_center_triples", spy)
     div_function_estimate(ball, 10, DivergenceParams(0.5, 0.0),
                           protocol="exhaustive", margin=margin)
-    group = ball.automorphisms
+    orbits = python_orbits(ball, ball.symmetry.moves)
     assert len(centers) == 36
-    assert all(c == group[:, c].min() for c in centers)
+    assert all(c == min(orbits[c]) for c in centers)
 
 
 def old_closure(gens: list[np.ndarray], key: np.ndarray) -> list[np.ndarray] | None:
@@ -2823,34 +2927,42 @@ def rows(perms):
 
 @pytest.mark.parametrize("name", sorted(GROUP_BALLS))
 @pytest.mark.parametrize("cap", [64, 4, 2])
-def test_group_in_place_matches_list_closure(name, cap, monkeypatch):
+def test_orbits_coarsen_the_listed_group(name, cap, monkeypatch):
     monkeypatch.setattr(graph_core, "GROUP_CAP", cap)
     ball = GROUP_BALLS[name]()
-    group = graph_core.find_automorphisms(ball)
-    assert group.dtype == np.int32
-    assert rows(group) == rows(old_find_automorphisms(ball))
-    check_automorphism_group(ball, group)
+    symmetry = graph_core.find_automorphisms(ball)
+    check_automorphism_generators(ball, symmetry.moves)
+    group = old_find_automorphisms(ball)
+    low = symmetry.orbit_min
+    # Every image of v under the listed group shares v's orbit.
+    assert (low[group] == low).all()
+    assert low.tolist() == [min(o) for o in python_orbits(ball, symmetry.moves)]
+    if name in ("z2", "z3"):
+        # No twins: the maps of S_1 alone, as before.
+        assert np.array_equal(low, group.min(axis=0))
 
 
 def test_group_cap_rolls_back_a_group_that_does_not_fit(monkeypatch):
-    full = cayley_ball(FreeAbelian(2), 6).automorphisms
-    assert len(full) == 8
-    # Under a cap of 4 the closures that would pass it are dropped by size,
-    # and what is kept is still a group.
-    monkeypatch.setattr(graph_core, "GROUP_CAP", 4)
     ball = cayley_ball(FreeAbelian(2), 6)
-    assert 1 < len(ball.automorphisms) <= 4
-    check_automorphism_group(ball, ball.automorphisms)
-    # The closure itself: a generator whose group passes the buffer leaves
-    # the group before it in the buffer's first rows.
-    s1 = np.flatnonzero(ball.dist == 1)
-    flip = next(g for g in full[1:] if (g[g] == full[0]).all())
-    turn = next(g for g in full[1:] if not (g[g] == full[0]).all())
-    buffer = np.empty((4, ball.vertex_count), dtype=np.int32)
-    buffer[0] = full[0]
-    size = graph_core._closure(buffer, 1, [flip], s1)
+    full = ball.orbit_min
+    # Under a cap of 4 the closures that would pass it are dropped by
+    # size: the orbits are unions of fewer images, inside the full ones.
+    monkeypatch.setattr(graph_core, "GROUP_CAP", 4)
+    capped = graph_core.find_automorphisms(ball)
+    check_automorphism_generators(ball, capped.moves)
+    assert capped.moves
+    assert len(np.unique(capped.orbit_min)) > len(np.unique(full))
+    assert np.array_equal(full[capped.orbit_min], full)
+    # The closure of actions on S_1 positions: a generator whose group
+    # passes the buffer leaves the group before it in the buffer's first
+    # rows.
+    flip = np.array([1, 0, 2, 3], dtype=np.int32)
+    turn = np.array([1, 2, 3, 0], dtype=np.int32)
+    buffer = np.empty((4, 4), dtype=np.int32)
+    buffer[0] = np.arange(4)
+    size = graph_core._closure(buffer, 1, [flip])
     assert size == 2
     kept = buffer[:size].copy()
-    assert graph_core._closure(buffer, size, [flip, turn], s1) is None
+    assert graph_core._closure(buffer, size, [flip, turn]) is None
     assert np.array_equal(buffer[:size], kept)
-    check_automorphism_group(ball, buffer[:size])
+    assert graph_core._closure(buffer, size, [flip, np.array([1, 0, 3, 2], dtype=np.int32)]) == 4
