@@ -230,12 +230,10 @@ def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
     # inner region onto itself and the triples at c, with their values and
     # radii, onto the triples at h(c). Only the smallest vertex of each
     # orbit is scanned as a center; its winning triples are then turned
-    # into the smallest witness over their images at every center.
+    # into the smallest witness over their images at every center, the
+    # orbit's members, which the inner region holds.
     symmetry = ball.symmetry
-    low = symmetry.orbit_min
-    reps = np.unique(low[inner])
-    by_orbit = inner[np.argsort(low[inner], kind="stable")]
-    orbit_bounds = np.searchsorted(low[by_orbit], np.append(reps, len(low)))
+    reps = np.unique(symmetry.orbit_min[inner])
     # The centers' rows are kept over the window that holds every forbidden
     # ball: B_c(floor t) with t = delta * d(c, a) - gamma <= delta * 2 r_in
     # - gamma, around a center within r_in of the base.
@@ -266,7 +264,7 @@ def _exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
         np.maximum.at(best, dab[live], value[live])
         tied = live[value[live] == best[dab[live]]]
         if tied.size:
-            members = by_orbit[orbit_bounds[i]:orbit_bounds[i + 1]]
+            members, _ = symmetry.orbit_members([reps[i]])
             dabs, *witness = _orbit_witnesses(
                 symmetry, members, dab[tied], inner[ii[tied]],
                 inner[jj[tied]], t[ii[tied]])

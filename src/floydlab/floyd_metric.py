@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     ConditionAViolated,
@@ -32,11 +32,10 @@ from .errors import (
     SampleExhausted,
     TableExhausted,
 )
-from .graph_core import GraphBall, extract_path, punctured_paths, sphere
+from .graph_core import GraphBall, block_rows, punctured_paths, sphere
 
 _BUILTIN_KINDS = ("inverse_power", "exponential", "inverse_square_plus_one")
 VANISH_RATIO = 0.35  # sphere_diameter_trend's "vanishing" end-to-start ratio
-ROW_BLOCK_BYTES = 4 * 2**20  # float64 Dijkstra rows per scipy call in the scan
 
 
 @dataclass(frozen=True)
@@ -263,11 +262,6 @@ def floyd_weighting(ball: GraphBall, f: FloydFunction) -> FloydWeighting:
     return FloydWeighting(ball=ball, floyd=f, weights=weights)
 
 
-def _dijkstra_rows(w: FloydWeighting, sources: Sequence[int],
-                   limit: float = math.inf) -> np.ndarray:
-    return dijkstra(w.matrix, directed=True, indices=list(sources), limit=limit)
-
-
 def base_sums(f: FloydFunction, n_max: int) -> np.ndarray:
     """[S(0), ..., S(n_max)] with S(n) = sum of f(k) over k < n: the Floyd
     length of every geodesic from the base to the sphere S_n, which crosses
@@ -370,11 +364,11 @@ def _sphere_rows(w: FloydWeighting, sources: np.ndarray,
     The ball's base-fixing automorphisms keep every edge's level, so they
     map paths to paths with the same weight sequence, and scipy's float
     Dijkstra gives d(s, t) == d(h(s), h(t)) bit for bit. Each source's
-    representative is `ball.orbit_min`, which need not be a source; the
-    transversal element u_s of `ball.symmetry` sends it to s and maps the
-    sphere onto itself, so the row of s holds d(rep, t) at the column of
-    u_s(t) for every target t. Sources are never swapped with targets:
-    d(s, t) and d(t, s) may differ in the last place.
+    representative is its orbit minimum, `ball.symmetry.orbit_min`, which
+    need not be a source; the transversal element u_s sends it to s and
+    maps the sphere onto itself, so the row of s holds d(rep, t) at the
+    column of u_s(t) for every target t. Sources are never swapped with
+    targets: d(s, t) and d(t, s) may differ in the last place.
     """
     symmetry = w.ball.symmetry
     rep = symmetry.orbit_min[sources]
@@ -398,18 +392,19 @@ def _target_rows(w: FloydWeighting, sources: np.ndarray,
     within the limit is reached by the same relaxations as in an unbounded
     search, so the values read are bit for bit the unbounded ones; a row
     that still misses a target is rerun without a limit. Sources go to
-    scipy ROW_BLOCK_BYTES of float64 rows at a time, and only the target
-    columns of each block are kept.
+    scipy `graph_core.block_rows(V)` at a time, as every block of searches
+    does, and only the target columns of each block's rows are kept.
     """
     dist = w.ball.dist
     limit = _via_base_limit(w, int(dist[sources].max()), int(dist[targets].max()))
-    block = max(1, ROW_BLOCK_BYTES // (8 * w.ball.vertex_count))
+    block = block_rows(w.ball.vertex_count)
     out = np.empty((len(sources), len(targets)))
 
     def fill(rows: np.ndarray, bound: float) -> None:
         for i in range(0, len(rows), block):
             chunk = rows[i:i + block]
-            out[chunk] = _dijkstra_rows(w, sources[chunk].tolist(), bound)[:, targets]
+            out[chunk] = dijkstra(w.matrix, directed=True, limit=bound,
+                                  indices=sources[chunk].tolist())[:, targets]
 
     fill(np.arange(len(sources)), limit)
     fill(np.flatnonzero(np.isinf(out).any(axis=1)), math.inf)
@@ -458,6 +453,8 @@ def karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
     Sampling is seed-deterministic: geodesic segments between random vertex
     pairs (geodesics are C-quasi-geodesic for every C >= 1), plus, for C > 1,
     detour segments around random base balls kept when they certify at C.
+    Every pair is drawn first; the geodesics and the detours then run
+    together through `punctured_paths`, in blocks of breadth-first searches.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
@@ -477,23 +474,32 @@ def karlsson_set_estimate(w: FloydWeighting, C: float, epsilon: float,
         md = min(dist[x] for x in path)
         segments.append((md, w.path_length(path)))
 
+    # Draw every pair first: no search feeds the draws. A geodesic is a
+    # search that avoids nothing, a detour one that avoids B_b(rho), which
+    # holds the base.
+    nothing = np.empty(0, dtype=np.int64)
+    balls: dict[int, np.ndarray] = {}
+    jobs: list[tuple[int, int, np.ndarray]] = []
     for _ in range(samples):
         u = rng.randrange(ball.vertex_count)
         v = rng.randrange(ball.vertex_count)
         if u == v:
             continue
-        _, pred = breadth_first_order(ball.matrix, u, directed=True,
-                                      return_predecessors=True)
-        path = [int(x) for x in extract_path(pred, v)]
-        record(path)
+        jobs.append((u, v, nothing))
         if C > 1:
             rho = rng.randrange(0, max(1, ball.radius))
             if dist[u] > rho and dist[v] > rho:
-                detour, = punctured_paths(*ball.csr_arrays, [u], [v],
-                                          [np.flatnonzero(ball.dist <= rho)])
-                if detour is not None and qg_certify(
-                        ball, PathWitness(vertices=tuple(detour))) <= C:
-                    record(detour)
+                if rho not in balls:
+                    balls[rho] = np.flatnonzero(ball.dist <= rho)
+                jobs.append((u, v, balls[rho]))
+    sources, targets, avoided = zip(*jobs) if jobs else ((), (), ())
+    paths = punctured_paths(*ball.csr_arrays, sources, targets, avoided)
+    for path, forbidden in zip(paths, avoided):
+        if not len(forbidden):
+            record(path)
+        elif path is not None and qg_certify(
+                ball, PathWitness(vertices=tuple(path))) <= C:
+            record(path)
 
     if not segments:
         raise SampleExhausted("no qualifying quasi-geodesic segments found")

@@ -17,7 +17,7 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     ConsistencyError,
@@ -43,7 +43,8 @@ class GraphBall:
     The ball keeps the arrays it is given and makes them read-only; it
     rejects a base or a CSR entry outside 0..V-1 with a ValueError. The
     unit `matrix`, `slot_rows`, `edge_arrays` and `symmetry` are derived
-    read-only on first use; `dist` is the only view of base distances.
+    read-only on first use; `dist` is the only view of base distances, and
+    `symmetry` the only view of orbits (`orbit_min`, `orbit_members`).
     Safe for concurrent reads: two threads may both derive a value, equal
     both times, and no search writes to the ball: a punctured search keeps
     its forbidden vertices in its own arrays.
@@ -127,13 +128,6 @@ class GraphBall:
         generators with their orbits and a Schreier transversal (see
         `find_automorphisms` and `Symmetry`)."""
         return find_automorphisms(self)
-
-    @property
-    def orbit_min(self) -> np.ndarray:
-        """The smallest vertex of every vertex's orbit under `symmetry`: a
-        read-only array of length V, the representative that each
-        orbit-reduced scan runs in place of the vertex."""
-        return self.symmetry.orbit_min
 
     def check_index(self, v: int) -> None:
         if not 0 <= v < self.vertex_count:
@@ -261,6 +255,26 @@ class Symmetry:
         self.moves, self.orbit_min, self.parent, self.via = moves, orbit_min, parent, via
         for arr in (orbit_min, parent, via, *(a for move in moves for a in move)):
             arr.flags.writeable = False
+
+    @cached_property
+    def _by_orbit(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every vertex as int32, grouped by orbit in ascending order of the
+        orbit minima and ascending within each orbit, and the start of the
+        orbit of minimum v at entry v (V + 1 entries)."""
+        by_orbit = np.argsort(self.orbit_min, kind="stable").astype(np.int32)
+        start = np.searchsorted(self.orbit_min[by_orbit],
+                                np.arange(len(self.orbit_min) + 1))
+        return by_orbit, start
+
+    def orbit_members(self, orbits: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The members of the orbits whose minima are `orbits`, one orbit
+        after another in that order, each ascending, as one int32 array, and
+        the size of each orbit. Generators fix the base, so an orbit lies in
+        one sphere: a union of spheres holds the whole orbit of each of its
+        vertices."""
+        by_orbit, start = self._by_orbit
+        slots, sizes = _row_slots(start, np.asarray(orbits, dtype=np.int64))
+        return by_orbit[slots], sizes
 
     def _steps(self, v: np.ndarray) -> list[np.ndarray]:
         """The transversal's generators from each v up to its orbit minimum:
@@ -449,33 +463,24 @@ class _Layering:
         return moved.astype(np.int32), image[moved].astype(np.int32)
 
 
-def _closure(group: np.ndarray, size: int, gens: list[np.ndarray]) -> int | None:
-    """Grow the group `group[:size]` of actions on S_1 positions in place
-    into the group it generates together with the last row of `gens`, and
-    return the new size, or None when the buffer `group` has no room for
-    it (rows from `size` on are then left undefined, so the caller rolls
-    back by keeping its size).
-
-    `group[:size]` must be the group that `gens[:-1]` generate, identity
-    first: it is closed under those, so its elements are multiplied by the
-    new generator only, and the new elements, appended in breadth-first
-    order, by all of them.
-    """
-    seen = {group[i].tobytes() for i in range(size)}
-    old = size
-    i = 0
-    while i < size:  # grows while it is walked: breadth-first
-        for h in gens if i >= old else gens[-1:]:
-            p = h[group[i]]
-            if p.tobytes() in seen:
-                continue
-            if size == len(group):
-                return None
-            seen.add(p.tobytes())
-            group[size] = p
-            size += 1
-        i += 1
-    return size
+def _closure(gens: list[tuple[int, ...]],
+             m: int) -> set[tuple[int, ...]] | None:
+    """The set of actions on m S_1 positions, as position tuples, that the
+    actions `gens` generate, or None once it would pass GROUP_CAP elements."""
+    group = {tuple(range(m))}
+    frontier = list(group)
+    while frontier:  # breadth-first over products with the generators
+        fresh = []
+        for g in frontier:
+            for h in gens:
+                p = tuple(h[i] for i in g)
+                if p not in group:
+                    if len(group) == GROUP_CAP:
+                        return None
+                    group.add(p)
+                    fresh.append(p)
+        frontier = fresh
+    return group
 
 
 def _first_sphere_generators(ball: GraphBall, s1: np.ndarray,
@@ -483,33 +488,27 @@ def _first_sphere_generators(ball: GraphBall, s1: np.ndarray,
     """Append to `moves` the verified extensions of candidate actions on
     S_1 that the actions kept so far do not generate, and return the
     number of candidates extended."""
-    n, m = ball.vertex_count, len(s1)
-    # The kept actions' group on S_1 positions, grown and rolled back by size.
-    acting = np.empty((GROUP_CAP, m), dtype=np.int32)
-    acting[0] = np.arange(m)
-    size = 1
-    actions: list[np.ndarray] = []
-    realised = {tuple(range(m))}
+    n = ball.vertex_count
+    actions: list[tuple[int, ...]] = []
+    realised = {tuple(range(len(s1)))}  # the group the kept actions generate
     extensions = 0
     for action in _first_sphere_maps(ball, s1):
         # A larger group has at least twice the order, so none fits.
-        if 2 * size > GROUP_CAP or extensions == _EXTENSION_CAP:
+        if 2 * len(realised) > GROUP_CAP or extensions == _EXTENSION_CAP:
             break
         if action in realised:
             continue
-        action = np.array(action, dtype=np.int32)
-        grown = _closure(acting, size, actions + [action])
+        grown = _closure(actions + [action], len(s1))
         if grown is None:
             continue
         extensions += 1
-        perm = layering.extend(ball.base, s1, s1[action])
+        perm = layering.extend(ball.base, s1, s1[list(action)])
         if perm is None or not is_automorphism(ball, perm):
             continue
         moved = np.flatnonzero(perm != np.arange(n))
         moves.append((moved.astype(np.int32), perm[moved].astype(np.int32)))
         actions.append(action)
-        realised.update(map(tuple, acting[size:grown].tolist()))
-        size = grown
+        realised = grown
     return extensions
 
 
@@ -634,8 +633,8 @@ def find_automorphisms(ball: GraphBall) -> Symmetry:
     `_first_sphere_maps`) that the actions kept so far do not already
     generate is extended one BFS layer at a time (`_Layering.extend`) and
     kept only if `is_automorphism` verifies it. The kept actions' group is
-    closed as rows of |S_1| positions; an action whose group would pass
-    GROUP_CAP elements is dropped.
+    kept as a set of tuples of S_1 positions (`_closure`); an action whose
+    group would pass GROUP_CAP elements is dropped.
 
     Then the twin swaps (`_twin_generators`). Twins are two vertices of one
     layer beyond S_1 with the same degree and the same lower neighbors:
@@ -716,8 +715,8 @@ def bfs_parents(indptr: np.ndarray, indices: np.ndarray,
     reaches, level by level, each level grouped by search; the keys of one
     search, in the order they appear, are its discovery order. Each search
     is a FIFO queue over each CSR row in stored order, and the first
-    discoverer of a vertex is its parent, as in scipy's
-    `breadth_first_order`. `cap` stops the searches beyond that depth.
+    discoverer of a vertex is its parent. `cap` stops the searches beyond
+    that depth.
     `blocked[i]` lists vertices that search i never enters (the search
     sees the graph minus them; a search that starts on one raises
     `PreconditionViolated`), and `targets[i]` stops search i once it has
@@ -844,7 +843,7 @@ def punctured_paths(indptr: np.ndarray, indices: np.ndarray,
     to targets[i] in the graph minus the vertices forbidden[i] (a ball
     B_c(t), or any vertex set), None when the target is unreached: a
     shortest path, each vertex's parent its first discoverer in the stored
-    row order, as in scipy's `breadth_first_order` on the punctured graph.
+    row order (the `bfs_parents` rule) on the punctured graph.
     A source inside its forbidden set raises `PreconditionViolated`.
 
     The jobs run in blocks of `block_rows(V)` searches, each block one
@@ -918,13 +917,12 @@ def build_ball(edges: Iterable[tuple[Hashable, Hashable]], base: Hashable,
     by_row = np.argsort(rows, kind="stable")
     indptr = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=len(order)), out=indptr[1:])
-    appeared = unit_matrix(indptr, pairs[:, ::-1].ravel()[by_row])
-    found = breadth_first_order(appeared, order[base], directed=True,
-                                return_predecessors=False)
+    dist, _, found = bfs_parents(indptr, pairs[:, ::-1].ravel()[by_row],
+                                 order[base], parents=False)
     if len(found) != len(order):
         missing = len(order) - len(found)
         raise DisconnectedGraph(f"{missing} vertices unreachable from the base")
-    dist = bfs_distances(appeared, order[base])[found]  # found[i] is the new i
+    dist = dist[found]  # found[i] is the new i
     if dist.max() > declared_radius:
         raise RadiusMismatch(f"vertex at distance {dist.max()} exceeds "
                              f"declared radius {declared_radius}")

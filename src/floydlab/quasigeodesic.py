@@ -20,7 +20,6 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import BadRadii, NonPath, SegmentTooLong
 from .graph_core import (
     GraphBall,
-    _row_slots,
     bfs_distances,
     bfs_parents,
     block_rows,
@@ -31,11 +30,6 @@ from .graph_core import (
 
 SLACK_PATHS = 200  # escape_ray_search's budget of backtracked paths per start
 U_CAP = 6  # wideness_probe's ring vertices tried as segment ends per anchor
-# A block of the probe's searches has at most PROBE_BLOCK_SOURCES vertices,
-# fewer where `graph_core.block_rows` allows fewer. Each level gathers the
-# rows of all the block's searches, and a cap-7 search of the Heisenberg
-# r=8 ball reaches about a thousand vertices.
-PROBE_BLOCK_SOURCES = 48
 
 
 @dataclass(frozen=True)
@@ -232,16 +226,17 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
     The search runs on each symmetry orbit of `ball.symmetry` until a
     member passes: round r searches the r-th eligible member, in ascending
     order, of every orbit that has not passed. A round's vertices are
-    searched together, in blocks of breadth-first searches (`bfs_parents`),
-    each vertex trying its candidates in the order above. An automorphism
-    h keeps every ball distance, so it keeps eligibility and maps a segment
-    certified at C around x onto one certified at C around h(x). When x is
-    the first of its orbit to pass, every member y gets u_y(u_x^-1(path))
-    as its witness, u being the transversal elements that send the orbit's
-    smallest vertex to x and to y; x keeps its own, and the members before
-    x, which failed, get theirs this way too. The pass set is thus the
-    union of the orbits that hold a vertex the search passes on its own,
-    with one witness per passing vertex.
+    searched together, `block_rows(V)` vertices to a block of breadth-first
+    searches (`bfs_parents`), each vertex trying its candidates in the
+    order above. An automorphism h keeps every ball distance, so it keeps
+    eligibility and maps a segment certified at C around x onto one
+    certified at C around h(x). When x is the first of its orbit to pass,
+    every member y of the orbit (`Symmetry.orbit_members`) gets
+    u_y(u_x^-1(path)) as its witness, u being the transversal elements
+    that send the orbit's smallest vertex to x and to y; x keeps its own,
+    and the members before x, which failed, get theirs this way too. The
+    pass set is thus the union of the orbits that hold a vertex the search
+    passes on its own, with one witness per passing vertex.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
@@ -254,8 +249,6 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
     eligible = tuple(np.flatnonzero(ball.dist <= ball.radius - half).tolist())
     symmetry = ball.symmetry
     orbit = symmetry.orbit_min
-    by_orbit = np.argsort(orbit, kind="stable")
-    orbit_start = np.searchsorted(orbit[by_orbit], np.arange(ball.vertex_count + 1))
     passed = np.zeros(ball.vertex_count, dtype=bool)  # by smallest vertex
     found_at: dict[int, PathWitness] = {}
     pending = np.array(eligible, dtype=np.int64)
@@ -273,8 +266,7 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
             # Each passing path, moved to its orbit's smallest vertex, then
             # to every member of the orbit.
             to_min = symmetry.to_rep(x, [found.vertices for _, found in hits])
-            slots, sizes = _row_slots(orbit_start, orbit[x])
-            members = by_orbit[slots]
+            members, sizes = symmetry.orbit_members(orbit[x])
             owner = np.repeat(np.arange(len(hits)), sizes)
             images = symmetry.from_rep(members, to_min[owner]).tolist()
             for y, i, path in zip(members.tolist(), owner.tolist(), images):
@@ -292,9 +284,9 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
 
 def _middle_segments(ball, xs, C, half):
     """The segment found around each vertex of `xs` (None where there is
-    none), searched in blocks of PROBE_BLOCK_SOURCES vertices, fewer on
-    balls where `block_rows` allows fewer."""
-    block = min(PROBE_BLOCK_SOURCES, block_rows(ball.vertex_count))
+    none), searched in blocks of `block_rows(V)` vertices, as every block
+    of searches is."""
+    block = block_rows(ball.vertex_count)
     found = []
     for i in range(0, len(xs), block):
         found += _segment_block(ball, xs[i:i + block], C, half)

@@ -17,8 +17,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
-from floydlab import floyd_metric
 from floydlab.errors import BallTooLarge, ConsistencyError, ModelAxiomViolation, ParseError
 from floydlab.floyd_metric import (
     floyd_weighting,
@@ -423,7 +423,7 @@ def old_scan(w, r, *, margin=3.0, pair_cap=250_000):
         k = max(1, pair_cap // n)
         sources = sorted({verts[(i * n) // k] for i in range(k)})
     target_idx = np.asarray(verts, dtype=np.int64)
-    rows = floyd_metric._dijkstra_rows(w, sources)[:, target_idx]
+    rows = dijkstra(w.matrix, directed=True, indices=sources)[:, target_idx]
     best = -1.0
     witness = (0, 0)
     for i, s in enumerate(sources):

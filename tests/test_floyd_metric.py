@@ -13,7 +13,7 @@ from floydlab.errors import (
     SampleExhausted,
     TableExhausted,
 )
-from floydlab import floyd_metric
+from floydlab import floyd_metric, graph_core
 from floydlab.floyd_metric import (
     FloydFunction,
     _sphere_rows,
@@ -451,7 +451,7 @@ def test_orbit_counts(model, radius, per_sphere):
     ball = cayley_ball(model, radius)
     symmetry = ball.symmetry
     check_automorphism_generators(ball, symmetry.moves)
-    low = ball.orbit_min
+    low = ball.symmetry.orbit_min
     assert [len(np.unique(low[ball.dist == r])) for r in range(radius + 1)] == per_sphere
     for arr in (low, symmetry.parent, symmetry.via, *symmetry.moves[0]):
         assert not arr.flags.writeable
@@ -474,12 +474,12 @@ def test_automorphisms_pass_the_set_oracle(name):
     check_automorphism_generators(ball, symmetry.moves)
     # orbit_min[v] is the smallest vertex of v's orbit under the generators.
     orbits = python_orbits(ball, symmetry.moves)
-    assert ball.orbit_min.tolist() == [min(o) for o in orbits]
+    assert ball.symmetry.orbit_min.tolist() == [min(o) for o in orbits]
     # The transversal element u_v sends orbit_min[v] to v, and its inverse
     # sends v back.
     v = np.arange(ball.vertex_count)
-    assert np.array_equal(symmetry.from_rep(v, ball.orbit_min), v)
-    assert np.array_equal(symmetry.to_rep(v, v), ball.orbit_min)
+    assert np.array_equal(symmetry.from_rep(v, ball.symmetry.orbit_min), v)
+    assert np.array_equal(symmetry.to_rep(v, v), ball.symmetry.orbit_min)
 
 
 def test_transversal_maps_whole_orbits_on_large_balls():
@@ -491,7 +491,7 @@ def test_transversal_maps_whole_orbits_on_large_balls():
         ball = cayley_ball(model, radius)
         symmetry = ball.symmetry
         v = rng.choice(ball.vertex_count, 200, replace=False)
-        low = ball.orbit_min[v]
+        low = ball.symmetry.orbit_min[v]
         assert np.array_equal(symmetry.from_rep(v, low), v)
         assert np.array_equal(symmetry.to_rep(v, v), low)
         for x, y in zip(v.tolist(), low.tolist()):
@@ -502,7 +502,8 @@ def test_transversal_maps_whole_orbits_on_large_balls():
 def test_verification_rejects_maps_that_extend():
     ball = two_pentagons()
     # The order-8 group: S_1 and S_2 are one orbit each.
-    assert [len(np.unique(ball.orbit_min[ball.dist == r])) for r in range(3)] == [1, 1, 1]
+    low = ball.symmetry.orbit_min
+    assert [len(np.unique(low[ball.dist == r])) for r in range(3)] == [1, 1, 1]
     s1 = np.flatnonzero(ball.dist == 1)
     layering = _Layering(ball)
     extended = [layering.extend(ball.base, s1, images)
@@ -689,7 +690,7 @@ def test_forced_fallback_and_one_row_blocks_keep_the_rows(name, tmp_path,
     r = ball.radius - 1
     verts = np.array(sphere(ball, r).vertices)
     direct = dijkstra(w.matrix, directed=True, indices=verts)[:, verts]
-    reps = np.unique(ball.orbit_min[verts]).tolist()
+    reps = np.unique(ball.symmetry.orbit_min[verts]).tolist()
     calls = _recorded_dijkstra(monkeypatch)
 
     # A bound of 0 reaches only the source itself, so every row reruns
@@ -702,22 +703,22 @@ def test_forced_fallback_and_one_row_blocks_keep_the_rows(name, tmp_path,
 
     # One row per scipy call.
     calls = _recorded_dijkstra(monkeypatch)
-    monkeypatch.setattr(floyd_metric, "ROW_BLOCK_BYTES", 1)
+    monkeypatch.setattr(graph_core, "BLOCK_CELLS", 1)
     assert np.array_equal(_sphere_rows(w, verts, verts), direct)
     assert [indices for indices, _, _ in calls] == [[rep] for rep in reps]
     assert all(limit < math.inf for _, limit, _ in calls)
 
 
 def test_scan_rows_are_blocked_by_bytes(monkeypatch):
-    # 3 rows of 8-byte floats per block: 3 * 8 * V bytes, on a sphere of
-    # 8 orbits.
+    # 3 rows of V cells per block, and a remainder, on a sphere of 8
+    # orbits.
     ball = cayley_ball(FreeAbelian(2), 14)
     w = floyd_weighting(ball, INVPOW2)
     verts = np.array(sphere(ball, 14).vertices)
-    reps = np.unique(ball.orbit_min[verts]).tolist()
+    reps = np.unique(ball.symmetry.orbit_min[verts]).tolist()
     assert len(reps) > 6
     calls = _recorded_dijkstra(monkeypatch)
-    monkeypatch.setattr(floyd_metric, "ROW_BLOCK_BYTES", 3 * 8 * ball.vertex_count + 7)
+    monkeypatch.setattr(graph_core, "BLOCK_CELLS", 3 * ball.vertex_count + 7)
     _sphere_rows(w, verts, verts)
     assert [indices for indices, _, _ in calls] == [
         reps[i:i + 3] for i in range(0, len(reps), 3)]
@@ -818,7 +819,7 @@ def test_scan_runs_one_row_per_orbit(monkeypatch):
     sampled = sphere_floyd_diameter(w, 4, margin=3.0, pair_cap=32)
     sources = sphere(ball, 4).vertices[::8]
     assert sampled.sources_used == len(sources) == 2
-    reps = sorted({int(ball.orbit_min[s]) for s in sources})
+    reps = sorted({int(ball.symmetry.orbit_min[s]) for s in sources})
     assert rows == [reps]
     assert not set(reps) <= set(sources)
 

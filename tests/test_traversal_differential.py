@@ -119,6 +119,7 @@ and the new orbits are unions of the old ones, under several group caps.
 
 import collections
 import functools
+import itertools
 import math
 import random
 import tempfile
@@ -156,7 +157,6 @@ from floydlab.floyd_metric import (
     FloydWeighting,
     KarlssonEstimate,
     SphereDiameter,
-    _dijkstra_rows,
     floyd_weighting,
     karlsson_set_estimate,
     parse_floyd,
@@ -772,14 +772,14 @@ PROBE_BALLS = {
 def distinct_orbits(ball, vertices):
     """Whether the vertices lie in distinct orbits: the reduced probe then
     searches each of them, as the unreduced one does."""
-    return len(np.unique(ball.orbit_min[list(vertices)])) == len(vertices)
+    return len(np.unique(ball.symmetry.orbit_min[list(vertices)])) == len(vertices)
 
 
 def first_passes(ball, report):
     """The first vertex of each orbit that `report` passes: the vertices
     the orbit-reduced probe searches and passes, given the unreduced
     probe's `report`."""
-    low = ball.orbit_min
+    low = ball.symmetry.orbit_min
     first = {}
     for x in report.witnesses:
         first.setdefault(int(low[x]), x)
@@ -787,10 +787,11 @@ def first_passes(ball, report):
 
 
 # Block budgets of the probe's searches: the default, one source per block,
-# and three (search, vertex) rows of cells per block.
+# and three sources per block, set by the cells of their (search, vertex)
+# rows.
 PROBE_BLOCKS = {
     "default": lambda ball: [],
-    "one-source": lambda ball: [(quasigeodesic, "PROBE_BLOCK_SOURCES", 1)],
+    "one-source": lambda ball: [(graph_core, "BLOCK_CELLS", ball.vertex_count)],
     "three-rows": lambda ball: [(graph_core, "BLOCK_CELLS", 3 * ball.vertex_count)],
 }
 
@@ -912,7 +913,7 @@ ORBIT_PROBE_CASES = [(4, 1.0), (4, 1.5), (6, 1.0)]
 
 
 def orbit_closure(ball, vertices):
-    low = ball.orbit_min
+    low = ball.symmetry.orbit_min
     orbits = {int(low[x]) for x in vertices}
     return {v for v in range(ball.vertex_count) if int(low[v]) in orbits}
 
@@ -953,7 +954,7 @@ def test_orbit_probe_differential_covers_mapped_failures(monkeypatch):
     # The three copies of the glued ball are permuted: its S_1, two edges
     # at the base in each copy, is two orbits of three.
     glued = ORBIT_PROBE_BALLS["glued-0-7x3"]()
-    s1 = glued.orbit_min[glued.dist == 1]
+    s1 = glued.symmetry.orbit_min[glued.dist == 1]
     assert len(s1) == 6 and len(np.unique(s1)) == 2
 
 
@@ -974,7 +975,7 @@ def test_probe_searches_each_orbit_until_its_first_pass(name, monkeypatch):
         new = wideness_probe(ball, C, segment_length)
         old = old_wideness_probe(ball, C, segment_length, 1)
         firsts = first_passes(ball, old)
-        low = ball.orbit_min
+        low = ball.symmetry.orbit_min
         # An orbit is searched in ascending order up to its first pass, and
         # round r searches the r-th of those members of every orbit, in
         # ascending order.
@@ -2143,7 +2144,7 @@ def old_sphere_floyd_diameter(w: FloydWeighting, r: int, *, margin: float = 3.0,
         sources = sorted({verts[(i * n) // k] for i in range(k)})
     target_idx = np.asarray(verts, dtype=np.int64)
 
-    rows = _dijkstra_rows(w, sources)[:, target_idx]
+    rows = dijkstra(w.matrix, directed=True, indices=sources)[:, target_idx]
     row_max = rows.max(axis=1)
     best = row_max.max()
     # Targets ascend, so a row's first argmax is its smallest tied target t,
@@ -2228,7 +2229,7 @@ def test_sphere_rows_match_direct_rows_per_source(name, pair_cap):
         sources = np.array(sorted({verts[(i * n) // k] for i in range(min(k, n))}))
         targets = np.array(verts)
         rows = floyd_metric._sphere_rows(w, sources, targets)
-        direct = _dijkstra_rows(w, sources.tolist())[:, targets]
+        direct = dijkstra(w.matrix, directed=True, indices=sources)[:, targets]
         for s, row, want in zip(sources.tolist(), rows, direct):
             assert np.array_equal(row, want), (r, s)
 
@@ -2237,7 +2238,7 @@ def test_scan_differential_covers_symmetric_sampled_and_asymmetric_balls():
     orbits = {}
     for name, (make, _, radii) in SCAN_BALLS.items():
         ball = make()
-        orbits[name] = [len(np.unique(ball.orbit_min[ball.dist == r])) for r in radii]
+        orbits[name] = [len(np.unique(ball.symmetry.orbit_min[ball.dist == r])) for r in radii]
     # Heisenberg spheres 1..3 have an orbit per vertex, every F_2 and Z * Z
     # sphere is one orbit, and the grid's S_r has floor(r / 2) + 1 orbits.
     assert orbits["heis"] == [4, 12, 36]
@@ -2652,7 +2653,7 @@ def test_orbit_differential_covers_symmetric_asymmetric_and_cut_balls():
     for name in ORBIT_BALLS:
         ball, margin = orbit_ball(name)
         inner = np.flatnonzero(ball.dist <= int(ball.radius / margin + 1e-9))
-        centers[name] = (len(np.unique(ball.orbit_min[inner])), len(inner))
+        centers[name] = (len(np.unique(ball.symmetry.orbit_min[inner])), len(inner))
     # One center per sphere on the trees; the grid's dihedral orbits; an
     # orbit per inner vertex on the Heisenberg balls.
     assert centers["f2"] == centers["engine-f2"] == (5, 161)
@@ -2942,9 +2943,37 @@ def test_orbits_coarsen_the_listed_group(name, cap, monkeypatch):
         assert np.array_equal(low, group.min(axis=0))
 
 
+MEMBER_BALLS = {
+    **GROUP_BALLS,
+    **{f"random-{seed}": (lambda seed=seed: build_ball(
+        random_connected_edges(random.Random(seed), 15), 0, 15)) for seed in range(6)},
+    **{f"glued-{seed}": (lambda seed=seed: glued_ball(seed, 6, 2 + seed % 3))
+       for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBER_BALLS))
+def test_orbit_members_equal_a_stable_argsort_grouping(name):
+    ball = MEMBER_BALLS[name]()
+    symmetry = ball.symmetry
+    low = symmetry.orbit_min
+    by_orbit = np.argsort(low, kind="stable")
+    group = {r: by_orbit[low[by_orbit] == r].tolist() for r in np.unique(low).tolist()}
+    rng = random.Random(name)
+    every = sorted(group)
+    for orbits in (every, [rng.choice(every) for _ in range(7)], []):
+        members, sizes = symmetry.orbit_members(orbits)
+        assert members.dtype == np.int32
+        assert sizes.tolist() == [len(group[r]) for r in orbits]
+        assert members.tolist() == [v for r in orbits for v in group[r]]
+        # An orbit lies in one sphere, so a union of spheres holds it.
+        assert np.array_equal(ball.dist[members], ball.dist[np.repeat(np.array(orbits, dtype=int), sizes)])
+    assert np.array_equal(symmetry.orbit_members(every)[0], by_orbit)
+
+
 def test_group_cap_rolls_back_a_group_that_does_not_fit(monkeypatch):
     ball = cayley_ball(FreeAbelian(2), 6)
-    full = ball.orbit_min
+    full = ball.symmetry.orbit_min
     # Under a cap of 4 the closures that would pass it are dropped by
     # size: the orbits are unions of fewer images, inside the full ones.
     monkeypatch.setattr(graph_core, "GROUP_CAP", 4)
@@ -2953,16 +2982,15 @@ def test_group_cap_rolls_back_a_group_that_does_not_fit(monkeypatch):
     assert capped.moves
     assert len(np.unique(capped.orbit_min)) > len(np.unique(full))
     assert np.array_equal(full[capped.orbit_min], full)
-    # The closure of actions on S_1 positions: a generator whose group
-    # passes the buffer leaves the group before it in the buffer's first
-    # rows.
-    flip = np.array([1, 0, 2, 3], dtype=np.int32)
-    turn = np.array([1, 2, 3, 0], dtype=np.int32)
-    buffer = np.empty((4, 4), dtype=np.int32)
-    buffer[0] = np.arange(4)
-    size = graph_core._closure(buffer, 1, [flip])
-    assert size == 2
-    kept = buffer[:size].copy()
-    assert graph_core._closure(buffer, size, [flip, turn]) is None
-    assert np.array_equal(buffer[:size], kept)
-    assert graph_core._closure(buffer, size, [flip, np.array([1, 0, 3, 2], dtype=np.int32)]) == 4
+    # The closure of actions on S_1 positions, as a set of tuples: None
+    # once it would pass the cap.
+    flip, turn = (1, 0, 2, 3), (1, 2, 3, 0)
+    assert graph_core._closure([flip], 4) == {(0, 1, 2, 3), flip}
+    assert graph_core._closure([flip, turn], 4) is None
+    assert graph_core._closure([flip, (1, 0, 3, 2)], 4) == {
+        (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)}
+    # flip and turn generate all 24 permutations of four positions.
+    monkeypatch.setattr(graph_core, "GROUP_CAP", 24)
+    assert graph_core._closure([flip, turn], 4) == set(itertools.permutations(range(4)))
+    monkeypatch.setattr(graph_core, "GROUP_CAP", 23)
+    assert graph_core._closure([flip, turn], 4) is None
