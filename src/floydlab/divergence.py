@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
@@ -33,6 +34,7 @@ from .floyd_metric import FloydFunction
 from .graph_core import (
     GraphBall,
     Symmetry,
+    bfs_parents,
     bfs_rows,
     block_rows,
     extract_path,
@@ -86,7 +88,7 @@ def div_triple(ball: GraphBall, a: int, b: int, c: int,
     """
     for v in (a, b, c):
         ball.check_index(v)
-    d_c = dijkstra(ball.matrix, directed=True, indices=[c])[0]
+    d_c, d_a = bfs_rows(*ball.csr_arrays, [c, a])
     r = min(d_c[a], d_c[b])
     if r == 0:
         raise PreconditionViolated("d(c, {a, b}) must be positive")
@@ -95,8 +97,7 @@ def div_triple(ball: GraphBall, a: int, b: int, c: int,
         path, = punctured_paths(*ball.csr_arrays, [a], [b],
                                 [np.flatnonzero(d_c <= threshold)])
         return None if path is None else len(path) - 1
-    val = dijkstra(ball.matrix, directed=True, indices=[a])[0][b]
-    return None if math.isinf(val) else int(val)
+    return None if math.isinf(d_a[b]) else int(d_a[b])
 
 
 class _Buckets:
@@ -311,6 +312,10 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
                       c_per_pair):
     rng = random.Random(seed)
     indptr, indices = ball.csr_arrays
+    # The draws' one unit-weight scipy search: its heap order picks the
+    # geodesic that the later draws read.
+    unit = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                         shape=(ball.vertex_count,) * 2)
     inner_set = set(inner.tolist())
     # Draw every triple first: only the search from a feeds the draws.
     triples: list[tuple[int, int, int, int]] = []  # (a, b, c, n)
@@ -322,7 +327,7 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
             # then the heap holds only vertices within n, limit or not. So
             # the limit n keeps the partners and the geodesic of an
             # unbounded search.
-            d_a, pred = dijkstra(ball.matrix, directed=True, indices=[a],
+            d_a, pred = dijkstra(unit, directed=True, indices=[a],
                                  limit=n, return_predecessors=True)
             d_a, pred = d_a[0], pred[0]
             partners = inner[d_a[inner] == n]
@@ -358,34 +363,36 @@ def _sampled_estimate(ball, n_max, params, inner, n_min, seed, pairs_per_n,
 def _forbidden_balls(ball, params, a, b, c, dab):
     """The forbidden radius t of every triple (a[i], b[i], c[i]) with
     d(a, b) = dab[i] (ascending), and the vertices of B_c(t) of each triple
-    with t > 0, from one Dijkstra search per n and block of centers.
+    with t > 0, from one breadth-first search per center, run in blocks of
+    `block_rows(V)` consecutive triples.
 
     c lies within 2 steps of the a-b geodesic, so ra = d(c, {a, b}) <=
-    n // 2 + 2, the limit. The threshold is below ra, so ra and the
-    forbidden ball B_c(threshold) are those of an unbounded search, and a
-    vertex beyond the limit (read as inf) is beyond the threshold too.
+    n // 2 + 2, which a block's cap, that of its largest n, is at least.
+    The threshold is below ra, so ra and the forbidden ball B_c(threshold)
+    are those of an uncapped search: an end beyond the cap reads -1, taken
+    as inf, and a vertex beyond the cap is never reached, so no forbidden
+    ball holds it.
     """
+    indptr, indices = ball.csr_arrays
     radius = np.empty(len(dab))
     forbidden = []
     block = block_rows(ball.vertex_count)
-    firsts = np.flatnonzero(np.diff(dab, prepend=0)).tolist()  # of each n
-    for first, stop in zip(firsts, firsts[1:] + [len(dab)]):
-        n = int(dab[first])
-        for lo in range(first, stop, block):
-            rows = slice(lo, min(lo + block, stop))
-            d_c = dijkstra(ball.matrix, directed=True, indices=c[rows],
-                           limit=n // 2 + 2)
-            at = np.arange(len(d_c))
-            ra = np.minimum(d_c[at, a[rows]], d_c[at, b[rows]])
-            t = params.delta * ra - params.gamma
-            radius[rows] = t
-            # Row i's ball is the run of keys i * V + v of one flatnonzero.
-            width = d_c.shape[1]
-            key = np.flatnonzero(d_c <= t[:, None])
-            bounds = np.searchsorted(key, np.arange(len(d_c) + 1) * width).tolist()
-            vertex = key % width
-            forbidden += [vertex[bounds[i]:bounds[i + 1]]
-                          for i in np.flatnonzero(t > 0).tolist()]
+    for lo in range(0, len(dab), block):
+        rows = slice(lo, lo + block)
+        d_c, _, reached = bfs_parents(indptr, indices, c[rows],
+                                      cap=int(dab[rows][-1]) // 2 + 2, parents=False)
+        ends = np.take_along_axis(d_c, np.column_stack([a[rows], b[rows]]), 1)
+        ra = np.where(ends < 0, np.inf, ends).min(axis=1)
+        t = params.delta * ra - params.gamma
+        radius[rows] = t
+        # Row i's ball is the run of keys i * V + v among the sorted keys
+        # that the searches reach within t.
+        width = d_c.shape[1]
+        key = np.sort(reached[d_c.reshape(-1)[reached] <= t[reached // width]])
+        bounds = np.searchsorted(key, np.arange(len(d_c) + 1) * width).tolist()
+        vertex = key % width
+        forbidden += [vertex[bounds[i]:bounds[i + 1]]
+                      for i in np.flatnonzero(t > 0).tolist()]
     return radius, forbidden
 
 
@@ -411,14 +418,14 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
     finite real >= 1.
 
     Both protocols pick values and witnesses from arrays of triples by one
-    rule (`_Buckets.offer`). The sampled protocol and div_triple run their
-    plain searches as Dijkstra on the ball's unit matrix
-    (`GraphBall.matrix`). The sampled protocol first draws every triple,
-    running one Dijkstra search from a up to n per a-b pair (its heap order
-    picks the geodesic that the later draws read); it then runs, per n, one
-    multi-row Dijkstra search from that n's centers up to n // 2 + 2 (in
-    blocks of `graph_core.block_rows` rows), and all punctured detours in
-    blocks of breadth-first searches that stop when they reach b
+    rule (`_Buckets.offer`). The sampled protocol first draws every triple,
+    running one Dijkstra search from a up to n per a-b pair on a unit
+    matrix of the CSR arrays, built once per call (its heap order picks the
+    geodesic that the later draws read); it then runs the centers'
+    breadth-first searches in blocks of `graph_core.block_rows` triples
+    (`graph_core.bfs_parents`, capped at n // 2 + 2 of the block's largest
+    n), and all punctured detours in blocks of breadth-first searches that
+    stop when they reach b
     (`graph_core.punctured_paths`). The exhaustive protocol runs no
     Dijkstra: its ambient rows, its centers' rows and its punctured rows
     (row a in the ball minus B_c(floor t)) are bit-parallel breadth-first
@@ -426,7 +433,8 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
     base ball that holds every forbidden ball, the punctured rows of
     consecutive centers gathered into blocks of about BLOCK_CELLS / |inner|
     searches.
-    div_triple takes one detour from `punctured_paths`.
+    div_triple reads d(c, .) and d(a, .) from one `bfs_rows` call and takes
+    one detour from `punctured_paths`.
     """
     if protocol not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown protocol {protocol!r}")

@@ -17,7 +17,6 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     ConsistencyError,
@@ -41,9 +40,9 @@ class GraphBall:
     every vertex from the base; every constructor builds these arrays, and
     no other edge layout is stored: every search reads its rows from them.
     The ball keeps the arrays it is given and makes them read-only; it
-    rejects a base or a CSR entry outside 0..V-1 with a ValueError. The
-    unit `matrix`, `slot_rows`, `edge_arrays` and `symmetry` are derived
-    read-only on first use; `dist` is the only view of base distances, and
+    rejects a base or a CSR entry outside 0..V-1 with a ValueError.
+    `slot_rows`, `edge_arrays` and `symmetry` are derived read-only on
+    first use; `dist` is the only view of base distances, and
     `symmetry` the only view of orbits (`orbit_min`, `orbit_members`).
     Safe for concurrent reads: two threads may both derive a value, equal
     both times, and no search writes to the ball: a punctured search keeps
@@ -95,17 +94,6 @@ class GraphBall:
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) of the symmetric unweighted adjacency."""
         return self.indptr, self.indices
-
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """The read-only unit matrix of the adjacency: every unit-weight
-        scipy search of the whole ball runs on it. The numpy searches
-        (`bfs_parents`, `bfs_rows`, `punctured_paths`) read the CSR arrays
-        instead."""
-        matrix = unit_matrix(self.indptr, self.indices)
-        for arr in (matrix.data, matrix.indices, matrix.indptr):
-            arr.flags.writeable = False
-        return matrix
 
     @cached_property
     def slot_rows(self) -> np.ndarray:
@@ -168,13 +156,6 @@ def _row_slots(indptr: np.ndarray,
     sizes = stops - indptr[rows]
     # Slot j of the gathered rows is entry j + stop - end of its row.
     return np.arange(sizes.sum()) + np.repeat(stops - np.cumsum(sizes), sizes), sizes
-
-
-def unit_matrix(indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
-    """The sparse matrix of CSR arrays with every entry 1, for scipy's
-    searches."""
-    n = len(indptr) - 1
-    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
 
 GROUP_CAP = 64  # most S_1 actions the symmetry search closes over
@@ -672,19 +653,17 @@ class Sphere:
     vertices: tuple[int, ...]
 
 
-def bfs_distances(matrix: sp.csr_matrix, sources: int | Sequence[int],
-                  cap: int | None = None) -> np.ndarray:
-    """Breadth-first distances over a unit matrix (a ball's `matrix`, or
-    `unit_matrix` of CSR arrays) from `sources` (one vertex, or several: the
-    distance to the nearest), as one int64 array of length V; unreached
-    vertices get -1.
+def bfs_distances(indptr: np.ndarray, indices: np.ndarray,
+                  sources: int | Sequence[int], cap: int | None = None) -> np.ndarray:
+    """Breadth-first distances over CSR arrays from `sources` (one vertex,
+    or several: the distance to the nearest), as one int64 array of length
+    V; unreached vertices get -1. It is one search that starts from the
+    whole set, run by the `bfs_parents` loop.
 
     `cap` stops the search beyond that depth (distances > cap stay -1).
     """
-    dist = dijkstra(matrix, directed=True, indices=sources,
-                    limit=np.inf if cap is None else cap, min_only=True)
-    dist[np.isinf(dist)] = -1
-    return dist.astype(np.int64)
+    start = np.unique(np.asarray(sources, dtype=np.int64))
+    return _levels(indptr, indices, start, 1, cap)[0][0].astype(np.int64)
 
 
 # A block of `bfs_parents` searches keeps each of its (search, vertex) int32
@@ -726,13 +705,23 @@ def bfs_parents(indptr: np.ndarray, indices: np.ndarray,
     so capped and targeted searches stay local.
     """
     src = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    k, n = len(src), len(indptr) - 1
+    keys = np.arange(len(src)) * (len(indptr) - 1) + src
+    dist, parent, order = _levels(indptr, indices, keys, len(src), cap, blocked,
+                                  targets, parents)
+    if np.ndim(sources) == 0:
+        return dist[0], None if parent is None else parent[0], order
+    return dist, parent, order
+
+
+def _levels(indptr, indices, frontier, k, cap, blocked=None, targets=None,
+            parents=False):
+    """The loop of `bfs_parents`, run for k searches whose starts are the
+    keys `frontier` (i * V + v for each start v of search i, grouped by
+    search): (dist, parent, order) with a row per search."""
+    n = len(indptr) - 1
     dist = np.full((k, n), -1, dtype=np.int32)
     parent = np.full((k, n), -1, dtype=np.int32) if parents else None
     flat_dist = dist.reshape(-1)
-    # The frontier keys stay grouped by search, each group in its search's
-    # discovery order, so gathering their rows in order walks every queue.
-    frontier = np.arange(k) * n + src
     if blocked is not None:
         # A blocked vertex reads -2 until the searches end: never fresh.
         walls = np.concatenate([i * n + np.asarray(b, dtype=np.int64)
@@ -743,6 +732,8 @@ def bfs_parents(indptr: np.ndarray, indices: np.ndarray,
                 "a punctured search starts inside its forbidden ball")
     goals = None if targets is None else (
         np.arange(k) * n + np.asarray(targets, dtype=np.int64))
+    # The frontier keys stay grouped by search, each group in its search's
+    # discovery order, so gathering their rows in order walks every queue.
     flat_dist[frontier] = 0
     levels = [frontier]
     depth = 0
@@ -769,10 +760,7 @@ def bfs_parents(indptr: np.ndarray, indices: np.ndarray,
         levels.append(frontier)
     if blocked is not None:
         flat_dist[walls] = -1
-    order = np.concatenate(levels)
-    if np.ndim(sources) == 0:
-        return dist[0], None if parent is None else parent[0], order
-    return dist, parent, order
+    return dist, parent, np.concatenate(levels)
 
 
 def bfs_rows(indptr: np.ndarray, indices: np.ndarray, sources: Sequence[int],
@@ -873,10 +861,10 @@ def punctured_paths(indptr: np.ndarray, indices: np.ndarray,
 
 
 def extract_path(parent, target: int) -> list[int]:
-    """Path from the search source to `target` following predecessors:
-    `parent` maps a vertex to its predecessor, and a negative entry ends the
-    path (a `bfs_parents` parent row, where the source and unreached
-    vertices hold -1, or a scipy predecessor row, where they hold -9999)."""
+    """Path from the search source to `target` following a scipy
+    predecessor row `parent`, which maps a vertex to its predecessor and
+    holds -9999 at the source and at unreached vertices: a negative entry
+    ends the path."""
     path = [target]
     while parent[path[-1]] >= 0:
         path.append(parent[path[-1]])
@@ -1094,7 +1082,7 @@ def read_graph_file(path) -> GraphBall:
         return ball
 
     indptr, indices = csr_from_edges(v_count, *edges)
-    dist = bfs_distances(unit_matrix(indptr, indices), base)
+    dist = bfs_distances(indptr, indices, base)
     if dist.min() < 0:
         raise ConsistencyError("graph in file is not connected")
     if dist.max() > radius:

@@ -15,17 +15,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import BadRadii, NonPath, SegmentTooLong
 from .graph_core import (
     GraphBall,
     bfs_distances,
     bfs_parents,
+    bfs_rows,
     block_rows,
     csr_induced,
     punctured_paths,
-    unit_matrix,
 )
 
 SLACK_PATHS = 200  # escape_ray_search's budget of backtracked paths per start
@@ -73,12 +72,12 @@ def qg_certify(ball: GraphBall, path) -> float:
     total = len(verts) - 1
     if total == 0:
         return 1.0
-    # Path vertices lie within `total` of each other, so the limit cuts no
+    # Path vertices lie within `total` of each other, so the cap cuts no
     # distance that is read. Every operation below is exact or correctly
     # rounded, so the maximum is the same as one taken pair by pair.
     at = np.array(verts)
     distinct, row_of = np.unique(at, return_inverse=True)
-    dist = dijkstra(ball.matrix, directed=True, indices=distinct, limit=total)
+    dist = bfs_parents(*ball.csr_arrays, distinct, cap=total, parents=False)[0]
     i, j = np.triu_indices(len(verts), 1)
     sub, d = (j - i).astype(float), dist[row_of[i], at[j]]
     return max(1.0, float((sub / (d + 1)).max()),
@@ -125,41 +124,46 @@ def escape_ray_search(ball: GraphBall, x: int, C: float, inner_radius: float,
     if C < 1:
         raise ValueError("C must be >= 1")
     if ball.dist[x] <= inner_radius:
-        raise ValueError(f"x must lie outside the closed inner ball")
+        raise ValueError(f"x = {x} at distance {ball.dist[x]} from the base "
+                         f"lies inside the closed inner ball of radius {inner_radius}")
 
     targets = np.flatnonzero(ball.dist == outer_radius)
     if not targets.size:
         return None
 
-    near = bfs_distances(ball.matrix, x, cap=int(C))
+    near = bfs_distances(*ball.csr_arrays, x, cap=int(C))
     starts = np.flatnonzero((near >= 0) & (ball.dist > inner_radius))
+    starts = starts[np.argsort(near[starts], kind="stable")]
     # Every search runs in the ball minus the closed inner ball: one induced
     # graph on the vertices outside it serves them all.
     inside = np.flatnonzero(ball.dist <= inner_radius)
     outside = np.flatnonzero(ball.dist > inner_radius)
     rank = np.full(ball.vertex_count, -1, dtype=np.int64)
     rank[outside] = np.arange(len(outside))
-    punctured = unit_matrix(*csr_induced(*ball.csr_arrays, outside))
+    punctured = csr_induced(*ball.csr_arrays, outside)
     to_target = None  # each vertex's distance to the nearest target, once read
-    for start in starts[np.argsort(near[starts], kind="stable")].tolist():
-        dist = dijkstra(punctured, directed=True, indices=rank[start])[rank[targets]]
-        best = int(np.argmin(dist))  # the first of the nearest targets
-        if math.isinf(dist[best]):
-            continue
-        path, = punctured_paths(*ball.csr_arrays, [start], [targets[best]],
-                                [inside])
-        c = qg_certify(ball, path)
-        if c <= C + 1e-12:
-            return PathWitness(vertices=tuple(path), certified_C=c)
-        if to_target is None:  # inf inside the inner ball
-            nearest = np.full(ball.vertex_count, math.inf)
-            nearest[outside] = dijkstra(punctured, directed=True,
-                                        indices=rank[targets], min_only=True)
-            to_target = nearest.tolist()
-        witness = _backtrack(ball, start, C, targets, dist[best] + int(2 * C),
-                             to_target)
-        if witness is not None:
-            return witness
+    block = block_rows(len(targets))  # start rows per bfs_rows call
+    for lo in range(0, len(starts), block):
+        chunk = starts[lo:lo + block]
+        rows = bfs_rows(*punctured, rank[chunk], columns=rank[targets])
+        for start, dist in zip(chunk.tolist(), rows):
+            best = int(np.argmin(dist))  # the first of the nearest targets
+            if math.isinf(dist[best]):
+                continue
+            path, = punctured_paths(*ball.csr_arrays, [start], [targets[best]],
+                                    [inside])
+            c = qg_certify(ball, path)
+            if c <= C + 1e-12:
+                return PathWitness(vertices=tuple(path), certified_C=c)
+            if to_target is None:  # inf inside the inner ball and where cut off
+                d = bfs_distances(*punctured, rank[targets])
+                nearest = np.full(ball.vertex_count, math.inf)
+                nearest[outside] = np.where(d < 0, math.inf, d)
+                to_target = nearest.tolist()
+            witness = _backtrack(ball, start, C, targets, dist[best] + int(2 * C),
+                                 to_target)
+            if witness is not None:
+                return witness
     return None
 
 

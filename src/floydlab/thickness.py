@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .divergence import DivergenceParams, div_function_estimate, growth_fit
 from .errors import InsufficientData, SegmentTooLong, StructureDepthMismatch
-from .graph_core import (GraphBall, bfs_distances, bfs_parents, csr_from_edges,
-                         csr_induced, unit_matrix)
+from .graph_core import GraphBall, bfs_distances, csr_induced
 from .quasigeodesic import wideness_probe
 
 DIV_N_MIN = 2  # smallest n of a leaf's divergence fit
@@ -191,7 +191,7 @@ def verify_cover(ball: GraphBall, structure: ThickStructure) -> CoverReport:
     cap = int(math.floor(structure.C))
     covered = np.zeros(ball.vertex_count, dtype=bool)
     for s in structure.subsets:
-        covered |= bfs_distances(ball.matrix, s.vertices, cap) >= 0
+        covered |= bfs_distances(*ball.csr_arrays, s.vertices, cap) >= 0
     violators = tuple(np.flatnonzero(~covered).tolist())
     return CoverReport(ok=not violators, violators=violators, C=structure.C)
 
@@ -204,7 +204,7 @@ def _set_diameter_at_least(ball: GraphBall, vertices: Sequence[int],
     members = np.unique(vertices)
     best = 0
     for s in members.tolist():
-        ecc = int(bfs_distances(ball.matrix, s)[members].max())
+        ecc = int(bfs_distances(*ball.csr_arrays, s)[members].max())
         best = max(best, ecc)
         if best >= bound:
             return True
@@ -219,7 +219,7 @@ def verify_chains(ball: GraphBall, structure: ThickStructure) -> ChainReport:
     _check_vertex_range(ball, structure, "")
     m = len(structure.subsets)
     cap = int(math.floor(structure.C))
-    near = [bfs_distances(ball.matrix, s.vertices, cap) >= 0
+    near = [bfs_distances(*ball.csr_arrays, s.vertices, cap) >= 0
             for s in structure.subsets]
     members = [np.array(s.vertices) for s in structure.subsets]
     edges = []
@@ -231,7 +231,7 @@ def verify_chains(ball: GraphBall, structure: ThickStructure) -> ChainReport:
                     or _set_diameter_at_least(ball, meet_ji, structure.D_min)):
                 edges.append((i, j))
     ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    links = unit_matrix(*csr_from_edges(m, ends[:, 0], ends[:, 1]))
+    links = sp.coo_matrix((np.ones(len(ends)), ends.T), shape=(m, m))
     components = int(connected_components(links, directed=False)[0])
     return ChainReport(ok=components == 1, edges=tuple(edges),
                        component_count=components, D_min=structure.D_min)
@@ -350,9 +350,8 @@ def induced_ball(ball: GraphBall, vertices: Sequence[int]):
         return None
     indptr, indices = csr_induced(*ball.csr_arrays, verts)
     base = int(np.argmin(ball.dist[verts]))  # nearest the base, then smallest
-    # One search on the arrays, not on a unit matrix: the leaf builds its
-    # `matrix` once, on first use.
-    dist = bfs_parents(indptr, indices, base, parents=False)[0]
+    # One search on the leaf's CSR arrays, the only layout a ball keeps.
+    dist = bfs_distances(indptr, indices, base)
     if dist.min() < 0:
         return None
     sub = GraphBall(base=base, radius=int(dist.max()), indptr=indptr,

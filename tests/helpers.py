@@ -11,9 +11,17 @@ from itertools import count
 import random
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
-from floydlab.graph_core import (GraphBall, bfs_distances, build_ball, csr_from_edges,
-                                 unit_matrix)
+from floydlab.graph_core import GraphBall, build_ball, csr_from_edges
+
+
+def unit_matrix(indptr, indices):
+    """The sparse matrix of CSR arrays with every entry 1, for scipy's
+    searches (the library keeps no matrix of a ball's adjacency)."""
+    n = len(indptr) - 1
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
 
 def neighbors(ball, v):
@@ -83,7 +91,7 @@ def wind_and_rail_ball():
              (1, 21), (21, 15), (1, 22), (22, 16)]
     u, v = np.array(edges).T
     indptr, indices = csr_from_edges(23, u, v)
-    dist = bfs_distances(unit_matrix(indptr, indices), 0)
+    dist = dijkstra(unit_matrix(indptr, indices), indices=0).astype(np.int64)
     return GraphBall(base=0, radius=int(dist.max()), indptr=indptr,
                      indices=indices, dist=dist)
 
@@ -214,8 +222,9 @@ def vertex_of(model, elements, element):
 
 
 def naive_div_triple(ball, a, b, c, delta, gamma):
-    """Reference divergence value using only python BFS over the ball."""
-    d_c = bfs_distances(ball.matrix, c).tolist()
+    """Reference divergence value from scipy's distances from c and a
+    python BFS over the ball."""
+    d_c = dijkstra(unit_matrix(*ball.csr_arrays), indices=c).tolist()
     r = min(d_c[a], d_c[b])
     assert r > 0
     threshold = delta * r - gamma

@@ -22,6 +22,8 @@ from floydlab.errors import (
 )
 from floydlab.floyd_metric import FloydFunction
 from floydlab.group_models import Free, FreeAbelian, cayley_ball, cayley_ball_labeled
+from floydlab.quasigeodesic import escape_ray_search, qg_certify, wideness_probe
+from floydlab.thickness import ThickStructure, ThickSubset, verify_thick
 
 from helpers import (
     graph_distance,
@@ -192,12 +194,20 @@ def test_sampled_deterministic():
     assert one == two
 
 
-def test_sampled_walks_csr_rows_without_neighbor_tuples():
+def test_searches_derive_no_second_edge_layout():
+    # Every search reads the CSR arrays: after the searching callers the
+    # ball has cached nothing but its slot rows, edge arrays and symmetry.
     ball = cayley_ball(FreeAbelian(2), 12)
     stored = set(ball.__dict__)
-    div_function_estimate(ball, 4, HALF, protocol="sampled", seed=3, margin=3.0)
-    # The unit matrix is the only view derived and cached.
-    assert set(ball.__dict__) == stored | {"matrix"}
+    for protocol in ("sampled", "exhaustive"):
+        div_function_estimate(ball, 4, HALF, protocol=protocol, seed=3, margin=3.0)
+    assert div_triple(ball, 1, 2, 0, HALF) is not None
+    report = wideness_probe(ball, 1.5, 4)
+    assert qg_certify(ball, report.witnesses[0]) == 1.0
+    assert escape_ray_search(ball, ball.dist.tolist().index(5), 1.0, 2, 12)
+    everything = ThickSubset(name="all", vertices=tuple(range(ball.vertex_count)))
+    verify_thick(ball, ThickStructure(C=1.0, order=0, D_min=4, subsets=(everything,)))
+    assert set(ball.__dict__) - stored <= {"slot_rows", "edge_arrays", "symmetry"}
 
 
 def test_witness_consistency(z2_mid):

@@ -151,6 +151,16 @@ def test_escape_ray_search_gadget_inconclusive():
     assert escape_ray_search(ball, x, 1.0, 2, 4) is None
 
 
+def test_escape_ray_search_rejects_x_inside_the_inner_ball():
+    # x = 2 is at distance 1 from the base, on the closed inner ball's rim.
+    ball = wind_and_rail_ball()
+    with pytest.raises(ValueError, match=r"^x = 2 at distance 1 from the base "
+                       r"lies inside the closed inner ball of radius 1$"):
+        escape_ray_search(ball, 2, 1.0, 1, 4)
+    with pytest.raises(ValueError, match=r"x = 0 at distance 0 .* radius 0\.5$"):
+        escape_ray_search(ball, 0, 1.0, 0.5, 4)
+
+
 def test_escape_ray_search_backtracking_fallback():
     ball = wind_and_rail_ball()
     # The BFS-shortest punctured route is the winding one; at C = 1.3 it

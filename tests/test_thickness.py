@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from floydlab import graph_core, quasigeodesic, thickness
+from floydlab import thickness
 from floydlab.errors import StructureDepthMismatch
-from floydlab.graph_core import bfs_distances, unit_matrix
+from floydlab.graph_core import bfs_distances
 from floydlab.group_models import Free, FreeAbelian, Heisenberg, cayley_ball
 from floydlab.thickness import (
     ChainReport,
@@ -194,7 +194,7 @@ def test_induced_metric_dominates_ambient(z2_small):
     sub, members = induced_ball(ball, ring)
     assert members.tolist() == sorted(ring)
     for i in range(0, sub.vertex_count, 5):
-        dists = bfs_distances(sub.matrix, i)
+        dists = bfs_distances(*sub.csr_arrays, i)
         for j in range(sub.vertex_count):
             assert dists[j] >= graph_distance(ball, int(members[i]), int(members[j]))
 
@@ -238,39 +238,6 @@ def test_verify_thick_grid_passes(z2_mid):
     assert leaf.wide_ok
     assert leaf.probe_pass_fraction == 1.0
     assert leaf.divergence_verdict == "linear-compatible"
-
-
-def test_each_leaf_builds_its_unit_matrix_once(monkeypatch):
-    # induced_ball reads the leaf's base distances without a unit matrix,
-    # and the leaf builds its cached `matrix` once for the probe (relaxed
-    # segments, C = 1.5, go through qg_certify) and the divergence.
-    built, leaves = [], []
-
-    def counting_unit_matrix(indptr, indices):
-        built.append(indices)
-        return unit_matrix(indptr, indices)
-
-    def leaf_of(ball, vertices):
-        found = induced_ball(ball, vertices)
-        leaves.append(found[0])
-        return found
-
-    for module in (graph_core, thickness):
-        monkeypatch.setattr(module, "unit_matrix", counting_unit_matrix)
-    monkeypatch.setattr(thickness, "induced_ball", leaf_of)
-    certified = []
-    qg_certify = quasigeodesic.qg_certify
-    monkeypatch.setattr(quasigeodesic, "qg_certify",
-                        lambda ball, path: certified.append(ball) or qg_certify(ball, path))
-    ball = cayley_ball(Heisenberg(), 7)
-    verdict = verify_thick(ball, whole_ball_structure(ball, C=1.5),
-                           DivergenceCheckConfig(margin=1.0, protocol="sampled"),
-                           segment_length=8)
-    # The divergence ran: neither the probe nor the scale stopped it.
-    assert verdict.subset_verdicts[0].verdict.divergence_verdict not in (
-        "probe-failed", "insufficient-scale")
-    assert certified and all(b is leaves[0] for b in certified)
-    assert [sum(b is leaf.indices for b in built) for leaf in leaves] == [1]
 
 
 def test_verify_thick_tree_fails_infinite():

@@ -14,8 +14,11 @@ parents in dicts over the reached vertices. That search is now
 at a time in numpy; the keys of search i in its `order` are its discovery
 order, and each search must give `old_bfs` and `old_bfs_parents`'s
 distances, parents and order from its source, with sources repeated, on
-the rim and at cap 0 (multi-source distances to the nearest source are
-`bfs_distances`). Whole-graph searches, `build_ball`'s numbering and
+the rim and at cap 0. Multi-source distances to the nearest source are
+`bfs_distances`, one numpy search from the whole vertex set, which must
+give the distances of `old_dijkstra_bfs_distances`, a verbatim copy of the
+scipy search it replaced, from one, repeated and several sources at caps
+None, 0, 1 and 3. Whole-graph searches, `build_ball`'s numbering and
 `karlsson_set_estimate`'s geodesics, run in scipy's `breadth_first_order`,
 which must give `old_bfs`'s order and parents on rows in any stored order.
 Balls no longer keep neighbor tuples, so the copies walk the tuples that
@@ -55,10 +58,11 @@ place, are compared row by row with searches on `csr_restrict`, a
 verbatim copy of the edge-deleting restriction they replaced, and with
 `naive_div_triple` in `helpers`. Every caller of a punctured search (the
 sampled and exhaustive protocols, `div_triple`, `escape_ray_search` and
-`karlsson_set_estimate`) must leave the ball's CSR arrays and unit matrix
+`karlsson_set_estimate`) must leave the ball's CSR arrays and distances
 bit-identical, also when a search raises.
-Dijkstra on a ball's unit matrix, plain and punctured, must return what it
-returned with `unweighted=True`.
+Dijkstra on a unit matrix of a ball's CSR arrays (`unit_matrix` in
+`helpers`), plain and punctured, must return what it returned with
+`unweighted=True`.
 The `old_*` divergence functions and `OldBuckets` are verbatim copies of
 both estimates, the exhaustive one's per-tie witness loops and
 `div_triple` as they were before one search object and one array witness
@@ -66,20 +70,20 @@ rule replaced them.
 
 The next group compares the code that kept a second edge layout beside the
 ball's CSR arrays with the CSR-only code that replaced it: the COO-built
-Floyd matrix, the numpy level-by-level search that `bfs_distances` runs in
-scipy, `induced_ball` with its neighbor-list loop, and the punctured
-search's inline edge mask.
+Floyd matrix, `old_csr_distances`, a numpy level-by-level search from one
+vertex, against `bfs_distances`, `induced_ball` with its neighbor-list
+loop, and the punctured search's inline edge mask.
 
 The next group compares the sphere scan that ran Dijkstra from every source
 with the scan that runs it once per symmetry orbit, and the escape-set
 estimate that built its punctured-search mask on every call with the one
-that punctures the ball's matrix.
+that runs its searches through `punctured_paths`.
 
-`qg_certify`, which runs one multi-row Dijkstra per path and takes the
-maximum over all position pairs with array arithmetic, is compared bit for
-bit with `old_qg_certify`, a copy of the loop that ran one search per
-distinct path vertex and walked the pairs (only its `bfs_distances` call
-takes the new matrix argument).
+`qg_certify`, which runs one block of capped breadth-first searches per
+path and takes the maximum over all position pairs with array arithmetic,
+is compared bit for bit with `old_qg_certify`, a copy of the loop that ran
+one search per distinct path vertex and walked the pairs (only its
+`bfs_distances` call takes the CSR arrays).
 
 The escape-ray search, whose searches now run on one induced graph of the
 ball minus the inner ball and through `punctured_paths`, is compared with
@@ -126,7 +130,7 @@ import tempfile
 from pathlib import Path
 from collections import deque
 from contextlib import contextmanager
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 import pytest
@@ -180,7 +184,6 @@ from floydlab.graph_core import (
     read_graph_file,
     single_vertex_ball,
     sphere,
-    unit_matrix,
 )
 from floydlab.group_models import (
     DirectProduct,
@@ -207,6 +210,7 @@ from helpers import (
     neighbors,
     python_orbits,
     random_connected_edges,
+    unit_matrix,
     wind_and_rail_ball,
 )
 
@@ -221,6 +225,21 @@ def csr_rows(indptr, indices):
 def tuple_rows(ball):
     """The neighbor tuples of a ball, the layout the list-based copies walk."""
     return tuple(neighbors(ball, v) for v in range(ball.vertex_count))
+
+
+def old_dijkstra_bfs_distances(matrix: sp.csr_matrix, sources: int | Sequence[int],
+                               cap: int | None = None) -> np.ndarray:
+    """Breadth-first distances over a unit matrix (a ball's `matrix`, or
+    `unit_matrix` of CSR arrays) from `sources` (one vertex, or several: the
+    distance to the nearest), as one int64 array of length V; unreached
+    vertices get -1.
+
+    `cap` stops the search beyond that depth (distances > cap stay -1).
+    """
+    dist = dijkstra(matrix, directed=True, indices=sources,
+                    limit=np.inf if cap is None else cap, min_only=True)
+    dist[np.isinf(dist)] = -1
+    return dist.astype(np.int64)
 
 
 def old_bfs_distances(adjacency, source, cap=None):
@@ -582,7 +601,7 @@ def test_bfs_matches_replaced_loops(seed):
         assert (order.tolist(), dist.tolist(), parent.tolist()) == old_bfs(
             adj, [source], cap)
         assert (dist.tolist(), parent.tolist()) == old_bfs_parents(adj, source, cap)
-        assert (bfs_distances(unit_matrix(indptr, indices), source, cap).tolist()
+        assert (bfs_distances(indptr, indices, source, cap).tolist()
                 == old_bfs_distances(adj, source, cap))
         # Whole-graph searches run in scipy, which walks the rows in the
         # same stored order.
@@ -598,7 +617,7 @@ def test_bfs_matches_replaced_loops(seed):
         rng.shuffle(sources)
         seed_cap = rng.choice([0, 1, 2, 4])
         assert (old_neighborhood_distances(adj, sources, seed_cap)
-                == bfs_distances(unit_matrix(indptr, indices), sources, seed_cap).tolist())
+                == bfs_distances(indptr, indices, sources, seed_cap).tolist())
 
         # The masked searches, as punctured searches from allowed sources.
         allowed = [rng.random() < 0.8 for _ in range(n)]
@@ -690,6 +709,30 @@ def test_bfs_rows_differential_covers_every_kind_of_row():
         kinds["connected"] += int(np.isfinite(reach[:-1, :-1]).all())
         kinds["isolated"] += int(np.isinf(reach[-1, :-1]).all())
     assert min(kinds.values()) > 0 and len(kinds) == 3
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_bfs_distances_match_the_scipy_search(seed):
+    """`bfs_distances`, one numpy search from a vertex set, gives the
+    distances to the nearest source of `old_dijkstra_bfs_distances`, the
+    scipy search it replaced: on the graphs of the `bfs_rows` cases above
+    (shuffled rows, cut-off components, an isolated last vertex), from one
+    source, one source repeated and several sources, at caps None, 0, 1
+    and 3."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 40)
+    indptr, indices = random_csr(rng, n)
+    indptr, n = np.append(indptr, indptr[-1]), n + 1  # vertex n - 1: isolated
+    matrix = unit_matrix(indptr, indices)
+    one = rng.randrange(n)
+    several = rng.sample(range(n), rng.randrange(2, min(n, 6) + 1))
+    for sources in (one, [one], [one] * 3, several, several + several[:2],
+                    [n - 1, one]):
+        for cap in (None, 0, 1, 3):
+            got = bfs_distances(indptr, indices, sources, cap)
+            assert got.dtype == np.int64 and got.shape == (n,)
+            assert np.array_equal(
+                got, old_dijkstra_bfs_distances(matrix, sources, cap))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -1238,13 +1281,13 @@ def test_windowed_differential_covers_every_window_exit(monkeypatch):
 
 def forbidden_ball(ball: GraphBall, c: int, threshold: float):
     """d_c of a search from c, and the sources outside B_c(threshold)."""
-    d_c = dijkstra(ball.matrix, directed=True, indices=c)
+    d_c = dijkstra(unit_matrix(*ball.csr_arrays), directed=True, indices=c)
     return d_c, np.flatnonzero(d_c > threshold)
 
 
 def test_punctured_searches_refuse_a_source_inside_the_ball():
     ball = cayley_ball(FreeAbelian(2), 4)
-    puncture = OldPuncture(ball.matrix)
+    puncture = OldPuncture(unit_matrix(*ball.csr_arrays))
     d_c, outside = forbidden_ball(ball, 0, 1.0)
     near, far = int(np.flatnonzero(d_c == 1)[0]), int(outside[0])
     # The restricted graph keeps no edge at `near`; a redirect into the
@@ -1252,7 +1295,8 @@ def test_punctured_searches_refuse_a_source_inside_the_ball():
     with pytest.raises(PreconditionViolated):
         with puncture.without(d_c, 1.0, [far, near]):
             pass
-    assert puncture.cut.indices.tobytes() == ball.matrix.indices.tobytes()
+    assert (puncture.cut.indices.tobytes()
+            == unit_matrix(*ball.csr_arrays).indices.tobytes())
     inside = np.flatnonzero(d_c <= 1.0)
     with pytest.raises(PreconditionViolated):
         punctured_paths(*ball.csr_arrays, [far, near], [near, far], [inside] * 2)
@@ -1287,16 +1331,14 @@ def searching_callers():
 
 
 def ball_bytes(ball):
-    """The bytes of a ball's CSR arrays, distances and unit matrix."""
-    matrix = ball.matrix
-    return [arr.tobytes() for arr in (ball.indptr, ball.indices, ball.dist,
-                                      matrix.data, matrix.indices, matrix.indptr)]
+    """The bytes of a ball's CSR arrays and distances."""
+    return [arr.tobytes() for arr in (ball.indptr, ball.indices, ball.dist)]
 
 
 def test_punctured_paths_leave_the_ball_unchanged(monkeypatch):
     """The punctured searches write to no array of the ball: after every
     caller's searches, also after a search that raises partway, its CSR
-    arrays and unit matrix are bit-identical."""
+    arrays and distances are bit-identical."""
     punctured = []
     bfs, rows = graph_core.bfs_parents, divergence.bfs_rows
 
@@ -1318,13 +1360,16 @@ def test_punctured_paths_leave_the_ball_unchanged(monkeypatch):
         assert ball_bytes(ball) == before, name
 
     # The second level of the first path search raises, and so does the
-    # exhaustive protocol's first block of punctured rows.
+    # exhaustive protocol's first block of punctured rows. The plain
+    # searches before them (`bfs_distances`, the centers' `bfs_parents`
+    # blocks, `csr_induced`) read their rows unhindered.
     row_slots, levels = graph_core._row_slots, []
 
     def failing(*args):
-        levels.append(None)
-        if len(levels) > 1:
-            raise RuntimeError("search failed")
+        if punctured[-1:] == [True]:  # inside the first punctured search
+            levels.append(None)
+            if len(levels) > 1:
+                raise RuntimeError("search failed")
         return row_slots(*args)
 
     def failing_rows(*args, **kwargs):
@@ -1337,8 +1382,10 @@ def test_punctured_paths_leave_the_ball_unchanged(monkeypatch):
     for name, (ball, call) in searching_callers().items():
         before = ball_bytes(ball)
         levels.clear()
+        punctured.clear()
         with pytest.raises(RuntimeError):
             call()
+        assert len(levels) == (0 if name == "exhaustive" else 2), name
         assert ball_bytes(ball) == before, name
 
 
@@ -1403,7 +1450,8 @@ def test_punctured_paths_match_the_whole_ball_search(name, blocks, monkeypatch):
         monkeypatch.setattr(graph_core, "BLOCK_CELLS",
                             DETOUR_BLOCKS[blocks] * ball.vertex_count)
     assert_paths_match_old(*ball.csr_arrays,
-                           detour_jobs(random.Random(name), ball.matrix, 60))
+                           detour_jobs(random.Random(name),
+                                       unit_matrix(*ball.csr_arrays), 60))
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -1423,7 +1471,7 @@ def test_punctured_paths_cover_every_kind_of_job():
     kinds = collections.Counter()
     for name in sorted(SAMPLED_CASES):
         ball = SAMPLED_CASES[name][0]()
-        jobs = detour_jobs(random.Random(name), ball.matrix, 60)
+        jobs = detour_jobs(random.Random(name), unit_matrix(*ball.csr_arrays), 60)
         a, b, d_c, threshold = zip(*jobs)
         paths = punctured_paths(*ball.csr_arrays, a, b, [
             np.flatnonzero(d <= t) for d, t in zip(d_c, threshold)])
@@ -1463,21 +1511,26 @@ def test_punctured_paths_exhaust_the_tree_component():
 
 def test_sampled_protocol_batches_its_searches(monkeypatch):
     """The sampled protocol runs one Dijkstra search per drawn pair, then
-    one per n and block of that n's centers, and one breadth-first search
-    per block of punctured triples: no search per triple. Blocks of three
-    rows give the same samples."""
+    one block of breadth-first searches per block of triples, in order of
+    n and capped at n // 2 + 2 of the block's last n, and one per block of
+    punctured triples: no search per triple. Blocks of three rows give the
+    same samples."""
     make, n_max, margin = SAMPLED_CASES["z2"]
     ball = make()
     params = DivergenceParams(0.5, 0.0)
 
     def run():
-        calls, blocks, offered = [], [], []
+        calls, centers, blocks, offered = [], [], [], []
         search, bfs, offer = divergence.dijkstra, graph_core.bfs_parents, _Buckets.offer
 
         def dijkstra_spy(matrix, **kw):
             calls.append((len(kw["indices"]), kw["limit"],
                           kw.get("return_predecessors", False)))
             return search(matrix, **kw)
+
+        def centers_spy(indptr, indices, sources, **kw):
+            centers.append((len(sources), kw["cap"], kw["parents"]))
+            return bfs(indptr, indices, sources, **kw)
 
         def bfs_spy(indptr, indices, sources, *args, **kw):
             blocks.append(len(sources))
@@ -1489,12 +1542,13 @@ def test_sampled_protocol_batches_its_searches(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(divergence, "dijkstra", dijkstra_spy)
+            patch.setattr(divergence, "bfs_parents", centers_spy)
             patch.setattr(graph_core, "bfs_parents", bfs_spy)
             patch.setattr(_Buckets, "offer", offer_spy)
             samples = div_function_estimate(ball, n_max, params, protocol="sampled",
                                             seed=0, margin=margin)
         (_, _, _, dab, _, radius), = offered
-        return samples, calls, blocks, dab, radius
+        return samples, calls, centers, blocks, dab, radius
 
     def split(count, block):
         return [block] * (count // block) + [count % block] * (count % block > 0)
@@ -1502,16 +1556,16 @@ def test_sampled_protocol_batches_its_searches(monkeypatch):
     for rows in (None, 3):
         if rows is not None:
             monkeypatch.setattr(graph_core, "BLOCK_CELLS", rows * ball.vertex_count)
-        samples, calls, blocks, dab, radius = run()
+        samples, calls, centers, blocks, dab, radius = run()
         block = graph_core.block_rows(ball.vertex_count)
-        draws = [(1, n, True) for n in range(1, n_max + 1) for _ in range(8)]
-        centers = [(size, n // 2 + 2, False) for n in range(1, n_max + 1)
-                   for size in split(int((dab == n).sum()), block)]
-        assert calls == draws + centers
+        assert calls == [(1, n, True) for n in range(1, n_max + 1) for _ in range(8)]
+        assert centers == [(size, int(dab[lo + size - 1]) // 2 + 2, False)
+                           for lo, size in zip(range(0, len(dab), block),
+                                               split(len(dab), block))]
         assert blocks == split(int((radius > 0).sum()), block)
         if rows is None:
             default = samples
-            assert len(centers) == len(np.unique(dab))
+            assert len(centers) < len(np.unique(dab))
             assert len(blocks) < (radius > 0).sum()
         else:
             assert samples == default
@@ -1528,11 +1582,11 @@ UNIT_BALLS = {
 
 @pytest.mark.parametrize("name", sorted(UNIT_BALLS))
 def test_unit_matrix_searches_match_the_unweighted_flag(name):
-    """Dijkstra on the ball's unit matrix, plain and punctured, returns what
+    """Dijkstra on a unit matrix of the ball, plain and punctured, returns what
     it returned with `unweighted=True`: distances, predecessors and (with
     min_only) the nearest sources."""
     ball = UNIT_BALLS[name]()
-    puncture = OldPuncture(ball.matrix)
+    puncture = OldPuncture(unit_matrix(*ball.csr_arrays))
     rng = random.Random(name)
     options = ({}, {"limit": 2}, {"min_only": True},
                {"min_only": True, "limit": 3})
@@ -1550,7 +1604,7 @@ def test_unit_matrix_searches_match_the_unweighted_flag(name):
                                      indices=indices, return_predecessors=True,
                                      **kw) for flag in (True, False)]
 
-                runs = [with_and_without_flag(ball.matrix)]
+                runs = [with_and_without_flag(unit_matrix(*ball.csr_arrays))]
                 with puncture.without(d_c, threshold, sources) as cut:
                     runs.append(with_and_without_flag(cut))
                 for want, got in runs:
@@ -1581,7 +1635,7 @@ def test_detour_equals_naive_div_triple(name):
     values = []
     for _ in range(80):
         a, b, c = rng.sample(range(ball.vertex_count), 3)
-        d_c = dijkstra(ball.matrix, directed=True, indices=c)
+        d_c = dijkstra(unit_matrix(*ball.csr_arrays), directed=True, indices=c)
         for delta, gamma in [(0.5, 0.0), (0.8, 1.0)]:
             threshold = delta * min(d_c[a], d_c[b]) - gamma
             if threshold <= 0:
@@ -2050,7 +2104,7 @@ def test_bfs_distances_match_level_bfs(name):
                        rng.randrange(ball.vertex_count)}:
             old = old_csr_distances(indptr, indices, source)
             for cap in (None, 0, 1, 3):
-                new = bfs_distances(unit_matrix(indptr, indices), source, cap)
+                new = bfs_distances(indptr, indices, source, cap)
                 assert new.dtype == np.int64
                 want = old if cap is None else np.where(old <= cap, old, -1)
                 assert np.array_equal(new, want)
@@ -2071,7 +2125,7 @@ def test_csr_restrict_equals_inline_punctured_mask(name):
 @pytest.mark.parametrize("seed", range(5))
 def test_punctured_rows_equal_restricted_rows(name, seed):
     ball = LAYOUT_BALLS[name]()
-    puncture = OldPuncture(ball.matrix)
+    puncture = OldPuncture(unit_matrix(*ball.csr_arrays))
     rng = random.Random(seed)
     for mask in _vertex_masks(ball, seed):
         allowed = np.flatnonzero(mask).tolist()
@@ -2274,7 +2328,7 @@ def old_qg_certify(ball: GraphBall, path) -> float:
         return 1.0
     # Row v holds the distances from v to every path position.
     at = np.array(verts)
-    dist_from = {v: bfs_distances(unit_matrix(indptr, indices), v,
+    dist_from = {v: bfs_distances(indptr, indices, v,
                                   cap=total)[at].tolist()
                  for v in set(verts)}
     c = 1.0
@@ -2290,9 +2344,9 @@ def old_qg_certify(ball: GraphBall, path) -> float:
 
 @pytest.mark.parametrize("name", sorted(UNIT_BALLS))
 def test_qg_certify_matches_pair_loop(name):
-    """One multi-row Dijkstra and array arithmetic give the constant of the
-    pair-by-pair loop bit for bit, on random walks (which revisit vertices
-    and backtrack) and on geodesics."""
+    """One block of capped breadth-first searches and array arithmetic give
+    the constant of the pair-by-pair loop bit for bit, on random walks
+    (which revisit vertices and backtrack) and on geodesics."""
     ball = UNIT_BALLS[name]()
     rng = random.Random(name)
     indptr, indices = ball.csr_arrays
@@ -2467,7 +2521,7 @@ def two_rail_ball():
     edges += [e for k in range(5) for e in ((1, 29 + k), (29 + k, 24 + k))]
     u, v = np.concatenate([np.array(ball.edge_arrays), np.array(edges).T], axis=1)
     indptr, indices = csr_from_edges(34, u, v)
-    dist = bfs_distances(unit_matrix(indptr, indices), 0)
+    dist = bfs_distances(indptr, indices, 0)
     return GraphBall(base=0, radius=int(dist.max()), indptr=indptr,
                      indices=indices, dist=dist)
 
@@ -2698,8 +2752,8 @@ def old_puncture_exhaustive_estimate(ball, n_max, params, inner, n_min, seed):
     `old_find_automorphisms` lists, its witnesses picked by
     `old_orbit_witnesses`: one multi-row Dijkstra over a sink-punctured copy
     of the matrix per center and forbidden radius."""
-    puncture = OldPuncture(ball.matrix)
-    d_inner = dijkstra(ball.matrix, directed=True, indices=inner)
+    puncture = OldPuncture(unit_matrix(*ball.csr_arrays))
+    d_inner = dijkstra(unit_matrix(*ball.csr_arrays), directed=True, indices=inner)
     ambient = d_inner[:, inner]
     # A base-fixing automorphism h keeps every distance, so it maps the
     # inner region onto itself and the triples at c, with their values and
