@@ -181,7 +181,8 @@ def _orbit_witnesses(symmetry: Symmetry, members: np.ndarray, key: np.ndarray,
     of a key is lo* = min(low[a], low[b]) over its triples, low being the
     orbit minima. A triple gives lo* at c' exactly when one end is
     y = u_c'^-1(lo*): only the triples with that end are mapped, and only
-    their other end.
+    their other end. Each of the two maps is one `Symmetry.move` over all
+    queries.
     """
     low = symmetry.orbit_min
     lo_star = np.full(key.max() + 1, len(low))
@@ -189,7 +190,7 @@ def _orbit_witnesses(symmetry: Symmetry, members: np.ndarray, key: np.ndarray,
     keys = np.unique(key)
     # Query q: center member[q] and key kq[q], with its end y[q].
     kq, member = np.repeat(keys, len(members)), np.tile(members, len(keys))
-    y = symmetry.to_rep(member, lo_star[kq])
+    y = symmetry.move(member, lo_star[kq], inverse=True)
     # Both ends of every triple, sorted by (key, end).
     width = len(low)
     code = np.concatenate([key * width + a, key * width + b])
@@ -201,7 +202,7 @@ def _orbit_witnesses(symmetry: Symmetry, members: np.ndarray, key: np.ndarray,
     q = np.repeat(np.arange(len(kq)), sizes)
     before = np.cumsum(sizes) - sizes  # matches of the queries before q
     at = start[q] + np.arange(len(q)) - before[q]
-    hi = symmetry.from_rep(member[q], other[at])
+    hi = symmetry.move(member[q], other[at])
     k, c = kq[q], member[q]
     order = np.lexsort((c, hi, k))
     first = order[np.flatnonzero(np.diff(k[order], prepend=-1))]
@@ -404,35 +405,35 @@ def div_function_estimate(ball: GraphBall, n_max: int, params: DivergenceParams,
     """Estimate Div(n) for n = n_min..n_max over triples drawn from the
     inner region B_b(ball.radius / margin).
 
-    protocol "exhaustive" covers every admissible triple in the inner
-    region (grouped so one punctured search serves many partners), scanning
-    one center per orbit of `ball.symmetry` and picking each witness over
-    the images of the tied triples at every center of the orbit, with the
-    same samples as a scan of every center; "sampled" draws seeded a-b pairs at distance n and
-    centers c near their geodesics (a heuristic for finding large values,
-    kept out of exhaustive mode); "auto" picks exhaustive for balls up to
-    EXHAUSTIVE_CAP vertices. A forced "exhaustive" on an inner region of
-    more than EXHAUSTIVE_CAP vertices warns first (RuntimeWarning): it
-    can take minutes. Values are certified lower bounds on Div at ball
-    scale; the supremum is approximated, never certified. margin must be a
-    finite real >= 1.
+    protocol "exhaustive" covers every admissible triple in the inner region
+    (grouped so one punctured search serves many partners), scanning one
+    center per orbit of `ball.symmetry` and picking each witness over the
+    images of the tied triples at every center of the orbit, with the same
+    samples as a scan of every center; "sampled" draws seeded a-b pairs at
+    distance n and centers c near their geodesics (a heuristic for finding
+    large values, kept out of exhaustive mode); "auto" picks exhaustive for
+    balls up to EXHAUSTIVE_CAP vertices. A forced "exhaustive" on an inner
+    region of more than EXHAUSTIVE_CAP vertices warns first
+    (RuntimeWarning): it can take minutes. Values are certified lower bounds
+    on Div at ball scale; the supremum is approximated, never certified.
+    margin must be a finite real >= 1.
 
     Both protocols pick values and witnesses from arrays of triples by one
     rule (`_Buckets.offer`). The sampled protocol first draws every triple,
-    running one Dijkstra search from a up to n per a-b pair on a unit
-    matrix of the CSR arrays, built once per call (its heap order picks the
+    running one Dijkstra search from a up to n per a-b pair on a unit matrix
+    of the CSR arrays, built once per call (its heap order picks the
     geodesic that the later draws read); it then runs the centers'
     breadth-first searches in blocks of `graph_core.block_rows` triples
     (`graph_core.bfs_parents`, capped at n // 2 + 2 of the block's largest
     n), and all punctured detours in blocks of breadth-first searches that
-    stop when they reach b
-    (`graph_core.punctured_paths`). The exhaustive protocol runs no
-    Dijkstra: its ambient rows, its centers' rows and its punctured rows
-    (row a in the ball minus B_c(floor t)) are bit-parallel breadth-first
-    searches (`graph_core.bfs_rows`): the centers' rows kept only over the
-    base ball that holds every forbidden ball, the punctured rows of
-    consecutive centers gathered into blocks of about BLOCK_CELLS / |inner|
-    searches.
+    stop when they reach b (`graph_core.punctured_paths`). The exhaustive
+    protocol runs no Dijkstra: its ambient rows, its centers' rows and its
+    punctured rows (row a in the ball minus B_c(floor t)) are bit-parallel
+    breadth-first searches (`graph_core.bfs_rows`): the centers' rows kept
+    only over the base ball that holds every forbidden ball, the punctured
+    rows of consecutive centers gathered into blocks of about
+    BLOCK_CELLS / |inner| searches.
+
     div_triple reads d(c, .) and d(a, .) from one `bfs_rows` call and takes
     one detour from `punctured_paths`.
     """

@@ -367,8 +367,9 @@ def _sphere_rows(w: FloydWeighting, sources: np.ndarray,
     representative is its orbit minimum, `ball.symmetry.orbit_min`, which
     need not be a source; the transversal element u_s sends it to s and
     maps the sphere onto itself, so the row of s holds d(rep, t) at the
-    column of u_s(t) for every target t. Sources are never swapped with
-    targets: d(s, t) and d(t, s) may differ in the last place.
+    column of u_s(t) for every target t, all rows moved by one
+    `Symmetry.move`. Sources are never swapped with targets: d(s, t) and
+    d(t, s) may differ in the last place.
     """
     symmetry = w.ball.symmetry
     rep = symmetry.orbit_min[sources]
@@ -376,7 +377,7 @@ def _sphere_rows(w: FloydWeighting, sources: np.ndarray,
     rep_rows = _target_rows(w, reps, targets)
     column = np.empty(w.ball.vertex_count, dtype=np.int64)
     column[targets] = np.arange(len(targets))
-    moved = column[symmetry.from_rep(
+    moved = column[symmetry.move(
         sources, np.broadcast_to(targets, (len(sources), len(targets))))]
     out = np.empty((len(sources), len(targets)))
     out[np.arange(len(sources))[:, None], moved] = rep_rows[np.searchsorted(reps, rep)]

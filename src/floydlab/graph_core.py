@@ -43,7 +43,8 @@ class GraphBall:
     rejects a base or a CSR entry outside 0..V-1 with a ValueError.
     `slot_rows`, `edge_arrays` and `symmetry` are derived read-only on
     first use; `dist` is the only view of base distances, and
-    `symmetry` the only view of orbits (`orbit_min`, `orbit_members`).
+    `symmetry` the only view of orbits (`orbit_min`, `orbit_members`)
+    and the one way to move vertices along them (`move`).
     Safe for concurrent reads: two threads may both derive a value, equal
     both times, and no search writes to the ball: a punctured search keeps
     its forbidden vertices in its own arrays.
@@ -257,53 +258,37 @@ class Symmetry:
         slots, sizes = _row_slots(start, np.asarray(orbits, dtype=np.int64))
         return by_orbit[slots], sizes
 
-    def _steps(self, v: np.ndarray) -> list[np.ndarray]:
-        """The transversal's generators from each v up to its orbit minimum:
-        entry k holds, per v, the generator of the k-th step up, -1 for a
-        walk that has reached its minimum."""
+    def move(self, v: Sequence[int], x: np.ndarray,
+             inverse: bool = False) -> np.ndarray:
+        """Row i of the vertices x (any trailing shape) mapped by u_v[i], which
+        sends orbit_min[v[i]] to v[i], or with `inverse` by u_v[i]^-1. All
+        rows walk the transversal up from v[i] in lockstep, and each step is
+        one flat gather, table[gen * V + x], from the dense maps (inverted
+        for `inverse`) of the generators the walks use, built for this call;
+        a walk that has ended reads the identity row."""
+        out = np.array(x, dtype=np.int64)
         at = np.asarray(v, dtype=np.int64)
-        steps = []
-        while True:
-            gen = self.via[at]
-            if (gen < 0).all():
-                return steps
+        steps = []  # steps[k][i]: the generator of row i's k-th step up
+        while (gen := self.via[at]).max(initial=-1) >= 0:
             steps.append(gen)
             at = np.where(gen >= 0, self.parent[at], at)
-
-    def _walk(self, v: Sequence[int], x: np.ndarray, inverse: bool) -> np.ndarray:
-        """Row i of the vertices x mapped by u_v[i], or by its inverse, all
-        rows in lockstep: one gather per step from a table of the dense
-        maps of the generators the walks use (-1, no generator, reads the
-        identity row)."""
-        out = np.array(x, dtype=np.int64)
-        steps = self._steps(v)
         if not steps:
             return out
-        used, row = np.unique(np.stack(steps), return_inverse=True)
-        table = np.empty((len(used), len(self.orbit_min)), dtype=np.int32)
+        used, code = np.unique(np.stack(steps), return_inverse=True)
+        n = len(self.orbit_min)
+        table = np.tile(np.arange(n, dtype=np.int32), len(used))
         for i, j in enumerate(used.tolist()):
-            table[i] = np.arange(table.shape[1])
             if j >= 0:
                 moved, images = self.moves[j]
-                if inverse:
-                    table[i, images] = moved
-                else:
-                    table[i, moved] = images
+                src, dst = (images, moved) if inverse else (moved, images)
+                table[i * n + src] = dst
         flat = out.reshape(len(out), -1)
-        for gen in row if inverse else row[::-1]:
-            flat[:] = table[gen[:, None], flat]
-        return out
-
-    def from_rep(self, v: Sequence[int], x: np.ndarray) -> np.ndarray:
-        """u_v[i](x[i]) for every row i: the vertices x[i] (any trailing
-        shape) mapped by the transversal element that sends orbit_min[v[i]]
-        to v[i]."""
-        return self._walk(v, x, inverse=False)
-
-    def to_rep(self, v: Sequence[int], x: np.ndarray) -> np.ndarray:
-        """u_v[i]^-1(x[i]) for every row i, the inverse of `from_rep`: it
-        sends v[i] to orbit_min[v[i]]."""
-        return self._walk(v, x, inverse=True)
+        # u_v applies the step nearest the orbit minimum first, u_v^-1 the
+        # step at v.
+        for gen in code if inverse else code[::-1]:
+            flat += n * gen[:, None]
+            flat[:] = table[flat]
+        return flat.reshape(out.shape)  # flat is a copy when out is not C-ordered
 
 
 def _first_sphere_maps(ball: GraphBall, s1: np.ndarray):

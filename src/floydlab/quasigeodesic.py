@@ -237,7 +237,8 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
     certified at C around h(x). When x is the first of its orbit to pass,
     every member y of the orbit (`Symmetry.orbit_members`) gets
     u_y(u_x^-1(path)) as its witness, u being the transversal elements
-    that send the orbit's smallest vertex to x and to y; x keeps its own,
+    that send the orbit's smallest vertex to x and to y (`Symmetry.move`,
+    once for the round's paths and once for their orbits); x keeps its own,
     and the members before x, which failed, get theirs this way too. The
     pass set is thus the union of the orbits that hold a vertex the search
     passes on its own, with one witness per passing vertex.
@@ -269,10 +270,11 @@ def wideness_probe(ball: GraphBall, C: float, segment_length: int) -> WidenessRe
             passed[orbit[x]] = True
             # Each passing path, moved to its orbit's smallest vertex, then
             # to every member of the orbit.
-            to_min = symmetry.to_rep(x, [found.vertices for _, found in hits])
+            to_min = symmetry.move(x, [found.vertices for _, found in hits],
+                                   inverse=True)
             members, sizes = symmetry.orbit_members(orbit[x])
             owner = np.repeat(np.arange(len(hits)), sizes)
-            images = symmetry.from_rep(members, to_min[owner]).tolist()
+            images = symmetry.move(members, to_min[owner]).tolist()
             for y, i, path in zip(members.tolist(), owner.tolist(), images):
                 found_at[y] = PathWitness(vertices=tuple(path),
                                           certified_C=hits[i][1].certified_C)

@@ -276,3 +276,27 @@ def python_orbits(ball, moves):
         for x in orbit:
             orbit_of[x] = orbit
     return orbit_of
+
+
+def python_move(symmetry, v, x, inverse=False):
+    """Row i of x (any trailing shape) mapped by the transversal element
+    u_v[i] = g_via[v[i]] . u_parent[v[i]], or by its inverse, composing the
+    generators (moved, images) as Python dicts one vertex at a time."""
+    maps = [dict(zip(m.tolist(), i.tolist())) for m, i in symmetry.moves]
+    if inverse:
+        maps = [{y: z for z, y in g.items()} for g in maps]
+    parent, via = symmetry.parent.tolist(), symmetry.via.tolist()
+    out = []
+    for w, row in zip(np.asarray(v).tolist(), np.asarray(x)):
+        chain = []  # u_w = chain[0] . chain[1] . ... . chain[-1]
+        while via[w] >= 0:
+            chain.append(maps[via[w]])
+            w = parent[w]
+        order = chain if inverse else chain[::-1]
+        images = []
+        for y in row.ravel().tolist():
+            for g in order:
+                y = g.get(y, y)
+            images.append(y)
+        out.append(np.reshape(images, row.shape))
+    return np.array(out, dtype=np.int64).reshape(np.shape(x))

@@ -49,6 +49,7 @@ from helpers import (
     graph_distance,
     min_floyd_over_simple_paths,
     neighbors,
+    python_move,
     python_orbits,
     random_connected_edges,
     random_small_ball,
@@ -478,25 +479,61 @@ def test_automorphisms_pass_the_set_oracle(name):
     # The transversal element u_v sends orbit_min[v] to v, and its inverse
     # sends v back.
     v = np.arange(ball.vertex_count)
-    assert np.array_equal(symmetry.from_rep(v, ball.symmetry.orbit_min), v)
-    assert np.array_equal(symmetry.to_rep(v, v), ball.symmetry.orbit_min)
+    assert np.array_equal(symmetry.move(v, ball.symmetry.orbit_min), v)
+    assert np.array_equal(symmetry.move(v, v, inverse=True), ball.symmetry.orbit_min)
+
+
+LARGE_SYMMETRY_BALLS = (
+    (Free(2), 8), (FreeProduct(FreeAbelian(1), FreeAbelian(1)), 8),
+    (DirectProduct(FreeAbelian(1), Free(2)), 7))
 
 
 def test_transversal_maps_whole_orbits_on_large_balls():
     # Sampled v: u_v(orbit_min[v]) == v, and u_v is an automorphism: it
     # maps the neighbors of orbit_min[v] onto those of v.
     rng = np.random.default_rng(5)
-    for model, radius in ((Free(2), 8), (FreeProduct(FreeAbelian(1), FreeAbelian(1)), 8),
-                          (DirectProduct(FreeAbelian(1), Free(2)), 7)):
+    for model, radius in LARGE_SYMMETRY_BALLS:
         ball = cayley_ball(model, radius)
         symmetry = ball.symmetry
         v = rng.choice(ball.vertex_count, 200, replace=False)
         low = ball.symmetry.orbit_min[v]
-        assert np.array_equal(symmetry.from_rep(v, low), v)
-        assert np.array_equal(symmetry.to_rep(v, v), low)
+        assert np.array_equal(symmetry.move(v, low), v)
+        assert np.array_equal(symmetry.move(v, v, inverse=True), low)
         for x, y in zip(v.tolist(), low.tolist()):
-            mapped = symmetry.from_rep([x], [list(neighbors(ball, y))])[0]
+            mapped = symmetry.move([x], [list(neighbors(ball, y))])[0]
             assert sorted(mapped.tolist()) == list(neighbors(ball, x))
+
+
+def check_move_against_the_oracle(ball, v, rng):
+    """`Symmetry.move` equals the dict composition `python_move` both ways,
+    on x of shape (k,), (k, m) and (k, m, 2), the last also in Fortran
+    order, and undoes itself."""
+    symmetry = ball.symmetry
+    k = len(v)
+    xs = [rng.integers(ball.vertex_count, size=shape) for shape in ((k,), (k, 3), (k, 3, 2))]
+    for x in xs + [np.asfortranarray(xs[-1])]:
+        for inverse in (False, True):
+            moved = symmetry.move(v, x, inverse=inverse)
+            assert moved.shape == x.shape and moved.dtype == np.int64
+            assert np.array_equal(moved, python_move(symmetry, v, x, inverse))
+        assert np.array_equal(symmetry.move(v, symmetry.move(v, x), inverse=True), x)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BALLS))
+def test_move_matches_the_composition_oracle(name):
+    ball = ORACLE_BALLS[name]()
+    check_move_against_the_oracle(ball, np.arange(ball.vertex_count),
+                                  np.random.default_rng(len(name)))
+
+
+@pytest.mark.parametrize("model,radius", LARGE_SYMMETRY_BALLS)
+def test_move_matches_the_composition_oracle_on_large_balls(model, radius):
+    ball = cayley_ball(model, radius)
+    rng = np.random.default_rng(radius)
+    v = rng.choice(ball.vertex_count, 200, replace=False)
+    # Deep transversal walks: the farthest vertices take the most steps.
+    v = np.concatenate([v, np.flatnonzero(ball.dist == radius)[-20:]])
+    check_move_against_the_oracle(ball, v, rng)
 
 
 def test_verification_rejects_maps_that_extend():

@@ -208,6 +208,7 @@ from helpers import (
     naive_div_triple,
     is_quasi_geodesic,
     neighbors,
+    python_move,
     python_orbits,
     random_connected_edges,
     unit_matrix,
@@ -1036,7 +1037,8 @@ def test_probe_searches_each_orbit_until_its_first_pass(name, monkeypatch):
         for y, w in new.witnesses.items():
             x = next(f for f in firsts if low[f] == low[y])
             path = old.witnesses[x].vertices
-            image = symmetry.from_rep([y], symmetry.to_rep([x], [path]))[0]
+            to_min = python_move(symmetry, [x], [path], inverse=True)
+            image = python_move(symmetry, [y], to_min)[0]
             assert w == PathWitness(tuple(image.tolist()), old.witnesses[x].certified_C)
             if y == x:
                 assert w.vertices == path
